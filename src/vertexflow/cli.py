@@ -70,13 +70,25 @@ def _semantic(doc, builder, pointer: str):
         raise ConfigError(f"{pointer}: {exc}") from exc
 
 
+def _field(doc, pointer: str):
+    """The value at a JSON pointer such as ``/params/s``; a missing one is a ConfigError."""
+    node = doc
+    for key in pointer.split("/")[1:]:
+        if not isinstance(node, dict) or key not in node:
+            raise ConfigError(f"{pointer}: required field is missing")
+        node = node[key]
+    return node
+
+
 def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("VERTEXFLOW_WORKERS")
-    if env:
-        return int(env)
-    return 1
+    raw = args.workers if args.workers is not None else os.environ.get("VERTEXFLOW_WORKERS") or 1
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ConfigError(f"/workers: --workers or VERTEXFLOW_WORKERS must be a positive "
+                      f"integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +116,19 @@ def _cmd_sample(args) -> int:
         for i in range(count):
             lines.append(lattice.dumps(lattice.config_to_json(batch.config(i))))
     elif model == "qhahn":
-        p = cfg["params"]
-        rect = (int(cfg["rect"][0]), int(cfg["rect"][1]))
-        batch = sampler.sample_qhahn(p["q"], p["s"], p["z"], rect,
-                                     tuple(p["boundary_levels"]), seed, count, workers,
+        q, s, z, levels = (_field(cfg, f"/params/{key}")
+                           for key in ("q", "s", "z", "boundary_levels"))
+        rect = _semantic(cfg, lambda d: (int(d["rect"][0]), int(d["rect"][1])), "/rect")
+        batch = sampler.sample_qhahn(q, s, z, rect, tuple(levels), seed, count, workers,
                                      keep_edges=True)
         for i in range(count):
             lines.append(lattice.dumps(lattice.config_to_json(batch.config(i))))
     elif model == "beta":
-        p = cfg["params"]
+        sigma, rho, t_max, delays = (_field(cfg, f"/params/{key}")
+                                     for key in ("sigma", "rho", "t_max", "delays"))
         keep = [tuple(pt) for pt in cfg.get("keep_points", [])] or None
-        batch = sampler.simulate_beta_polymer(p["sigma"], p["rho"], int(p["t_max"]),
-                                              p["delays"], seed, count, keep, workers)
+        batch = sampler.simulate_beta_polymer(sigma, rho, int(t_max), delays, seed, count,
+                                              keep, workers)
         for i in range(count):
             row = {f"{k}:{m}:{t}": batch.values[(k, m, t)][i] for (k, m, t) in sorted(batch.values)}
             lines.append(json.dumps({key: _fmt(v) for key, v in row.items()}, sort_keys=True))
@@ -137,6 +150,12 @@ def _query_from_json(doc) -> qmoments.MomentQuery:
     return qmoments.MomentQuery([tuple(p) for p in doc["points"]], list(doc["colors"]), pi)
 
 
+def _convergence(res: qmoments.MomentResult) -> str:
+    if res.converged:
+        return f"converged at {res.nodes_per_circle} nodes/circle"
+    return f"NOT converged: stopped at the node cap, {res.nodes_per_circle} nodes/circle"
+
+
 def _cmd_moment(args) -> int:
     doc = _load_json(args.query, "moment_query")
     theorem = args.theorem
@@ -155,12 +174,12 @@ def _cmd_moment(args) -> int:
         res = qmoments.shifted_observable(params, query.points, query.colors, query.pi,
                                           exact=True, nodes_per_circle=nodes, tol=tol)
     elif theorem == "8.5":
-        p = doc["params"]
-        res = qmoments.qmoment_qhahn(p["q"], p["s"], p["z"], tuple(p["boundary_levels"]),
-                                     query, nodes, tol)
+        q, s, z, levels = (_field(doc, f"/params/{key}")
+                           for key in ("q", "s", "z", "boundary_levels"))
+        res = qmoments.qmoment_qhahn(q, s, z, tuple(levels), query, nodes, tol)
     elif theorem == "9.2":
-        p = doc["params"]
-        res = qmoments.beta_moment(p["sigma"], p["rho"], [tuple(pt) for pt in doc["points"]],
+        sigma, rho = (_field(doc, f"/params/{key}") for key in ("sigma", "rho"))
+        res = qmoments.beta_moment(sigma, rho, [tuple(pt) for pt in doc["points"]],
                                    list(doc["colors"]), query.pi, nodes, tol)
     else:
         raise ConfigError(f"/theorem: unknown theorem {theorem}")
@@ -170,6 +189,7 @@ def _cmd_moment(args) -> int:
         "value_im": res.value.imag,
         "error_estimate": res.error_estimate,
         "nodes_per_circle": res.nodes_per_circle,
+        "converged": res.converged,
     }
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2, sort_keys=True)
@@ -182,7 +202,7 @@ def _cmd_moment(args) -> int:
             writer.writerow([args.query, _fmt(res.value.real), _fmt(res.value.imag),
                              _fmt(res.error_estimate), 0])
     print(f"moment[{theorem}]: value = {_fmt(res.value.real)} + {_fmt(res.value.imag)}j "
-          f"(est {_fmt(res.error_estimate)})")
+          f"(est {_fmt(res.error_estimate)}, {_convergence(res)})")
     return EXIT_OK
 
 
@@ -289,6 +309,7 @@ def _cmd_polymer(args) -> int:
         "value_re": res.value.real,
         "value_im": res.value.imag,
         "error_estimate": res.error_estimate,
+        "converged": res.converged,
     }
     if args.m == 1:
         exact1 = ((args.sigma - args.rho) / args.sigma) ** (args.t - 1)
@@ -298,7 +319,7 @@ def _cmd_polymer(args) -> int:
             json.dump(out, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(f"polymer: E[Z_({args.delay})^({args.m},{args.t})] = {_fmt(res.value.real)} "
-          f"(est {_fmt(res.error_estimate)})")
+          f"(est {_fmt(res.error_estimate)}, {_convergence(res)})")
     return EXIT_OK
 
 

@@ -18,7 +18,19 @@ import numpy as np
 
 from .errors import ContourError
 
-GOLDEN = 0.6180339887498949  # per-variable node phase offsets
+
+def phase_denominator(k: int) -> int:
+    """D, the smallest odd integer > k, of the per-variable node phase rule.
+
+    ``ContourFamily.nodes`` turns variable a's nodes by a/D of a spacing at the
+    odd part of the node count, a fixed angle for every count n = odd * 2^m.
+    Doubling n keeps each grid the stride-2 subset of the next one (nested
+    levels), and on a shared circle variables a != b sit (a - b) 2^m / D
+    spacings apart, never an integer because D is odd and |a - b| < D: their
+    nodes stay >= spacing/D apart at every level, so the pair factors
+    1/(w_b - w_a) never meet a coincidence.
+    """
+    return k + 1 if k % 2 == 0 else k + 2
 
 
 @dataclass(frozen=True)
@@ -50,9 +62,16 @@ class ContourFamily:
         )
 
     def nodes(self, var: int, nodes_per_circle: int):
-        """Quadrature nodes and dw/(2 pi i) weights for variable ``var`` (1-based)."""
+        """Quadrature nodes and dw/(2 pi i) weights for variable ``var`` (1-based).
+
+        The nodes of each circle follow one another, ``nodes_per_circle`` per
+        circle.  Their phase depends only on the odd part of the count (see
+        ``phase_denominator``), so the grid at n/2 is exactly ``w[::2]`` of the
+        grid at n, with weights ``2 * dw[::2]``.
+        """
         ws, dws = [], []
-        phase = ((var * GOLDEN) % 1.0) / nodes_per_circle
+        odd = nodes_per_circle // (nodes_per_circle & -nodes_per_circle)
+        phase = var / (phase_denominator(self.k) * odd)
         for circ in self.per_variable[var - 1]:
             theta = 2 * np.pi * (np.arange(nodes_per_circle) / nodes_per_circle + phase)
             w = circ.center + circ.radius * np.exp(1j * theta)

@@ -361,12 +361,6 @@ class Configuration:
             if inc != out:
                 raise ValidationError(f"conservation fails at vertex ({x}, {y})")
 
-    def copy(self) -> "Configuration":
-        return Configuration(
-            self.n_rows, self.m_cols, dict(self.h_edges), dict(self.v_edges),
-            self.domain, self.n_colors,
-        )
-
 
 def _sum_comps(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))

@@ -8,8 +8,15 @@ vectors and pairwise matrices; each term is then a small tensor contraction
 (matrix products for k <= 4, an outer-variable loop beyond).  This keeps the
 cost at (nodes)^k floating-point work in BLAS rather than Python.
 
-Node counts double adaptively until the Richardson estimate (the change under
-doubling) drops below tolerance or a cap is reached.
+One adaptive loop serves every integral.  Node phases do not change with
+the node count, so the grid at n/2 is the stride-2 subset of the grid at n and
+is read from the same tables.  The loop evaluates the requested count n first
+and returns I(n) when |I(n) - I(n/2)| < tol; otherwise n doubles and the old
+level becomes the coarse one.  The estimate is taken on the quantity returned:
+moment prefactors such as q^{k(k-1)/2 - l(pi)} ride in the ``pi_terms``
+coefficients, and summed integrals are priced as sums.  A run that would pass
+the node cap stops there and returns ``converged=False``; ``converged=True``
+always means ``error_estimate < tol``.
 """
 
 from __future__ import annotations
@@ -55,9 +62,13 @@ class MomentQuery:
 
 @dataclass
 class MomentResult:
+    """An integral value, |I(n) - I(n/2)| of that value, the final node count n,
+    and whether the estimate met the tolerance before the node cap."""
+
     value: complex
     error_estimate: float
     nodes_per_circle: int
+    converged: bool = True
 
     def real_checked(self, tol: float = 1e-8) -> float:
         if abs(self.value.imag) > tol:
@@ -90,22 +101,33 @@ class PairingIntegrand:
 
 
 class _Grid:
-    def __init__(self, fam: ContourFamily, nodes_per_circle: int, variant: str, q):
-        self.k = fam.k
-        self.nodes = []
-        self.dws = []
-        for a in range(1, fam.k + 1):
-            w, dw = fam.nodes(a, nodes_per_circle)
-            self.nodes.append(w)
-            self.dws.append(dw)
+    """Nodes, weights and pair-factor tables of one quadrature level."""
+
+    def __init__(self, nodes: list, dws: list, variant: str, q, finer: "_Grid | None" = None):
+        self.k = len(nodes)
+        self.nodes = nodes
+        self.dws = dws
         self.variant = variant
         self.q = q
+        self._finer = finer
         self._cross = {}
         self._pair_cache = {}
 
+    @classmethod
+    def build(cls, fam: ContourFamily, nodes_per_circle: int, variant: str, q) -> "_Grid":
+        nodes, dws = zip(*(fam.nodes(a, nodes_per_circle) for a in range(1, fam.k + 1)))
+        return cls(list(nodes), list(dws), variant, q)
+
+    def coarse(self) -> "_Grid":
+        """The n/2 level, the stride-2 subset of this one (n even), read from its tables."""
+        return _Grid([w[::2] for w in self.nodes], [2 * dw[::2] for dw in self.dws],
+                     self.variant, self.q, finer=self)
+
     def cross(self, a: int, b: int) -> np.ndarray:
         """prod factor for the pair a < b (0-based): rows index var a, cols var b."""
-        if (a, b) not in self._cross:
+        if (a, b) not in self._cross and self._finer is not None:
+            self._cross[(a, b)] = self._finer.cross(a, b)[::2, ::2]
+        elif (a, b) not in self._cross:
             wa = self.nodes[a][:, None]
             wb = self.nodes[b][None, :]
             if self.variant == "q":
@@ -121,7 +143,10 @@ class _Grid:
         rows = key[0], cols = key[1].
         """
         ck = (tag, u, v)
-        if ck not in self._pair_cache:
+        if ck not in self._pair_cache and self._finer is not None:
+            key, mat = self._finer.pair_matrix(tag, u, v)
+            self._pair_cache[ck] = (key, mat[::2, ::2])
+        elif ck not in self._pair_cache:
             wu = self.nodes[u]
             wv = self.nodes[v]
             if self.variant == "q":
@@ -216,31 +241,41 @@ def _mat_mult(mats: dict, key, mat) -> dict:
     return new
 
 
+def _adaptive(fam: ContourFamily, variant: str, q, evaluate, nodes_per_circle: int,
+              tol: float, cap: int) -> dict:
+    """The adaptive loop: {key: MomentResult} for ``evaluate(grid) -> {key: value}``.
+
+    Level n is priced against its stride-2 subset n/2 (an odd start count is
+    first doubled, so the requested grid is that subset).  If some key's
+    |I(n) - I(n/2)| is not below ``tol``, n doubles and the old level becomes
+    the coarse one, until every key passes or doubling would pass ``cap``.
+    """
+    fam.validate(nodes_per_circle)
+    n = nodes_per_circle if nodes_per_circle % 2 == 0 else 2 * nodes_per_circle
+    grid = _Grid.build(fam, n, variant, q)
+    fine = evaluate(grid)
+    coarse = evaluate(grid.coarse())
+    while True:
+        for v in fine.values():
+            if not np.isfinite(v):
+                raise ContourResolutionError(
+                    f"non-finite integral value at {n} nodes per circle; increase nodes"
+                )
+        est = {key: abs(fine[key] - coarse[key]) for key in fine}
+        if max(est.values()) < tol or 2 * n > cap:
+            return {key: MomentResult(fine[key], est[key], n, bool(est[key] < tol))
+                    for key in fine}
+        n *= 2
+        coarse, fine = fine, evaluate(_Grid.build(fam, n, variant, q))
+
+
 def pairing_values(fam: ContourFamily, integrand: PairingIntegrand, q,
                    nodes_per_circle: int = DEFAULT_NODES, tol: float = DEFAULT_TOL,
                    cap: int = NODE_CAP) -> dict:
-    """Adaptive evaluation; returns {pi images: MomentResult}."""
-    fam.validate(nodes_per_circle)
-
-    def run(n):
-        grid = _Grid(fam, n, integrand.variant, q)
-        vals = _pairing_on_grid(grid, integrand)
-        for v in vals.values():
-            if not np.isfinite(v):
-                raise ContourResolutionError(
-                    f"non-finite pairing value at {n} nodes per circle; increase nodes"
-                )
-        return vals
-
-    prev = run(nodes_per_circle)
-    n = 2 * nodes_per_circle
-    while True:
-        cur = run(n)
-        est = {key: abs(cur[key] - prev[key]) for key in cur}
-        if max(est.values()) < tol or 2 * n > cap:
-            return {key: MomentResult(cur[key], est[key], n) for key in cur}
-        prev = cur
-        n *= 2
+    """Adaptive evaluation; returns {pi images: MomentResult}, each pi's value
+    carrying its ``pi_terms`` coefficient."""
+    return _adaptive(fam, integrand.variant, q, lambda g: _pairing_on_grid(g, integrand),
+                     nodes_per_circle, tol, cap)
 
 
 def iterated_integral(f, contours: ContourFamily, nodes_per_circle: int = DEFAULT_NODES,
@@ -250,29 +285,20 @@ def iterated_integral(f, contours: ContourFamily, nodes_per_circle: int = DEFAUL
 
     Includes the cross factor prod_{a<b}(w_b - w_a)/(w_b - q w_a) (or its
     polymer analogue) and the measure dw_a/(2 pi i w_a).  Structured
-    ``PairingIntegrand`` inputs use the factored fast path; plain
+    ``PairingIntegrand`` inputs use the factored fast path and return the sum
+    over their ``pi_terms``, with the error estimate of that sum; plain
     PointFunctions are evaluated on the dense node mesh.
     """
     if isinstance(f, PairingIntegrand):
-        vals = pairing_values(contours, f, q, nodes_per_circle, tol, cap)
-        total_val = sum(v.value for v in vals.values())
-        return MomentResult(total_val, sum(v.error_estimate for v in vals.values()),
-                            max(v.nodes_per_circle for v in vals.values()))
-    contours.validate(nodes_per_circle)
+        variant = f.variant
 
-    def run(n):
-        grid = _Grid(contours, n, variant, q)
-        return _mesh_integral(grid, f)
+        def evaluate(grid):
+            return {None: sum(_pairing_on_grid(grid, f).values())}
+    else:
+        def evaluate(grid):
+            return {None: _mesh_integral(grid, f)}
 
-    prev = run(nodes_per_circle)
-    n = 2 * nodes_per_circle
-    while True:
-        cur = run(n)
-        est = abs(cur - prev)
-        if est < tol or 2 * n > cap:
-            return MomentResult(cur, est, n)
-        prev = cur
-        n *= 2
+    return _adaptive(contours, variant, q, evaluate, nodes_per_circle, tol, cap)[None]
 
 
 def _mesh_integral(grid: _Grid, f: PointFunction) -> complex:
@@ -329,6 +355,17 @@ def _const_one(w):
 # ---------------------------------------------------------------------------
 
 
+def _moment_prefactor(q, pi: Permutation) -> float:
+    """q^{k(k-1)/2 - l(pi)}, the factor between the pairing and the q-moment."""
+    k = len(pi)
+    return q ** (k * (k - 1) / 2 - pi.length())
+
+
+def _moment_terms(q, pis) -> list:
+    """``pi_terms`` that carry the moment prefactor into the adaptive loop."""
+    return [(_moment_prefactor(q, pi), pi) for pi in pis]
+
+
 def _validate_query_order(points, colors):
     alphas = [p[0] for p in points]
     betas = [p[1] for p in points]
@@ -374,15 +411,8 @@ def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, 
     fam = build_contours([1 / t for t in zetas], [1 / (q * t) for t in zetas], k, q)
     if contour_scale != 1.0:
         fam = fam.scaled(contour_scale)
-    integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors,
-                                 [(1.0, pi) for pi in pis], "q")
-    raw = pairing_values(fam, integrand, q, nodes_per_circle, tol, cap)
-    out = {}
-    for pi in pis:
-        r = raw[pi.images]
-        pref = q ** (k * (k - 1) / 2 - pi.length())
-        out[pi.images] = MomentResult(pref * r.value, pref * r.error_estimate, r.nodes_per_circle)
-    return out
+    integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors, _moment_terms(q, pis), "q")
+    return pairing_values(fam, integrand, q, nodes_per_circle, tol, cap)
 
 
 def qmoment_skew(domain: SkewDomain, params: ModelParams, query: MomentQuery,
@@ -449,15 +479,8 @@ def qmoment_higher_spin_multi(params: ModelParams, points, colors, pis,
     fam = build_contours(inside, outside, k, q)
     if contour_scale != 1.0:
         fam = fam.scaled(contour_scale)
-    integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors,
-                                 [(1.0, pi) for pi in pis], "q")
-    raw = pairing_values(fam, integrand, q, nodes_per_circle, tol, cap)
-    out = {}
-    for pi in pis:
-        r = raw[pi.images]
-        pref = q ** (k * (k - 1) / 2 - pi.length())
-        out[pi.images] = MomentResult(pref * r.value, pref * r.error_estimate, r.nodes_per_circle)
-    return out
+    integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors, _moment_terms(q, pis), "q")
+    return pairing_values(fam, integrand, q, nodes_per_circle, tol, cap)
 
 
 def qmoment_higher_spin(params: ModelParams, query: MomentQuery,
@@ -484,6 +507,7 @@ def qmoment_higher_spin_kappa(params: ModelParams, query: MomentQuery,
     fam = build_contours(inside, outside, k, q)
 
     pi = query.pi
+    pref = _moment_prefactor(q, pi)
 
     def f(w):
         table = kappa_table(pi, w, variant="q", q=q)
@@ -496,11 +520,9 @@ def qmoment_higher_spin_kappa(params: ModelParams, query: MomentQuery,
             for slot in range(k):
                 phi = phi * phi_factors[slot](w[rho[slot] - 1])
             tot = tot + coef * phi
-        return tot * psi
+        return pref * tot * psi
 
-    res = iterated_integral(PointFunction(k, f), fam, nodes_per_circle, q, "q", tol, cap)
-    pref = q ** (k * (k - 1) / 2 - pi.length())
-    return MomentResult(pref * res.value, pref * res.error_estimate, res.nodes_per_circle)
+    return iterated_integral(PointFunction(k, f), fam, nodes_per_circle, q, "q", tol, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +606,10 @@ def _shifted_exact(params, points, colors, pi, mults, nodes_per_circle, tol, cap
         offset += m_c
     _, psi_factors, inside, outside = _hs_factors(params, points, [n] * k)
     fam = build_contours(inside, outside, k, q)
-    coset = _coset(pi, mults)
-    integrand = PairingIntegrand(phi_terms, psi_factors, [(1.0, tau) for tau in coset], "q")
-    raw = pairing_values(fam, integrand, q, nodes_per_circle, tol, cap)
-    total = sum(raw[tau.images].value for tau in coset)
-    est = sum(raw[tau.images].error_estimate for tau in coset)
     pref = (1 - q) ** k
-    return MomentResult(pref * total, pref * est, max(r.nodes_per_circle for r in raw.values()))
+    integrand = PairingIntegrand(phi_terms, psi_factors,
+                                 [(pref, tau) for tau in _coset(pi, mults)], "q")
+    return iterated_integral(integrand, fam, nodes_per_circle, q, tol=tol, cap=cap)
 
 
 def _binom2(m: int) -> int:
@@ -651,11 +670,9 @@ def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQu
     fam = build_contours_qhahn(s, z, q, k)
     if contour_scale != 1.0:
         fam = fam.scaled(contour_scale)
-    integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors, [(1.0, query.pi)], "q")
-    raw = pairing_values(fam, integrand, q, nodes_per_circle, tol, cap)
-    r = raw[query.pi.images]
-    pref = q ** (k * (k - 1) / 2 - query.pi.length())
-    return MomentResult(pref * r.value, pref * r.error_estimate, r.nodes_per_circle)
+    integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors,
+                                 _moment_terms(q, [query.pi]), "q")
+    return pairing_values(fam, integrand, q, nodes_per_circle, tol, cap)[query.pi.images]
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +731,4 @@ def beta_moment(sigma: float, rho: float, points, delays, pi: Permutation | None
         [psi_for(m, t) for m, t in zip(ms, ts)],
         [(1.0, pi)], "polymer",
     )
-    raw = pairing_values(fam, integrand, None, nodes_per_circle, tol, cap)
-    r = raw[pi.images]
-    return MomentResult(r.value, r.error_estimate, r.nodes_per_circle)
+    return pairing_values(fam, integrand, None, nodes_per_circle, tol, cap)[pi.images]

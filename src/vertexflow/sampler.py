@@ -539,15 +539,6 @@ def sample_qhahn(q: float, s: float, z: float, rect: tuple[int, int], boundary_l
     return batch
 
 
-def _boxes(limits):
-    if not limits:
-        yield ()
-        return
-    for head in range(limits[0] + 1):
-        for rest in _boxes(limits[1:]):
-            yield (head,) + rest
-
-
 # ---------------------------------------------------------------------------
 # Beta polymer
 # ---------------------------------------------------------------------------

@@ -150,3 +150,59 @@ def test_workers_env_fallback(tmp_path, monkeypatch):
     assert run(["sample", "--model", "sc6v", "--config", cfg, "--samples", "10",
                 "--seed", "1", "--out", str(out)]) == 0
     assert len(out.read_text().strip().split("\n")) == 10
+
+
+def test_workers_env_not_an_integer_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VERTEXFLOW_WORKERS", "abc")
+    cfg = write(tmp_path, "cfg.json", {"domain": DOMAIN, "params": PARAMS})
+    code = run(["sample", "--model", "sc6v", "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert "/workers" in capsys.readouterr().err
+
+
+def test_sample_qhahn_missing_param_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", {"params": {"q": 0.4, "z": 0.7, "boundary_levels": [1, 2]},
+                                       "rect": [2, 2]})
+    code = run(["sample", "--model", "qhahn", "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert "/params/s" in capsys.readouterr().err
+
+
+def test_sample_beta_missing_param_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", {"params": {"rho": 1.5, "t_max": 4, "delays": [0]}})
+    code = run(["sample", "--model", "beta", "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert "/params/sigma" in capsys.readouterr().err
+
+
+def test_moment_qhahn_missing_param_exits_2(tmp_path, capsys):
+    query = write(tmp_path, "q.json", {
+        "points": [[1.5, 0.5]], "colors": [0],
+        "params": {"q": 0.4, "s": 0.4, "boundary_levels": [1, 2]},
+    })
+    code = run(["moment", "--theorem", "8.5", "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "/params/z" in capsys.readouterr().err
+
+
+def test_moment_beta_missing_param_exits_2(tmp_path, capsys):
+    query = write(tmp_path, "q.json", {"points": [[1, 3]], "colors": [0],
+                                       "params": {"sigma": 6.0}})
+    code = run(["moment", "--theorem", "9.2", "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "/params/rho" in capsys.readouterr().err
+
+
+def test_moment_reports_convergence(tmp_path, capsys):
+    query = write(tmp_path, "q.json", {
+        "points": [[1.5, 2.5], [2.5, 1.5]], "colors": [0, 1], "pi": [2, 1],
+        "nodes_per_circle": 64, "domain": DOMAIN, "params": PARAMS,
+    })
+    out = tmp_path / "res.json"
+    assert run(["moment", "--theorem", "6.1", "--query", query, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is True and doc["error_estimate"] < 1e-10
+    assert "converged at 64 nodes/circle" in capsys.readouterr().out

@@ -1,9 +1,16 @@
 """Contour construction, classification margins, and nesting invariants."""
 
+import numpy as np
 import pytest
 
-from vertexflow.contours import build_contours, build_contours_beta, build_contours_qhahn
+from vertexflow.contours import (
+    build_contours,
+    build_contours_beta,
+    build_contours_qhahn,
+    phase_denominator,
+)
 from vertexflow.errors import ContourError
+from vertexflow.qmoments import NODE_CAP
 
 
 def test_single_pole_family():
@@ -74,3 +81,54 @@ def test_beta_family_nesting():
     assert radii[2] < sigma - rho  # excluded poles stay outside
     with pytest.raises(ContourError):
         build_contours_beta(2.0, 1.2, 3)  # span too small to nest three shifts
+
+
+NESTED_CASES = [(2, 96), (3, 48), (4, 64)]  # (k, requested nodes per circle)
+
+
+def _nested_family(k):
+    q = 0.4
+    return build_contours([1.0, 1.3], [1 / (q * 1.0), 1 / (q * 1.3)], k, q)
+
+
+def _levels(n0):
+    n = n0
+    while n <= NODE_CAP:
+        yield n
+        n *= 2
+
+
+@pytest.mark.parametrize("k,n0", NESTED_CASES)
+def test_node_levels_are_nested(k, n0):
+    # the n/2 grid is the stride-2 subset of the n grid, weights doubled
+    fam = _nested_family(k)
+    for a in range(1, k + 1):
+        for n in _levels(n0):
+            w, dw = fam.nodes(a, n)
+            w_half, dw_half = fam.nodes(a, n // 2)
+            np.testing.assert_array_equal(w_half, w[::2])
+            np.testing.assert_allclose(dw_half, 2 * dw[::2], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("k,n0", NESTED_CASES)
+def test_shared_circle_nodes_stay_apart(k, n0):
+    # variables sharing a pole circle keep >= spacing/D between their nodes
+    fam = _nested_family(k)
+    d = phase_denominator(k)
+    shared = [c for c in fam.per_variable[0] if all(c in cs for cs in fam.per_variable)]
+    assert shared
+    for n in [n0 // 2] + list(_levels(n0)):
+        for circ in shared:
+            turns = []
+            for a in range(1, k + 1):
+                idx = fam.per_variable[a - 1].index(circ)
+                w = fam.nodes(a, n)[0][idx * n:(idx + 1) * n]
+                turns.append(np.sort(np.angle(w - circ.center) / (2 * np.pi) % 1.0))
+            for a in range(k):
+                for b in range(a + 1, k):
+                    pos = np.searchsorted(turns[a], turns[b])
+                    gaps = [np.abs(turns[b] - turns[a][pos % n]),
+                            np.abs(turns[b] - turns[a][pos - 1])]
+                    gap = np.minimum(*gaps)
+                    gap = np.minimum(gap, 1 - gap) * n  # in spacings, around the circle
+                    assert gap.min() >= 1 / d - 1e-6, (k, n, a, b, gap.min())

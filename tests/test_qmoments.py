@@ -423,3 +423,69 @@ def test_mc_vs_exact_bridge_sc6v_window():
     exact = qmoment_skew(dom, par, MomentQuery(pts, cols, pi), nodes_per_circle=96)
     rep = mc_vs_exact(vals, exact.real_checked(), "sc6v window k=2")
     assert rep.passed, rep
+
+
+# ---------------------------------------------------------------------------
+# the adaptive loop: nested levels, stopping rule, convergence flag
+# ---------------------------------------------------------------------------
+
+
+def test_k4_skew_identity_query_converges_at_requested_count():
+    from vertexflow.verify import _cut_moment_query, random_shift_pair
+
+    params = ModelParams(q=0.3, row_rapidities=(2.0, 2.11, 2.22),
+                         col_rapidities=(1.0, 1.05, 1.1))
+    col = random_shift_pair(random.Random(1), 3, 3, 2)[0]
+    pts, cols, pi = _cut_moment_query(col, [2, 2])
+    assert len(pts) == 4 and pi == Permutation.identity(4)
+    res = qmoment_skew(col.domain, params, MomentQuery(pts, cols, pi), nodes_per_circle=NODES)
+    want = enumerate_sc6v(col.domain, params).moment(pts, pi.act(cols), params.q)
+    assert res.converged and res.error_estimate < 1e-10
+    assert abs(res.value - want) < 1e-12
+
+
+def test_cap_at_start_count_reports_unconverged():
+    params = ModelParams(q=0.3, row_rapidities=(1.9, 2.2), col_rapidities=(1.0, 1.12))
+    dom = rectangle_domain(2, 2, (0, 1, 1, 2))
+    query = MomentQuery([(1.5, 2.5), (2.5, 1.5)], [0, 1], Permutation((2, 1)))
+    res = qmoment_skew(dom, params, query, nodes_per_circle=NODES, tol=1e-12, cap=NODES)
+    assert not res.converged and res.error_estimate >= 1e-12
+    assert res.nodes_per_circle == NODES
+    res = qmoment_skew(dom, params, query, nodes_per_circle=NODES, tol=1e-12)
+    assert res.converged and res.error_estimate < 1e-12
+
+
+def test_error_estimate_is_in_returned_units():
+    # a pi_terms coefficient (the moment prefactor) scales what the loop prices:
+    # 10^-3 times an integral whose 32-node estimate is ~1e-8 stops at 32 nodes
+    q = 0.3
+    zetas = [1.05, 1.2]
+    phi = [ratio_product([], []), ratio_product(zetas[:1], [q * zetas[0]])]
+    psi = [ratio_product([q * t for t in zetas], zetas), ratio_product([q * zetas[0]], zetas[:1])]
+    fam = build_contours([1 / t for t in zetas], [1 / (q * t) for t in zetas], 2, q)
+    pi = Permutation((2, 1))
+
+    def run(coef, **cap):
+        integrand = PairingIntegrand([(1.0, phi)], psi, [(coef, pi)], "q")
+        return pairing_values(fam, integrand, q, nodes_per_circle=32, tol=1e-10,
+                              **cap)[pi.images]
+
+    raw = run(1.0, cap=32)
+    assert not raw.converged and raw.error_estimate > 1e-10
+    assert run(1.0).nodes_per_circle == 64
+    scaled = run(1e-3)
+    assert scaled.converged and scaled.nodes_per_circle == 32
+    assert abs(scaled.error_estimate - 1e-3 * raw.error_estimate) < 1e-6 * scaled.error_estimate
+    assert abs(scaled.value - 1e-3 * raw.value) < 1e-15
+
+
+def test_summed_integrals_vouch_for_their_sum():
+    # shifted observables sum over a coset; converged means the sum's estimate < tol
+    pts = [(1.5, 2.5), (2.5, 1.5)]
+    for tol in (1e-10, 1e-13):
+        res = shifted_observable(HS, pts, [1, 1], Permutation((2, 1)),
+                                 nodes_per_circle=NODES, tol=tol)
+        assert res.converged and res.error_estimate < tol
+    res = shifted_observable(HS, pts, [1, 1], Permutation((2, 1)), nodes_per_circle=NODES,
+                             tol=1e-300, cap=NODES)
+    assert not res.converged
