@@ -1,9 +1,10 @@
 """Command-line entry point: sampling, moments, verification, kappa, polymer.
 
-Configs and queries are JSON documents validated against the schemas in
-docs/ before any computation; schema violations exit with code 2 and the
-JSON-pointer path of the offending field.  Numeric output uses 17 significant
-digits so doubles round-trip.
+Configs and queries are JSON documents validated against the schemas shipped
+in the package (src/vertexflow/schemas/) before any computation.  Every
+configuration error exits with code 2 and a JSON pointer: the offending field,
+``/params`` for parameters a model rejects, ``/`` otherwise.  Numeric output
+uses 17 significant digits so doubles round-trip.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import lattice, qmoments, sampler, verify
-from .errors import ValidationError, VertexflowError
+from .errors import ParameterRangeError, ParameterSingularityError, ValidationError, VertexflowError
 from .hecke import Permutation, kappa
 
 SCHEMA_DIR = Path(__file__).resolve().parent / "schemas"
@@ -383,7 +384,8 @@ def run(argv=None) -> int:
         print(f"configuration error at {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except VertexflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        at = "/params" if isinstance(exc, (ParameterRangeError, ParameterSingularityError)) else "/"
+        print(f"configuration error at {at}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -7,12 +7,20 @@ workers) and merged in worker order, so results are bit-identical for fixed
 (seed, workers).  Beta variates come from two Gamma draws.
 
 Samplers sweep vertices in a fixed order (diagonals for skew domains, rows for
-quadrant windows) with all per-vertex draws vectorized across the batch.
+quadrant windows) with all per-vertex draws vectorized across the batch.  Each
+vertex model has one ``transitions(state)``, weighted by ``weights.r_weight``,
+``l_weight`` or ``qhahn_row`` (a whole row of ``qhahn_weight``).  All samplers
+draw through one kernel, ``_VertexLaw``: it groups the batch by an integer key
+of the incoming state, builds and checks (the only stochasticity check) one row
+per state present, and makes one inverse-CDF draw per sample.  The enumerators
+sweep the same transitions without the check, since complex weights are legal
+there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +32,7 @@ from .lattice import (
     dbl,
     quadrant_coloring,
 )
-from .weights import l_weight, q_pochhammer, r_weight
+from .weights import l_weight, q_pochhammer, qhahn_row, r_weight
 
 PROB_TOL = 1e-10
 
@@ -157,62 +165,174 @@ class WeightedEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# SC6V on skew domains
+# transition layer: one transitions(state) per model, one inverse-CDF kernel
 # ---------------------------------------------------------------------------
 
 
-def _sc6v_validate(domain: SkewDomain, params: ModelParams) -> None:
-    x, y = params.row_rapidities, params.col_rapidities
-    q = params.q
-    for (cx, cy) in domain.vertices():
-        z = x[cy - 1] / y[cx - 1]
-        vals = [
-            q * (z - 1) / (z - q),
-            z * (1 - q) / (z - q),
-            (z - 1) / (z - q),
-            (1 - q) / (z - q),
-        ]
-        for v in vals:
-            if abs(np.imag(v)) > 1e-12 or not (-1e-12 <= np.real(v) <= 1 + 1e-12):
+def _sc6v_transitions(z, q, state):
+    """(i, j) bottom/left in -> (k, l) top/right out: swap, then pass."""
+    i, j = state
+    outs = [(i, j)] if i == j else [(j, i), (i, j)]
+    return outs, [r_weight(i, j, k, l, z, q) for k, l in outs]
+
+
+def _hs_transitions(z, s, q, state):
+    """(*I, j) -> (*K, l), K = I + e^j - e^l >= 0: l is 0, j or a color present in I."""
+    *comp_i, j = state
+    outs = []
+    for l in sorted({0, j} | {t for t, c in enumerate(comp_i, start=1) if c}):
+        comp_k = list(comp_i)
+        if j:
+            comp_k[j - 1] += 1
+        if l:
+            comp_k[l - 1] -= 1
+        outs.append((*comp_k, l))
+    return outs, [l_weight(comp_i, j, out[:-1], out[-1], z, s, q) for out in outs]
+
+
+def _group(parts):
+    """(group per sample, state per group) for the incoming-state columns ``parts``.
+
+    The mixed-radix key is re-ranked whenever its space outgrows the batch, so it
+    stays below batch size times one radix (no int64 overflow) and one dense table
+    numbers the states present, whatever the number of columns."""
+    key, span = np.zeros(len(parts[0]), dtype=np.intp), 1
+    for c in parts:
+        r = int(c.max()) + 1
+        key, span = key * r + c, span * r
+        if span > len(c):
+            key = np.unique(key, return_inverse=True)[1]
+            span = int(key.max()) + 1
+    rep = np.full(span, -1, dtype=np.intp)
+    rep[key] = np.arange(len(key))  # any sample with a key carries its state
+    present = np.flatnonzero(rep >= 0)
+    lookup = np.empty(span, dtype=np.intp)
+    lookup[present] = np.arange(len(present))
+    return lookup.take(key), list(zip(*(c.take(rep[present]).tolist() for c in parts)))
+
+
+class _VertexLaw:
+    """Inverse-CDF draws from ``transitions``; each incoming state's row is built on
+    first use, checked (the samplers' one stochasticity check) and cached."""
+
+    def __init__(self, transitions):
+        self.transitions = transitions
+        self.rows = {}  # state -> (outgoing states (#out, length), cumulative weights)
+
+    def row(self, state, vertex):
+        if state not in self.rows:
+            outs, ws = self.transitions(state)
+            w = np.asarray(ws, dtype=complex)
+            p = w.real
+            if (np.abs(w.imag).max() > 1e-12 or p.min() < -1e-12 or p.max() > 1 + 1e-12
+                    or abs(p.sum() - 1) > PROB_TOL):
                 raise ParameterRangeError(
-                    f"vertex ({cx}, {cy}): weight {v} is not a probability"
-                )
+                    f"vertex {vertex}: weights out of state {state} are not a probability distribution "
+                    f"(min {p.min():.3g}, sum {p.sum():.15g}, max |imag| {np.abs(w.imag).max():.3g})")
+            self.rows[state] = (np.array(outs, dtype=np.int64), np.cumsum(np.clip(p, 0, None)))
+        return self.rows[state]
+
+    def draw(self, parts, u, vertex):
+        """Outgoing states (length, samples): sample i takes the first outcome whose
+        cumulative weight exceeds u_i times its row total, found by a branchless
+        binary search over rows padded with their total to a power-of-two width."""
+        group, states = _group(parts)
+        rows = [self.row(st, vertex) for st in states]
+        lengths = np.array([len(cdf) for _, cdf in rows])
+        width = 1 << int(lengths.max() - 1).bit_length()
+        where = (np.cumsum(lengths) - lengths)[:, None] + np.minimum(np.arange(width), lengths[:, None] - 1)
+        cdfs = np.concatenate([cdf for _, cdf in rows])[where]  # padded with each row's total
+        base = group * width
+        pick = np.zeros(len(u), dtype=np.intp)
+        if width > 1:
+            x = u * cdfs[:, -1].take(group)
+            flat = cdfs.ravel()
+            step = width >> 1
+            while step:
+                pick += step * (flat.take(base + pick + (step - 1)) <= x)
+                step >>= 1
+        outs = np.concatenate([o for o, _ in rows]).T
+        return outs.take(where.ravel().take(base + pick), axis=1)
+
+
+def _sweep(laws, boundary, seed: int, count: int, workers: int):
+    """Sample-major (h_edges, v_edges) of a sweep of ``laws`` on each worker stream from
+    ``boundary(size)``'s arrays, indexed [x, y, (color,) sample] so vertices read rows."""
+    h_parts, v_parts = [], []
+    for stream, size in enumerate(_worker_sizes(count, workers)):
+        if size == 0:
+            continue
+        rng = make_rng(seed, stream)
+        h, v = boundary(size)
+        for (x, y), law in laws.items():
+            out = law.draw([*v[x, y - 1].reshape(-1, size), h[x - 1, y]], rng.random(size), (x, y))
+            v[x, y] = out[:-1]
+            h[x, y] = out[-1]
+        h_parts.append(h)
+        v_parts.append(v)
+    return _merge(h_parts), _merge(v_parts)
+
+
+def _merge(parts) -> np.ndarray:
+    """Per-stream edge arrays, swept with the sample axis last, as one sample-major array."""
+    return np.concatenate([np.moveaxis(p, -1, 0) for p in parts])
+
+
+def _label_dtype(n_colors: int):
+    """Smallest signed integer type that holds the colors 0..n_colors."""
+    return np.min_scalar_type(-n_colors - 1)
+
+
+def _enumerate(verts, transitions, h, v, shape) -> WeightedEnsemble:
+    """Every configuration with its product weight (complex ok): a depth-first sweep over
+    ``verts`` from the boundary labels in ``h``/``v``; ``shape`` fills the Configurations."""
+    entries = []
+
+    def sweep(idx, acc):
+        if idx == len(verts):
+            entries.append((acc, Configuration(h_edges=dict(h), v_edges=dict(v), **shape)))
+            return
+        x, y = verts[idx]
+        v_in = v[(x, y - 1)]
+        fused = isinstance(v_in, tuple)
+        state = (*v_in, h[(x - 1, y)]) if fused else (v_in, h[(x - 1, y)])
+        outs, ws = transitions[(x, y)](state)
+        for out, w in zip(outs, ws):
+            if w == 0:
+                continue
+            v[(x, y)] = tuple(out[:-1]) if fused else out[0]
+            h[(x, y)] = out[-1]
+            sweep(idx + 1, acc * w)
+
+    sweep(0, 1.0)
+    return WeightedEnsemble(entries)
+
+
+# ---------------------------------------------------------------------------
+# SC6V on skew domains
+# ---------------------------------------------------------------------------
 
 
 def sample_sc6v(domain: SkewDomain, params: ModelParams, seed: int, count: int,
                 workers: int = 1) -> SampleBatch:
     """Diagonal-sweep sampler for the SC6V model on a skew domain."""
-    _sc6v_validate(domain, params)
-    q = params.q
     xr, yc = params.row_rapidities, params.col_rapidities
+    laws = {(x, y): _VertexLaw(partial(_sc6v_transitions, xr[y - 1] / yc[x - 1], params.q))
+            for (x, y) in domain.vertices()}
+    for vertex, law in laws.items():  # R depends on sign(i - j) only: check all before drawing
+        law.row((0, 1), vertex)
+        law.row((1, 0), vertex)
     n_colors = max(domain.coloring, default=1) or 1
-    sizes = _worker_sizes(count, workers)
-    h_parts, v_parts = [], []
-    for stream, size in enumerate(sizes):
-        if size == 0:
-            continue
-        rng = make_rng(seed, stream)
-        h = np.zeros((size, domain.m_cols + 1, domain.n_rows + 1), dtype=np.int8)
+
+    def boundary(size):
+        h = np.zeros((domain.m_cols + 1, domain.n_rows + 1, size), dtype=_label_dtype(n_colors))
         v = np.zeros_like(h)
         for kind, (x, y), color in domain.incoming_edges():
-            (h if kind == "h" else v)[:, x, y] = color
-        for (x, y) in domain.vertices():
-            z = xr[y - 1] / yc[x - 1]
-            i_in = v[:, x, y - 1]
-            j_in = h[:, x - 1, y]
-            p_turn = np.where(i_in < j_in, (1 - q) / (z - q), z * (1 - q) / (z - q))
-            turn = rng.random(size) < p_turn
-            same = i_in == j_in
-            k_out = np.where(same, i_in, np.where(turn, j_in, i_in))
-            l_out = np.where(same, j_in, np.where(turn, i_in, j_in))
-            v[:, x, y] = k_out
-            h[:, x, y] = l_out
-        h_parts.append(h)
-        v_parts.append(v)
-    return SampleBatch(
-        "sc6v_skew", seed, params, count, domain.n_rows, domain.m_cols, n_colors,
-        domain, np.concatenate(h_parts), np.concatenate(v_parts),
-    )
+            (h if kind == "h" else v)[x, y] = color
+        return h, v
+
+    return SampleBatch("sc6v_skew", seed, params, count, domain.n_rows, domain.m_cols, n_colors,
+                       domain, *_sweep(laws, boundary, seed, count, workers))
 
 
 def enumerate_sc6v(domain: SkewDomain, params: ModelParams, cap: int = 16) -> WeightedEnsemble:
@@ -221,37 +341,14 @@ def enumerate_sc6v(domain: SkewDomain, params: ModelParams, cap: int = 16) -> We
     if len(verts) > cap:
         raise EnumerationCapError(f"{len(verts)} vertices exceeds the cap {cap}")
     xr, yc = params.row_rapidities, params.col_rapidities
-    q = params.q
+    transitions = {(x, y): partial(_sc6v_transitions, xr[y - 1] / yc[x - 1], params.q) for (x, y) in verts}
     n_colors = max(domain.coloring, default=1) or 1
-    h0, v0 = {}, {}
-    for x in range(domain.m_cols + 1):
-        for y in range(domain.n_rows + 1):
-            h0[(x, y)] = 0
-            v0[(x, y)] = 0
+    h = {(x, y): 0 for x in range(domain.m_cols + 1) for y in range(domain.n_rows + 1)}
+    v = dict(h)
     for kind, (x, y), color in domain.incoming_edges():
-        (h0 if kind == "h" else v0)[(x, y)] = color
-    entries = []
-
-    def sweep(idx, h, v, acc):
-        if idx == len(verts):
-            entries.append((acc, Configuration(domain.n_rows, domain.m_cols, dict(h), dict(v), domain, n_colors)))
-            return
-        x, y = verts[idx]
-        z = xr[y - 1] / yc[x - 1]
-        i_in, j_in = v[(x, y - 1)], h[(x - 1, y)]
-        outcomes = {(i_in, j_in), (j_in, i_in)}
-        for k_out, l_out in outcomes:
-            w = r_weight(i_in, j_in, k_out, l_out, z, q)
-            if w == 0:
-                continue
-            h[(x, y)] = l_out
-            v[(x, y)] = k_out
-            sweep(idx + 1, h, v, acc * w)
-        h[(x, y)] = 0
-        v[(x, y)] = 0
-
-    sweep(0, h0, v0, 1 + 0j if any(isinstance(t, complex) for t in (*xr, *yc)) else 1.0)
-    return WeightedEnsemble(entries)
+        (h if kind == "h" else v)[(x, y)] = color
+    return _enumerate(verts, transitions, h, v, dict(
+        n_rows=domain.n_rows, m_cols=domain.m_cols, domain=domain, n_colors=n_colors))
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +356,13 @@ def enumerate_sc6v(domain: SkewDomain, params: ModelParams, cap: int = 16) -> We
 # ---------------------------------------------------------------------------
 
 
-def _hs_prob_table(I: np.ndarray, j_in: np.ndarray, z, s, q) -> np.ndarray:
-    """Per-sample probability vector over the outgoing right color l = 0..n."""
-    count, n = I.shape
-    tails = np.zeros((count, n + 1))  # tails[:, i] = I_[i+1; n]
-    tails[:, :n] = np.cumsum(I[:, ::-1], axis=1)[:, ::-1]
-    tot = I.sum(axis=1)
-    sz = s * z
-    den = 1 - sz
-    probs = np.empty((count, n + 1))
-    probs[:, 0] = np.where(j_in == 0, (1 - sz * q**tot), (1 - s * s * q**tot)) / den
-    for l in range(1, n + 1):
-        il = I[:, l - 1]
-        qt = q ** tails[:, l]
-        base = (q**il - 1) * qt / den
-        pass_through = (s * s * q**il - sz) * qt / den
-        probs[:, l] = np.where(
-            j_in == l, pass_through, np.where(l > j_in, sz * base, s * s * base)
-        )
-    return probs
+def _hs_window(params: ModelParams, rect: tuple[int, int]):
+    """The window's vertices in row-sweep order with their transitions, and its color count."""
+    n_rows, m_cols = rect
+    u, ys, ss = params.row_rapidities, params.col_rapidities, params.col_spins
+    n_colors = max((params.row_color(r) for r in range(1, n_rows + 1)), default=1) or 1
+    return {(x, y): partial(_hs_transitions, u[y - 1] / ys[x - 1], ss[x - 1], params.q)
+            for y in range(1, n_rows + 1) for x in range(1, m_cols + 1)}, n_colors
 
 
 def sample_higher_spin(params: ModelParams, rect: tuple[int, int], seed: int, count: int,
@@ -291,44 +376,17 @@ def sample_higher_spin(params: ModelParams, rect: tuple[int, int], seed: int, co
     u, ys, ss = params.row_rapidities, params.col_rapidities, params.col_spins
     if len(u) < n_rows or len(ys) < m_cols or len(ss) < m_cols:
         raise ValidationError("not enough rapidities/spins for the window")
-    q = params.q
-    n_colors = max((params.row_color(r) for r in range(1, n_rows + 1)), default=1) or 1
-    sizes = _worker_sizes(count, workers)
-    h_parts, v_parts = [], []
-    for stream, size in enumerate(sizes):
-        if size == 0:
-            continue
-        rng = make_rng(seed, stream)
-        h = np.zeros((size, m_cols + 1, n_rows + 1), dtype=np.int8)
-        v = np.zeros((size, m_cols + 1, n_rows + 1, n_colors), dtype=np.int16)
+    transitions, n_colors = _hs_window(params, rect)
+    laws = {vertex: _VertexLaw(t) for vertex, t in transitions.items()}
+
+    def boundary(size):
+        h = np.zeros((m_cols + 1, n_rows + 1, size), dtype=_label_dtype(n_colors))
         for y in range(1, n_rows + 1):
-            h[:, 0, y] = params.row_color(y)
-        for y in range(1, n_rows + 1):
-            for x in range(1, m_cols + 1):
-                z = u[y - 1] / ys[x - 1]
-                I = v[:, x, y - 1, :].astype(np.int64)
-                j_in = h[:, x - 1, y].astype(np.int64)
-                probs = _hs_prob_table(I, j_in, z, ss[x - 1], q)
-                if probs.min() < -PROB_TOL or abs(probs.sum(axis=1) - 1).max() > PROB_TOL:
-                    raise ParameterRangeError(
-                        f"vertex ({x}, {y}): outgoing distribution leaves [0,1] "
-                        f"(min {probs.min():.3g})"
-                    )
-                cdf = np.cumsum(np.clip(probs, 0, None), axis=1)
-                l_out = (rng.random(size)[:, None] * cdf[:, -1:] > cdf).sum(axis=1)
-                K = I.copy()
-                nz = j_in > 0
-                K[np.nonzero(nz)[0], j_in[nz] - 1] += 1
-                lz = l_out > 0
-                K[np.nonzero(lz)[0], l_out[lz] - 1] -= 1
-                v[:, x, y, :] = K
-                h[:, x, y] = l_out
-        h_parts.append(h)
-        v_parts.append(v)
-    return SampleBatch(
-        "higher_spin_quadrant", seed, params, count, n_rows, m_cols, n_colors,
-        None, np.concatenate(h_parts), np.concatenate(v_parts),
-    )
+            h[0, y] = params.row_color(y)
+        return h, np.zeros((m_cols + 1, n_rows + 1, n_colors, size), dtype=np.int16)
+
+    return SampleBatch("higher_spin_quadrant", seed, params, count, n_rows, m_cols, n_colors,
+                       None, *_sweep(laws, boundary, seed, count, workers))
 
 
 def enumerate_higher_spin(params: ModelParams, rect: tuple[int, int], cap: int = 4) -> WeightedEnsemble:
@@ -336,44 +394,13 @@ def enumerate_higher_spin(params: ModelParams, rect: tuple[int, int], cap: int =
     n_rows, m_cols = rect
     if n_rows * m_cols > cap:
         raise EnumerationCapError(f"{n_rows * m_cols} vertices exceeds the cap {cap}")
-    u, ys, ss = params.row_rapidities, params.col_rapidities, params.col_spins
-    q = params.q
-    n_colors = max((params.row_color(r) for r in range(1, n_rows + 1)), default=1) or 1
-    zero = (0,) * n_colors
-    h0 = {(x, y): 0 for x in range(m_cols + 1) for y in range(n_rows + 1)}
-    v0 = {(x, y): zero for x in range(m_cols + 1) for y in range(n_rows + 1)}
+    transitions, n_colors = _hs_window(params, rect)
+    h = {(x, y): 0 for x in range(m_cols + 1) for y in range(n_rows + 1)}
+    v = {edge: (0,) * n_colors for edge in h}
     for y in range(1, n_rows + 1):
-        h0[(0, y)] = params.row_color(y)
-    verts = [(x, y) for y in range(1, n_rows + 1) for x in range(1, m_cols + 1)]
-    entries = []
-
-    def sweep(idx, h, v, acc):
-        if idx == len(verts):
-            entries.append((acc, Configuration(n_rows, m_cols, dict(h), dict(v), None, n_colors)))
-            return
-        x, y = verts[idx]
-        z = u[y - 1] / ys[x - 1]
-        I = v[(x, y - 1)]
-        j_in = h[(x - 1, y)]
-        for l_out in range(n_colors + 1):
-            K = list(I)
-            if j_in > 0:
-                K[j_in - 1] += 1
-            if l_out > 0:
-                K[l_out - 1] -= 1
-            if any(t < 0 for t in K):
-                continue
-            w = l_weight(I, j_in, K, l_out, z, ss[x - 1], q)
-            if w == 0:
-                continue
-            h[(x, y)] = l_out
-            v[(x, y)] = tuple(K)
-            sweep(idx + 1, h, v, acc * w)
-        h[(x, y)] = 0
-        v[(x, y)] = zero
-
-    sweep(0, h0, v0, 1.0)
-    return WeightedEnsemble(entries)
+        h[(0, y)] = params.row_color(y)
+    return _enumerate(list(transitions), transitions, h, v,
+                      dict(n_rows=n_rows, m_cols=m_cols, n_colors=n_colors))
 
 
 # ---------------------------------------------------------------------------
@@ -432,109 +459,46 @@ def sample_qhahn(q: float, s: float, z: float, rect: tuple[int, int], boundary_l
     n_rows, m_cols = rect
     params = ModelParams(q=q, boundary_levels=tuple(boundary_levels))
     n_colors = max((params.row_color(r) for r in range(1, n_rows + 1)), default=1) or 1
-    bprobs = qhahn_boundary_probs(q, s, z)
-    bcdf = np.cumsum(bprobs)
+    bcdf = np.cumsum(qhahn_boundary_probs(q, s, z))
     if keep_edges is None:
         keep_edges = count * (m_cols + 1) * (n_rows + 1) * n_colors <= 4_000_000
     track = [(float(a), float(b), int(c)) for (a, b, c) in track]
-    weight_cache: dict = {}
-    poch_cache: dict = {}
-
-    def _tables(size: int):
-        # (s^2/z^2; q)_j, (z^2; q)_j, (q; q)_j for j <= size
-        if size not in poch_cache:
-            r = s * s / (z * z)
-            t1 = np.ones(size + 1)
-            t2 = np.ones(size + 1)
-            fq = np.ones(size + 1)
-            for j in range(1, size + 1):
-                t1[j] = t1[j - 1] * (1 - q ** (j - 1) * r)
-                t2[j] = t2[j - 1] * (1 - q ** (j - 1) * z * z)
-                fq[j] = fq[j - 1] * (1 - q**j)
-            poch_cache[size] = (t1, t2, fq)
-        return poch_cache[size]
-
-    def d_support(a_key):
-        """Support and CDF of D <= A under the q-Hahn weights, vectorized."""
-        if a_key not in weight_cache:
-            tot = sum(a_key)
-            t1, t2, fq = _tables(max(tot, 1))
-            grids = np.meshgrid(*[np.arange(ai + 1) for ai in a_key], indexing="ij")
-            supp = np.stack([g.ravel() for g in grids], axis=1)  # (#D, n)
-            tot_d = supp.sum(axis=1)
-            r = s * s / (z * z)
-            ws = r**tot_d * t1[tot - tot_d] * t2[tot_d] / q_pochhammer(s * s, q, tot)
-            expo = np.zeros(len(supp))
-            for i in range(n_colors):
-                for j in range(i + 1, n_colors):
-                    expo += supp[:, i] * (a_key[j] - supp[:, j])
-            ws = ws * q**expo
-            for i in range(n_colors):
-                ws = ws * fq[a_key[i]] / (fq[supp[:, i]] * fq[a_key[i] - supp[:, i]])
-            if ws.min() < -PROB_TOL or abs(ws.sum() - 1) > 1e-8:
-                raise ParameterRangeError(f"vertex distribution invalid for A={a_key}")
-            weight_cache[a_key] = (supp.astype(np.int64), np.cumsum(ws))
-        return weight_cache[a_key]
-
-    sizes = _worker_sizes(count, workers)
+    spots = [(key, (a2 - 1) // 2, b2 // 2) for key in track for a2, b2 in [dbl(*key[:2])]]
+    law = _VertexLaw(partial(qhahn_row, s=s, z=z, q=q))  # every vertex has the same weights
     h_parts, v_parts = [], []
     tracked = {key: [] for key in track}
-    for stream, size in enumerate(sizes):
+    for stream, size in enumerate(_worker_sizes(count, workers)):
         if size == 0:
             continue
         rng = make_rng(seed, stream)
         acc = {key: np.zeros(size, dtype=np.int64) for key in track}
-        left = np.zeros((size, n_rows + 1, n_colors), dtype=np.int64)
+        left = np.zeros((n_rows + 1, n_colors, size), dtype=np.int64)
         for y in range(1, n_rows + 1):
-            c = params.row_color(y)
-            if c == 0:
-                continue
-            draws = np.searchsorted(bcdf, rng.random(size), side="right")
-            left[:, y, c - 1] = draws
-        for key in track:
-            a2, b2 = dbl(key[0], key[1])
-            if (a2 - 1) // 2 == 0:  # boundary column contributions
-                for y in range(1, b2 // 2 + 1):
-                    acc[key] += left[:, y, key[2]:].sum(axis=1)
+            if params.row_color(y):
+                left[y, params.row_color(y) - 1] = np.searchsorted(bcdf, rng.random(size), side="right")
         if keep_edges:
-            h_arr = np.zeros((size, m_cols + 1, n_rows + 1, n_colors), dtype=np.int16)
+            h_arr = np.zeros((m_cols + 1, n_rows + 1, n_colors, size), dtype=np.int16)
             v_arr = np.zeros_like(h_arr)
-            h_arr[:, 0, :, :] = left
-        vert = np.zeros((size, m_cols, n_colors), dtype=np.int64)  # columns 1..M
+            h_arr[0] = left
+        vert = np.zeros((m_cols + 1, n_colors, size), dtype=np.int64)  # A of column x >= 1
         for y in range(1, n_rows + 1):
-            b_comp = left[:, y, :]
-            for x in range(1, m_cols + 1):
-                A = vert[:, x - 1, :]
-                uniq, inverse = np.unique(A, axis=0, return_inverse=True)
-                D = np.empty_like(A)
-                u_draw = rng.random(size)
-                for gi in range(len(uniq)):
-                    mask = inverse == gi
-                    supp, cdf = d_support(tuple(int(t) for t in uniq[gi]))
-                    picks = np.searchsorted(cdf, u_draw[mask] * cdf[-1], side="right")
-                    picks = np.minimum(picks, len(supp) - 1)
-                    D[mask] = supp[picks]
-                C = A + b_comp - D
-                vert[:, x - 1, :] = C
-                if keep_edges:
-                    h_arr[:, x, y, :] = D
-                    v_arr[:, x, y, :] = C
-                for key in track:
-                    a2, b2 = dbl(key[0], key[1])
-                    if (a2 - 1) // 2 == x and y <= b2 // 2:
-                        acc[key] += D[:, key[2]:].sum(axis=1)
-                b_comp = D
+            D = left[y]  # right-going paths; column 0 is the boundary
+            for x in range(m_cols + 1):
+                if x:
+                    B, D = D, law.draw(vert[x], rng.random(size), (x, y))
+                    vert[x] += B - D
+                    if keep_edges:
+                        h_arr[x, y], v_arr[x, y] = D, vert[x]
+                for key, col, top in spots:
+                    if col == x and y <= top:
+                        acc[key] += D[key[2]:].sum(axis=0)
         for key in track:
             tracked[key].append(acc[key])
         if keep_edges:
             h_parts.append(h_arr)
             v_parts.append(v_arr)
-    batch = SampleBatch(
-        "qhahn_quadrant", seed, (q, s, z, tuple(boundary_levels)), count, n_rows, m_cols,
-        n_colors, None,
-        np.concatenate(h_parts) if h_parts else None,
-        np.concatenate(v_parts) if v_parts else None,
-    )
+    batch = SampleBatch("qhahn_quadrant", seed, (q, s, z, tuple(boundary_levels)), count, n_rows,
+                        m_cols, n_colors, None, *(_merge(p) if p else None for p in (h_parts, v_parts)))
     batch.tracked_heights = {k: np.concatenate(v) for k, v in tracked.items()}
     return batch
 

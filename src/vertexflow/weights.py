@@ -10,6 +10,9 @@ than raising, so sweeps can iterate blindly over all color tuples.
 from __future__ import annotations
 
 from itertools import permutations as _it_permutations
+from itertools import product as _it_product
+
+import numpy as np
 
 from .errors import ParameterSingularityError
 
@@ -37,6 +40,16 @@ def q_binom(n: int, m: int, q):
     num = q_pochhammer(q, q, n)
     den = q_pochhammer(q, q, m) * q_pochhammer(q, q, n - m)
     return num / den
+
+
+def _poch_prefix(x, q, n: int) -> list:
+    """[(x; q)_k for k = 0..n], each entry computed exactly as q_pochhammer(x, q, k)."""
+    out = [_one_like(q)]
+    p = _one_like(q)
+    for _ in range(n):
+        out.append(out[-1] * (1 - p * x))
+        p = p * q
+    return out
 
 
 def inv(word) -> int:
@@ -171,7 +184,7 @@ def l_weight(comp_i, j: int, comp_k, l: int, z, s, q):
         expect[j - 1] += 1
     if l > 0:
         expect[l - 1] -= 1
-    if expect != big_k or any(v < 0 for v in big_k):
+    if expect != big_k or min(big_k, default=0) < 0:
         return zero
     den = 1 - s * z
 
@@ -217,23 +230,13 @@ def fused_weight(comp_a, comp_b, comp_c, comp_d, z, q_n, q_m, q):
         return zero
     pref = z ** (sum(d) - sum(b)) * q_n ** sum(a) * q_m ** (-sum(d))
     total = zero
-    for p in _iter_boxes([min(bi, ci) for bi, ci in zip(b, c)]):
+    for p in _it_product(*(range(min(bi, ci) + 1) for bi, ci in zip(b, c))):
         c_minus_p = [ci - pi for ci, pi in zip(c, p)]
         c_plus_d_minus_p = [ci + di - pi for ci, di, pi in zip(c, d, p)]
         t1 = phi_factor(c_minus_p, c_plus_d_minus_p, q_n / q_m * z, z / q_m, q)
         t2 = phi_factor(p, b, 1 / (q_n * z), 1 / q_n, q)
         total = total + t1 * t2
     return pref * total
-
-
-def _iter_boxes(limits):
-    """All integer tuples 0 <= p_i <= limits[i]."""
-    if not limits:
-        yield ()
-        return
-    for head in range(limits[0] + 1):
-        for rest in _iter_boxes(limits[1:]):
-            yield (head,) + rest
 
 
 def qhahn_weight(comp_a, comp_b, comp_c, comp_d, s, z, q):
@@ -243,28 +246,40 @@ def qhahn_weight(comp_a, comp_b, comp_c, comp_d, s, z, q):
     on A and D only; the value is 0 unless D <= A componentwise and
     C = A + B - D.  Singular when (s^2; q)_{|A|} vanishes.
     """
-    a, b, c, d = (list(t) for t in (comp_a, comp_b, comp_c, comp_d))
-    n = len(a)
-    zero = 0 * _one_like(q)
-    if not (len(b) == len(c) == len(d) == n):
-        return zero
-    if any(di > ai for ai, di in zip(a, d)):
-        return zero
-    if any(v < 0 for t in (a, b, c, d) for v in t):
-        return zero
-    if [ai + bi - di for ai, bi, di in zip(a, b, d)] != c:
-        return zero
-    ta, td = sum(a), sum(d)
-    den = q_pochhammer(s * s, q, ta)
+    if not len(comp_a) == len(comp_b) == len(comp_c) == len(comp_d):
+        return 0 * _one_like(q)
+    for ai, bi, ci, di in zip(comp_a, comp_b, comp_c, comp_d):
+        if not (0 <= di <= ai and bi >= 0 and ci == ai + bi - di):
+            return 0 * _one_like(q)
+    return qhahn_row(comp_a, s, z, q, [comp_d])[1][0]
+
+
+def qhahn_row(comp_a, s, z, q, outs=None):
+    """(D, W^qH_{s,z}(A, B; A + B - D, D)) for each row D of ``outs`` (default: every
+    D <= A in lexicographic order); B drops out.  Weights are an array of the
+    arithmetic type of (s, z, q), so exact Fractions stay exact.
+
+    W = (s^2/z^2)^{|D|} (s^2/z^2; q)_{|A|-|D|} (z^2; q)_{|D|} / (s^2; q)_{|A|}
+        * q^{sum_{i<j} D_i (A_j - D_j)} * prod_i binom(A_i, A_i - D_i)_q
+    """
+    ta = sum(comp_a)
+    den = _poch_prefix(s * s, q, ta)[-1]
     if den == 0:
         raise ParameterSingularityError("(s^2; q)_{|A|} vanishes in qhahn_weight")
     ratio = s * s / (z * z)
-    val = ratio**td * q_pochhammer(ratio, q, ta - td) * q_pochhammer(z * z, q, td) / den
-    expo = sum(d[i] * (a[j] - d[j]) for i in range(n) for j in range(i + 1, n))
-    val = val * q**expo
-    for ai, di in zip(a, d):
-        val = val * q_binom(ai, ai - di, q)
-    return val
+    p_ratio, p_z = _poch_prefix(ratio, q, ta), _poch_prefix(z * z, q, ta)
+    p_q = _poch_prefix(q, q, max(comp_a, default=0))
+    if outs is None:
+        outs = list(_it_product(*(range(ai + 1) for ai in comp_a)))
+    d = np.array(outs, dtype=np.intp).reshape(len(outs), len(comp_a))
+    # rest[:, i] = sum_{j >= i} (A_j - D_j)
+    rest = np.cumsum((np.array(comp_a, dtype=np.intp) - d)[:, ::-1], axis=1)[:, ::-1]
+    expo = (d[:, :-1] * rest[:, 1:]).sum(axis=1)
+    val = np.array([ratio**k * p_ratio[ta - k] * p_z[k] / den for k in range(ta + 1)])[d.sum(axis=1)]
+    val = val * np.array([q**e for e in range(int(expo.max()) + 1)])[expo]
+    for i, ai in enumerate(comp_a):
+        val = val * np.array([p_q[ai] / (p_q[ai - di] * p_q[di]) for di in range(ai + 1)])[d[:, i]]
+    return d, val
 
 
 # ---------------------------------------------------------------------------

@@ -123,15 +123,6 @@ def test_config_round_trip(tmp_path):
     assert back["row_rapidities"] == PARAMS["row_rapidities"]
 
 
-def test_docs_schemas_match_packaged():
-    import vertexflow
-
-    pkg = Path(vertexflow.__file__).parent / "schemas"
-    docs = Path(__file__).resolve().parents[1] / "docs"
-    for name in ("sample_config.schema.json", "moment_query.schema.json"):
-        assert json.loads((pkg / name).read_text()) == json.loads((docs / name).read_text())
-
-
 def test_console_entry_point():
     res = subprocess.run([sys.executable, "-m", "vertexflow.cli"],
                          capture_output=True, text=True)
@@ -206,3 +197,32 @@ def test_moment_reports_convergence(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["converged"] is True and doc["error_estimate"] < 1e-10
     assert "converged at 64 nodes/circle" in capsys.readouterr().out
+
+
+def test_moment_qhahn_string_levels_exits_2(tmp_path, capsys):
+    query = write(tmp_path, "q.json", {
+        "points": [[1.5, 0.5]], "colors": [0],
+        "params": {"q": 0.4, "s": 0.4, "z": 0.7, "boundary_levels": "ab"},
+    })
+    code = run(["moment", "--theorem", "8.5", "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "/params/boundary_levels" in capsys.readouterr().err
+
+
+def test_sample_qhahn_parameter_range_exits_2_at_params(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", {"params": {"q": 0.4, "s": 3.0, "z": 0.7,
+                                                  "boundary_levels": [1, 2]}, "rect": [2, 2]})
+    code = run(["sample", "--model", "qhahn", "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert "at /params" in capsys.readouterr().err
+
+
+def test_sample_sc6v_vertex_law_error_exits_2_at_params(tmp_path, capsys):
+    params = dict(PARAMS, row_rapidities=[0.5, 0.6])  # z < 1: R leaves [0, 1]
+    cfg = write(tmp_path, "cfg.json", {"domain": DOMAIN, "params": params})
+    code = run(["sample", "--model", "sc6v", "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "at /params" in err and "vertex" in err

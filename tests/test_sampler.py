@@ -116,6 +116,20 @@ def test_enumeration_cap():
         enumerate_sc6v(dom, params, cap=16)
 
 
+def test_sc6v_colors_above_int8_match_oracle():
+    # colors 129 and 130 do not fit int8 edge labels
+    params = ModelParams(q=0.4, row_rapidities=(2.0,), col_rapidities=(1.0,))
+    dom = rectangle_domain(1, 1, (129, 130))
+    ens = enumerate_sc6v(dom, params)
+    assert len(ens.entries) == 2
+    n = 20000
+    batch = sample_sc6v(dom, params, seed=7, count=n)
+    outcomes = list(zip(batch.v_edges[:, 1, 1].tolist(), batch.h_edges[:, 1, 1].tolist()))
+    for w, cfg in ens.entries:
+        freq = outcomes.count((cfg.v_edges[(1, 1)], cfg.h_edges[(1, 1)])) / n
+        assert abs(freq - w) <= 4 * np.sqrt(w * (1 - w) / n), (freq, w)
+
+
 def test_sc6v_frequencies_match_oracle():
     params = ModelParams(q=0.3, row_rapidities=(2.0, 2.4), col_rapidities=(1.0, 1.1))
     dom = rectangle_domain(2, 2, (0, 1, 1, 2))
@@ -176,6 +190,43 @@ def test_higher_spin_sampler_matches_oracle():
         assert abs(vals.mean() - exact) <= 4 * se + 1e-4
 
 
+def test_higher_spin_worker_determinism():
+    b1 = sample_higher_spin(HS_PARAMS, (2, 2), seed=5, count=300, workers=3)
+    b2 = sample_higher_spin(HS_PARAMS, (2, 2), seed=5, count=300, workers=3)
+    assert np.array_equal(b1.h_edges, b2.h_edges) and np.array_equal(b1.v_edges, b2.v_edges)
+    b3 = sample_higher_spin(HS_PARAMS, (2, 2), seed=5, count=300, workers=1)
+    assert not (np.array_equal(b1.h_edges, b3.h_edges) and np.array_equal(b1.v_edges, b3.v_edges))
+
+
+def test_grouping_keys_beyond_int64():
+    # 70 binary columns: a plain mixed-radix key (2^70 states) would overflow int64
+    from vertexflow.sampler import _group
+
+    cols = np.random.default_rng(0).integers(0, 2, size=(70, 100))
+    cols = np.concatenate([cols, cols], axis=1)
+    cols[0, 100:] ^= 1  # each state has a twin that differs in the first column only
+    group, states = _group(list(cols))
+    assert len(states) == len({tuple(r) for r in cols.T.tolist()})
+    assert [states[g] for g in group] == [tuple(r) for r in cols.T.tolist()]
+
+
+def test_higher_spin_seventy_colors_conserve_paths():
+    # more colors than numpy has axes (np.unravel_index could not decode these state keys)
+    n = 70
+    par = ModelParams(q=0.5, row_rapidities=(5.0,) * n, col_rapidities=(1.0, 1.1),
+                      col_spins=(4.0, 4.0), boundary_levels=tuple(range(1, n + 1)))
+    batch = sample_higher_spin(par, (n, 2), seed=3, count=200)
+    h, v = batch.h_edges.astype(np.int64), batch.v_edges.astype(np.int64)
+    rows = np.arange(batch.count)
+    for x in (1, 2):
+        for y in range(1, n + 1):
+            j, l, want = h[:, x - 1, y], h[:, x, y], v[:, x, y - 1].copy()
+            want[rows[j > 0], j[j > 0] - 1] += 1
+            want[rows[l > 0], l[l > 0] - 1] -= 1
+            assert np.array_equal(v[:, x, y], want) and (want >= 0).all(), (x, y)
+    assert (v[:, 1, n] > 0).sum(axis=1).max() >= 2  # several colors share a vertical edge
+
+
 def test_higher_spin_regime_error():
     bad = ModelParams(q=0.5, row_rapidities=(1.0, 1.1), col_rapidities=(1.0, 1.1),
                       col_spins=(4.0, 4.0), boundary_levels=(1, 2))  # sz < 1 regime
@@ -213,6 +264,47 @@ def test_qhahn_tracked_heights_match_edges():
     for key in [(1.5, 2.5, 0), (2.5, 2.5, 1)]:
         a, b, c = key
         assert np.array_equal(batch.tracked_heights[key], batch.heights((a, b), c))
+
+
+def test_qhahn_worker_determinism():
+    track = [(1.5, 2.5, 0), (2.5, 2.5, 1)]
+
+    def draw(workers):
+        return sample_qhahn(0.4, 0.4, 0.7, (2, 2), (1, 2), seed=6, count=300, workers=workers,
+                            track=track, keep_edges=True)
+
+    b1, b2, b3 = draw(3), draw(3), draw(1)
+    assert np.array_equal(b1.h_edges, b2.h_edges) and np.array_equal(b1.v_edges, b2.v_edges)
+    for key in track:
+        assert np.array_equal(b1.tracked_heights[key], b2.tracked_heights[key])
+    assert not (np.array_equal(b1.h_edges, b3.h_edges) and np.array_equal(b1.v_edges, b3.v_edges))
+
+
+def test_qhahn_forty_colors_two_entering():
+    # 40 colors, of which only 39 and 40 enter; grouping must not span all colors
+    levels = (0,) * 38 + (1, 2)
+    track = [(1.5, 2.5, 38), (3.5, 1.5, 0), (2.5, 2.5, 39)]
+    batch = sample_qhahn(0.4, 0.4, 0.7, (2, 3), levels, seed=6, count=3000, track=track,
+                         keep_edges=True)
+    assert batch.n_colors == 40 and not batch.h_edges[..., :38].any()
+    assert batch.tracked_heights[(1.5, 2.5, 38)].any()
+    for a, b, c in track:
+        assert np.array_equal(batch.tracked_heights[(a, b, c)], batch.heights((a, b), c))
+
+
+def test_qhahn_twelve_colors_conserve_paths():
+    # the product of per-color ranges far exceeds the batch: keys must be ranked, not tabulated
+    track = [(1.5, 12.5, 0), (2.5, 6.5, 3), (3.5, 12.5, 7)]
+    batch = sample_qhahn(0.4, 0.4, 0.7, (12, 3), tuple(range(1, 13)), seed=12, count=2000,
+                         track=track, keep_edges=True)
+    h, v = batch.h_edges.astype(np.int64), batch.v_edges.astype(np.int64)
+    for x in range(1, 4):
+        for y in range(1, 13):
+            a, b, c, d = v[:, x, y - 1], h[:, x - 1, y], v[:, x, y], h[:, x, y]
+            assert (d >= 0).all() and (d <= a).all(), (x, y)
+            assert np.array_equal(c, a + b - d), (x, y)
+    for a, b, c in track:
+        assert np.array_equal(batch.tracked_heights[(a, b, c)], batch.heights((a, b), c))
 
 
 def test_qhahn_forced_up_structure():

@@ -17,6 +17,7 @@ from vertexflow.weights import (
     q_binom,
     q_pochhammer,
     q_special,
+    qhahn_row,
     qhahn_weight,
     r_weight,
     tinv,
@@ -328,6 +329,17 @@ def test_qhahn_stochastic_up_to_size_six():
             C = tuple(a + b - d for a, b, d in zip(A, B, D))
             tot += qhahn_weight(A, B, C, D, s, z, q)
         assert abs(tot - 1) < 1e-12, (A, tot)
+
+
+def test_qhahn_row_is_exactly_stochastic():
+    q, s, z = F(2, 5), F(2, 5), F(7, 10)
+    for A in [(0,), (2, 1), (1, 0, 2), (3, 1)]:
+        outs, ws = qhahn_row(A, s, z, q)
+        assert [tuple(d) for d in outs.tolist()] == list(itertools.product(*(range(a + 1) for a in A)))
+        assert sum(ws) == 1
+        for D, w in zip(outs.tolist(), ws):
+            C = tuple(a - d for a, d in zip(A, D))
+            assert w == qhahn_weight(A, (0,) * len(A), C, tuple(D), s, z, q)
 
 
 def test_phi_factor_singularity():
