@@ -113,6 +113,10 @@ def _cmd_sample(args) -> int:
     elif model == "hs":
         params = _semantic(cfg, lambda d: lattice.params_from_json(d["params"]), "/params")
         rect = _semantic(cfg, lambda d: (int(d["rect"][0]), int(d["rect"][1])), "/rect")
+        for name, need in (("row_rapidities", rect[0]), ("col_rapidities", rect[1]), ("col_spins", rect[1])):
+            if len(getattr(params, name)) < need:
+                raise ConfigError(f"/params/{name}: the {rect[0]}x{rect[1]} window needs {need}, "
+                                  f"{len(getattr(params, name))} given")
         batch = sampler.sample_higher_spin(params, rect, seed, count, workers)
         for i in range(count):
             lines.append(lattice.dumps(lattice.config_to_json(batch.config(i))))

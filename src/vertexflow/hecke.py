@@ -9,16 +9,22 @@ Writing T_i = a_i(w) + b_i(w) t_i, the expansion T_pi = sum_rho kappa_pi^rho t_r
 obeys the push rule: a source kappa^rho contributes to target rho with factor
 a_i evaluated at (w_{rho(i)}, w_{rho(i+1)}) and to target rho*sigma_i with the
 b_i factor at the same pair.  Everything evaluates pointwise; no symbolic algebra.
+
+The lattice partition functions Z_pi^rho and the row operators C_k are sums of
+R-weight products; both are one ``weights.lattice_sum`` over the SC6V transitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations as _all_perms
+from itertools import product as _product
 
 import numpy as np
 
 from .errors import SingularEvaluationError, ValidationError
+from .weights import _sc6v_transitions, lattice_sum
 
 COINCIDENCE_RTOL = 1e-12
 
@@ -301,43 +307,19 @@ def kappa(pi: Permutation, rho: Permutation, w, variant: str = "q", q=None):
 
 
 def z_partition(pi: Permutation, rho: Permutation, w, q):
-    """Z_pi^rho(w) on the k x k grid by exhaustive path enumeration.
+    """Z_pi^rho(w) on the k x k grid, as one lattice sum swept row by row.
 
     Row a (bottom to top) has rapidity w_{rho(a)} and incoming color pi(a);
     column b has rapidity w_b and empty bottom edge; row outputs must be 0
     and column b must emit color b at the top.  Keep k <= 5.
     """
-    from .weights import r_weight
-
     k = len(pi)
     if len(rho) != k or len(w) != k:
         raise ValidationError("rank mismatch in z_partition")
-    target_top = tuple(range(1, k + 1))
-
-    def sweep(row, col, vert, horiz, acc):
-        if acc == 0:
-            return 0
-        if col > k:
-            if horiz != 0:
-                return 0
-            if row == k:
-                return acc if vert == target_top else 0
-            return sweep(row + 1, 1, vert, pi(row + 1), acc)
-        z = w[rho(row) - 1] / w[col - 1]
-        total = 0
-        inc_v = vert[col - 1]
-        colors = {inc_v, horiz}
-        outcomes = {(inc_v, horiz), (horiz, inc_v)} if inc_v != horiz else {(inc_v, horiz)}
-        for top, right in outcomes:
-            wt = r_weight(inc_v, horiz, top, right, z, q)
-            if wt == 0:
-                continue
-            nv = list(vert)
-            nv[col - 1] = top
-            total = total + sweep(row, col + 1, tuple(nv), right, acc * wt)
-        return total
-
-    return sweep(1, 1, (0,) * k, pi(1), 1)
+    # slot x-1 holds column x's label, slot k+y-1 row y's
+    steps = [(partial(_sc6v_transitions, w[rho(y) - 1] / w[x - 1], q), (x - 1, k + y - 1), (x - 1, k + y - 1))
+             for y in range(1, k + 1) for x in range(1, k + 1)]
+    return lattice_sum(steps, (0,) * k + pi.images).get(tuple(range(1, k + 1)) + (0,) * k, 0)
 
 
 def row_operator(k_color: int, x, ys, q, n_colors: int) -> np.ndarray:
@@ -346,32 +328,13 @@ def row_operator(k_color: int, x, ys, q, n_colors: int) -> np.ndarray:
     Basis tuples are ordered lexicographically; entry [j_tuple, i_tuple] is the
     single-row partition function with left color k_color and right output 0.
     """
-    from itertools import product as _product
-
-    from .weights import r_weight
-
     m = len(ys)
     basis = list(_product(range(n_colors + 1), repeat=m))
     index = {b: i for i, b in enumerate(basis)}
-    dim = len(basis)
-    mat = np.zeros((dim, dim), dtype=complex)
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    steps = [(partial(_sc6v_transitions, x / y, q), (col, m), (col, m)) for col, y in enumerate(ys)]
     for i_tup in basis:
-        # DP over columns: amplitude per internal horizontal color and top prefix
-        frontier = {((), k_color): 1.0 + 0j}
-        for col in range(m):
-            nxt = {}
-            z = x / ys[col]
-            for (tops, h), amp in frontier.items():
-                i_c = i_tup[col]
-                outcomes = {(i_c, h), (h, i_c)} if i_c != h else {(i_c, h)}
-                for top, right in outcomes:
-                    wt = r_weight(i_c, h, top, right, z, q)
-                    if wt == 0:
-                        continue
-                    key = (tops + (top,), right)
-                    nxt[key] = nxt.get(key, 0) + amp * wt
-            frontier = nxt
-        for (tops, h), amp in frontier.items():
-            if h == 0:
-                mat[index[tops], index[i_tup]] += amp
+        for final, amp in lattice_sum(steps, i_tup + (k_color,)).items():
+            if final[m] == 0:
+                mat[index[final[:m]], index[i_tup]] += amp
     return mat

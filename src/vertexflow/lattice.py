@@ -25,6 +25,7 @@ from .errors import (
     PathOrderError,
     ValidationError,
 )
+from .weights import merge_composition
 
 Point = tuple[int, int]  # doubled dual coordinates (2*alpha, 2*beta)
 
@@ -417,12 +418,7 @@ def merge_colors(config: Configuration, theta) -> Configuration:
 
     def map_label(label):
         if isinstance(label, tuple):
-            out = [0] * m_colors
-            for color_index, count in enumerate(label, start=1):
-                img = th[color_index - 1]
-                if img > 0:
-                    out[img - 1] += count
-            return tuple(out)
+            return tuple(merge_composition(label, th, m_colors))
         return th[label - 1] if label > 0 else 0
 
     new = Configuration(

@@ -27,7 +27,7 @@ import numpy as np
 
 from .contours import ContourFamily, build_contours, build_contours_beta, build_contours_qhahn
 from .errors import ContourResolutionError, UnsupportedRegimeError, ValidationError
-from .hecke import Permutation, PointFunction, kappa_table
+from .hecke import Permutation, PointFunction, _coeffs, kappa_table
 from .lattice import ModelParams, SkewDomain, check_pole_separation, dbl
 from .weights import q_pochhammer
 
@@ -149,16 +149,7 @@ class _Grid:
         elif ck not in self._pair_cache:
             wu = self.nodes[u]
             wv = self.nodes[v]
-            if self.variant == "q":
-                if tag == "a":
-                    fn = lambda x, y: (self.q - 1) * y / (y - x)
-                else:
-                    fn = lambda x, y: (y - self.q * x) / (y - x)
-            else:
-                if tag == "a":
-                    fn = lambda x, y: -1 / (y - x)
-                else:
-                    fn = lambda x, y: (y - x + 1) / (y - x)
+            fn = _coeffs(self.variant, self.q)[tag == "b"]
             if u < v:
                 mat = fn(wu[:, None], wv[None, :])
                 self._pair_cache[ck] = ((u, v), mat)

@@ -8,13 +8,14 @@ workers) and merged in worker order, so results are bit-identical for fixed
 
 Samplers sweep vertices in a fixed order (diagonals for skew domains, rows for
 quadrant windows) with all per-vertex draws vectorized across the batch.  Each
-vertex model has one ``transitions(state)``, weighted by ``weights.r_weight``,
-``l_weight`` or ``qhahn_row`` (a whole row of ``qhahn_weight``).  All samplers
-draw through one kernel, ``_VertexLaw``: it groups the batch by an integer key
-of the incoming state, builds and checks (the only stochasticity check) one row
-per state present, and makes one inverse-CDF draw per sample.  The enumerators
-sweep the same transitions without the check, since complex weights are legal
-there.
+vertex model has one ``transitions(state)``: ``weights._sc6v_transitions``,
+``weights._hs_transitions`` or ``weights.qhahn_row`` (a whole row of
+``qhahn_weight``).  All samplers draw through one kernel, ``_VertexLaw``: it
+groups the batch by an integer key of the incoming state, builds and checks (the
+only stochasticity check) one row per state present, and makes one inverse-CDF
+draw per sample.  The enumerators are the package's one lattice sum,
+``weights.lattice_sum``, over the same transitions with a slot per edge, without
+the check, since complex weights are legal there.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .lattice import (
     dbl,
     quadrant_coloring,
 )
-from .weights import l_weight, q_pochhammer, qhahn_row, r_weight
+from .weights import _hs_transitions, _sc6v_transitions, lattice_sum, q_pochhammer, qhahn_row
 
 PROB_TOL = 1e-10
 
@@ -169,27 +170,6 @@ class WeightedEnsemble:
 # ---------------------------------------------------------------------------
 
 
-def _sc6v_transitions(z, q, state):
-    """(i, j) bottom/left in -> (k, l) top/right out: swap, then pass."""
-    i, j = state
-    outs = [(i, j)] if i == j else [(j, i), (i, j)]
-    return outs, [r_weight(i, j, k, l, z, q) for k, l in outs]
-
-
-def _hs_transitions(z, s, q, state):
-    """(*I, j) -> (*K, l), K = I + e^j - e^l >= 0: l is 0, j or a color present in I."""
-    *comp_i, j = state
-    outs = []
-    for l in sorted({0, j} | {t for t, c in enumerate(comp_i, start=1) if c}):
-        comp_k = list(comp_i)
-        if j:
-            comp_k[j - 1] += 1
-        if l:
-            comp_k[l - 1] -= 1
-        outs.append((*comp_k, l))
-    return outs, [l_weight(comp_i, j, out[:-1], out[-1], z, s, q) for out in outs]
-
-
 def _group(parts):
     """(group per sample, state per group) for the incoming-state columns ``parts``.
 
@@ -284,28 +264,26 @@ def _label_dtype(n_colors: int):
 
 
 def _enumerate(verts, transitions, h, v, shape) -> WeightedEnsemble:
-    """Every configuration with its product weight (complex ok): a depth-first sweep over
-    ``verts`` from the boundary labels in ``h``/``v``; ``shape`` fills the Configurations."""
-    entries = []
+    """Every configuration with its product weight (complex ok): one lattice sum over
+    ``verts`` from the boundary labels in ``h``/``v``; ``shape`` fills the Configurations.
+    The state lists the ``h`` labels, then the ``v`` labels, in key order, with one slot
+    per color of a fused ``v`` label."""
+    fused = isinstance(next(iter(v.values())), tuple)
+    v_labels = [label if fused else (label,) for label in v.values()]
+    width = len(v_labels[0])
+    h_slot = {edge: t for t, edge in enumerate(h)}
+    v_slots = {edge: tuple(range(len(h) + i * width, len(h) + (i + 1) * width)) for i, edge in enumerate(v)}
+    state = (*h.values(), *(c for label in v_labels for c in label))
+    steps = [(transitions[x, y], v_slots[x, y - 1] + (h_slot[x - 1, y],), v_slots[x, y] + (h_slot[x, y],))
+             for x, y in verts]
 
-    def sweep(idx, acc):
-        if idx == len(verts):
-            entries.append((acc, Configuration(h_edges=dict(h), v_edges=dict(v), **shape)))
-            return
-        x, y = verts[idx]
-        v_in = v[(x, y - 1)]
-        fused = isinstance(v_in, tuple)
-        state = (*v_in, h[(x - 1, y)]) if fused else (v_in, h[(x - 1, y)])
-        outs, ws = transitions[(x, y)](state)
-        for out, w in zip(outs, ws):
-            if w == 0:
-                continue
-            v[(x, y)] = tuple(out[:-1]) if fused else out[0]
-            h[(x, y)] = out[-1]
-            sweep(idx + 1, acc * w)
+    def config(final):
+        labels = final[len(h):]
+        if fused:
+            labels = [labels[t:t + width] for t in range(0, len(labels), width)]
+        return Configuration(h_edges=dict(zip(h, final)), v_edges=dict(zip(v, labels)), **shape)
 
-    sweep(0, 1.0)
-    return WeightedEnsemble(entries)
+    return WeightedEnsemble([(w, config(final)) for final, w in lattice_sum(steps, state).items()])
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +338,10 @@ def _hs_window(params: ModelParams, rect: tuple[int, int]):
     """The window's vertices in row-sweep order with their transitions, and its color count."""
     n_rows, m_cols = rect
     u, ys, ss = params.row_rapidities, params.col_rapidities, params.col_spins
+    for name, given, need in (("row_rapidities", u, n_rows), ("col_rapidities", ys, m_cols),
+                              ("col_spins", ss, m_cols)):
+        if len(given) < need:
+            raise ValidationError(f"{name}: the window needs {need}, {len(given)} given")
     n_colors = max((params.row_color(r) for r in range(1, n_rows + 1)), default=1) or 1
     return {(x, y): partial(_hs_transitions, u[y - 1] / ys[x - 1], ss[x - 1], params.q)
             for y in range(1, n_rows + 1) for x in range(1, m_cols + 1)}, n_colors
@@ -373,9 +355,6 @@ def sample_higher_spin(params: ModelParams, rect: tuple[int, int], seed: int, co
     (x, y) uses spectral parameter u_x / y_y and spin s_y of its column.
     """
     n_rows, m_cols = rect
-    u, ys, ss = params.row_rapidities, params.col_rapidities, params.col_spins
-    if len(u) < n_rows or len(ys) < m_cols or len(ss) < m_cols:
-        raise ValidationError("not enough rapidities/spins for the window")
     transitions, n_colors = _hs_window(params, rect)
     laws = {vertex: _VertexLaw(t) for vertex, t in transitions.items()}
 

@@ -6,8 +6,10 @@ and enough seed/context detail to reproduce a failure exactly.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from .hecke import Permutation, PointFunction, apply_T
 from .lattice import Cut, ModelParams, SkewDomain, UpLeftPath
 from .qmoments import MomentQuery, qmoment_skew
 from .sampler import enumerate_sc6v, sample_sc6v
-from .weights import l_weight, q_pochhammer, r_weight
+from .weights import _hs_transitions, _sc6v_transitions, lattice_sum, q_pochhammer
 
 
 @dataclass
@@ -59,10 +61,7 @@ def local_relation_error(q, z, i: int, j: int, colors) -> float:
     """
     r = len(colors)
     lhs = 0j
-    for (k_out, l_out) in {(i, j), (j, i)}:
-        w = r_weight(i, j, k_out, l_out, z, q)
-        if w == 0:
-            continue
+    for (_, l_out), w in zip(*_sc6v_transitions(z, q, (i, j))):
         lhs += w * q ** sum(1 for c in colors if l_out > c)
     rhs = (q - q**r * z) / (q - z)
     for t, c in enumerate(colors, start=1):
@@ -76,17 +75,7 @@ def local_relation_fused_error(q, s, u, comp_i, j: int, colors) -> float:
     r = len(colors)
     n = len(comp_i)
     lhs = 0j
-    for l_out in range(n + 1):
-        big_k = list(comp_i)
-        if j > 0:
-            big_k[j - 1] += 1
-        if l_out > 0:
-            big_k[l_out - 1] -= 1
-        if any(v < 0 for v in big_k):
-            continue
-        w = l_weight(comp_i, j, big_k, l_out, u, s, q)
-        if w == 0:
-            continue
+    for (*_, l_out), w in zip(*_hs_transitions(u, s, q, (*comp_i, j))):
         lhs += w * q ** sum(1 for c in colors if l_out > c)
     su = s * u
     rhs = (1 - q**r * su) / (1 - su)
@@ -377,24 +366,20 @@ def random_shift_pair(rng: random.Random, n_rows: int, m_cols: int, k: int,
 
 
 def _ybe_error(q, x, y, z, n: int) -> float:
-    import itertools
+    """Worst |LHS - RHS| of the Yang-Baxter equation over all (n+1)^6 boundary pairs.
 
-    rngc = range(n + 1)
+    Each side is the lattice sum of its three vertices from the incoming labels
+    (a1, a2, a3); a boundary pair absent from a side has weight 0 there.
+    """
+    def side(*vertices):
+        return [(partial(_sc6v_transitions, spectral, q), slots, slots) for spectral, slots in vertices]
+
+    lhs = side((x / y, (1, 2)), (x / z, (0, 2)), (y / z, (0, 1)))
+    rhs = side((y / z, (0, 1)), (x / z, (0, 2)), (x / y, (1, 2)))
     worst = 0.0
-    for a1, a2, a3, b1, b2, b3 in itertools.product(rngc, repeat=6):
-        lhs = sum(
-            r_weight(a2, a3, k2, k3, x / y, q)
-            * r_weight(a1, k3, k1, b3, x / z, q)
-            * r_weight(k1, k2, b1, b2, y / z, q)
-            for k1 in rngc for k2 in rngc for k3 in rngc
-        )
-        rhs = sum(
-            r_weight(a1, a2, k1, k2, y / z, q)
-            * r_weight(k1, a3, b1, k3, x / z, q)
-            * r_weight(k2, k3, b2, b3, x / y, q)
-            for k1 in rngc for k2 in rngc for k3 in rngc
-        )
-        worst = max(worst, abs(lhs - rhs))
+    for a in itertools.product(range(n + 1), repeat=3):
+        left, right = lattice_sum(lhs, a), lattice_sum(rhs, a)
+        worst = max([worst] + [abs(left.get(b, 0) - right.get(b, 0)) for b in left.keys() | right.keys()])
     return worst
 
 

@@ -4,11 +4,19 @@ All weight functions are written with plain arithmetic operators, so they
 accept floats, complex numbers or ``fractions.Fraction`` instances alike.
 The Fraction path is the exact-rational mode used by the identity tests.
 Unlisted or conservation-violating edge configurations get weight 0 rather
-than raising, so sweeps can iterate blindly over all color tuples.
+than raising.
+
+Each vertex model lists its outgoing states with their weights in one
+``transitions(state)`` (``_sc6v_transitions``, ``_hs_transitions``).  Every sum
+of weight products over a small lattice -- partition functions and row
+operators (``hecke``), fusion blocks (here), the Yang-Baxter and local-relation
+checks (``verify``) and the exhaustive enumerators (``sampler``) -- is one call
+of ``lattice_sum``, which walks those transitions over a front of edge labels.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations as _it_permutations
 from itertools import product as _it_product
 
@@ -207,6 +215,59 @@ def l_weight(comp_i, j: int, comp_k, l: int, z, s, q):
 
 
 # ---------------------------------------------------------------------------
+# Model transitions and the one lattice sum over them
+# ---------------------------------------------------------------------------
+
+
+def _sc6v_transitions(z, q, state):
+    """(i, j) bottom/left in -> (k, l) top/right out: swap, then pass."""
+    i, j = state
+    outs = [(i, j)] if i == j else [(j, i), (i, j)]
+    return outs, [r_weight(i, j, k, l, z, q) for k, l in outs]
+
+
+def _hs_transitions(z, s, q, state):
+    """(*I, j) -> (*K, l), K = I + e^j - e^l >= 0: l is 0, j or a color present in I."""
+    *comp_i, j = state
+    outs = []
+    for l in sorted({0, j} | {t for t, c in enumerate(comp_i, start=1) if c}):
+        comp_k = list(comp_i)
+        if j:
+            comp_k[j - 1] += 1
+        if l:
+            comp_k[l - 1] -= 1
+        outs.append((*comp_k, l))
+    return outs, [l_weight(comp_i, j, out[:-1], out[-1], z, s, q) for out in outs]
+
+
+def lattice_sum(steps, state) -> dict:
+    """{final state: summed weight} of a front of edge labels swept through ``steps``.
+
+    ``state`` is a tuple of labels, one slot per edge (a fused label takes one slot
+    per color).  Each step ``(transitions, in_slots, out_slots)`` reads the incoming
+    (bottom..., left) labels of every front state at ``in_slots`` and writes each
+    outgoing (top..., right) state of ``transitions`` to ``out_slots``, multiplied by
+    its weight.  Zero weights are dropped and states that meet are summed.  Weights
+    start at the int 1, so Fractions stay exact; states keep first-reached order.
+    """
+    front = {tuple(state): 1}
+    for transitions, in_slots, out_slots in steps:
+        new = {}
+        for labels, acc in front.items():
+            outs, ws = transitions(tuple(labels[t] for t in in_slots))
+            for out, w in zip(outs, ws):
+                if w == 0:
+                    continue
+                nxt = list(labels)
+                for t, label in zip(out_slots, out):
+                    nxt[t] = label
+                nxt = tuple(nxt)
+                new[nxt] = new[nxt] + acc * w if nxt in new else acc * w
+        front = new
+    return front
+
+
+# ---------------------------------------------------------------------------
 # Fully fused weights W_z^(N,M) and the q-Hahn degeneration
 # ---------------------------------------------------------------------------
 
@@ -293,7 +354,9 @@ def fused_weight_by_fusion(comp_a, comp_b, comp_c, comp_d, z, n_rows: int, m_col
     The block has rows with rapidities x, qx, ..., q^(N-1)x bottom to top and
     columns q^(M-1)y, ..., y left to right, z = x/y.  Representative words for
     C and D are fixed as the sorted ones; q-exchangeability makes the result
-    independent of that choice.  Exponential in N*M, so keep N, M <= 2.
+    independent of that choice.  Each block is one ``lattice_sum`` from the words
+    of A and B, read at the words of C and D; ``n_colors`` is implied by the
+    compositions.  Exponential in N*M, so keep N, M <= 2.
     """
     a, b, c, d = (list(t) for t in (comp_a, comp_b, comp_c, comp_d))
     if sum(a) > m_cols or sum(c) > m_cols or sum(b) > n_rows or sum(d) > n_rows:
@@ -309,11 +372,15 @@ def fused_weight_by_fusion(comp_a, comp_b, comp_c, comp_d, z, n_rows: int, m_col
         * q ** (-tinv(l_word))
         / (z_q(m_cols, a, q) * z_q(n_rows, b, q))
     )
-    # rapidity of row r (1-based, bottom to top): q^(r-1) x; column m: q^(M-m) y
+    # rapidity of row r (1-based, bottom to top): q^(r-1) x; column m: q^(M-m) y.  Slots
+    # 0..M-1 hold the column labels, M..M+N-1 the row labels.
+    steps = [(partial(_sc6v_transitions, q ** (row - 1) * z / q ** (m_cols - col), q),
+              (col - 1, m_cols + row - 1), (col - 1, m_cols + row - 1))
+             for row in range(1, n_rows + 1) for col in range(1, m_cols + 1)]
     total = 0 * _one_like(q)
-    for i_word in _words_with_comp(a, m_cols, n_colors):
-        for j_word in _words_with_comp(b, n_rows, n_colors):
-            block = _block_partition(i_word, j_word, k_word, l_word, z, q, n_rows, m_cols, n_colors)
+    for i_word in _words_with_comp(a, m_cols):
+        for j_word in _words_with_comp(b, n_rows):
+            block = lattice_sum(steps, i_word + j_word).get(k_word + l_word, 0)
             total = total + q ** inv(i_word) * q ** tinv(j_word) * block
     return pref * total
 
@@ -326,37 +393,9 @@ def _sorted_word(comp, slots: int):
     return tuple(sorted(word))
 
 
-def _words_with_comp(comp, slots: int, n_colors: int):
+def _words_with_comp(comp, slots: int):
     base = _sorted_word(comp, slots)
     return sorted(set(_it_permutations(base)))
-
-
-def _block_partition(i_word, j_word, k_word, l_word, z, q, n_rows, m_cols, n_colors):
-    """Sum of R-weight products over the N x M block with fixed boundary words."""
-
-    def sweep(row, col, vert, horiz, acc):
-        # vert[m]: color on the vertical edge entering (row, m+1) from below
-        # horiz: color on the horizontal edge entering (row, col) from the left
-        if col > m_cols:
-            if horiz != l_word[row - 1]:
-                return 0 * _one_like(q)
-            if row == n_rows:
-                return acc if list(vert) == list(k_word) else 0 * _one_like(q)
-            return sweep(row + 1, 1, vert, j_word[row], acc)
-        spectral = q ** (row - 1) * z / q ** (m_cols - col)
-        total = 0 * _one_like(q)
-        inc_v = vert[col - 1]
-        for top in range(n_colors + 1):
-            for right in range(n_colors + 1):
-                w = r_weight(inc_v, horiz, top, right, spectral, q)
-                if w == 0:
-                    continue
-                new_vert = list(vert)
-                new_vert[col - 1] = top
-                total = total + sweep(row, col + 1, tuple(new_vert), right, acc * w)
-        return total
-
-    return sweep(1, 1, tuple(i_word), j_word[0], _one_like(q))
 
 
 # ---------------------------------------------------------------------------

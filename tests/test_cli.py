@@ -85,6 +85,20 @@ def test_schema_violation_exits_2(tmp_path, capsys):
     assert "/params/q" in capsys.readouterr().err
 
 
+HS_PARAMS = {"q": 0.5, "row_rapidities": [5.0, 6.0], "col_rapidities": [1.0, 1.1],
+             "col_spins": [4.0, 4.0], "boundary_levels": [1, 2]}
+
+
+@pytest.mark.parametrize("field", ["row_rapidities", "col_rapidities", "col_spins"])
+def test_sample_hs_short_list_exits_2_at_its_field(tmp_path, capsys, field):
+    params = dict(HS_PARAMS, **{field: HS_PARAMS[field][:1]})
+    cfg = write(tmp_path, "cfg.json", {"params": params, "rect": [2, 2]})
+    code = run(["sample", "--model", "hs", "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert f"at /params/{field}:" in capsys.readouterr().err
+
+
 def test_verify_exit_codes(tmp_path):
     out = tmp_path / "rep.json"
     assert run(["verify", "--suite", "identities", "--out", str(out)]) == 0

@@ -109,6 +109,15 @@ def test_enumerate_sc6v_weights_sum_to_one_random():
         assert abs(ens.total_weight() - 1) < 1e-12
 
 
+def test_enumerate_sc6v_exact_in_fractions():
+    from fractions import Fraction as F
+
+    params = ModelParams(q=F(1, 3), row_rapidities=(F(5, 2), F(3)), col_rapidities=(F(1), F(6, 5)))
+    ens = enumerate_sc6v(rectangle_domain(2, 2, (0, 1, 1, 2)), params)
+    assert all(isinstance(w, F) for w, _ in ens.entries)
+    assert ens.total_weight() == 1
+
+
 def test_enumeration_cap():
     params = ModelParams(q=0.4, row_rapidities=(2.0,) * 5, col_rapidities=(1.0,) * 5)
     dom = rectangle_domain(5, 5, tuple([0] * 5 + [1] * 5))

@@ -59,6 +59,14 @@ def test_ybe_hundred_triples():
     assert rep.passed and rep.max_abs_error < 1e-12
 
 
+def test_ybe_three_colors():
+    # n = 3 lets all three lines carry distinct nonzero colors, which n = 2 never reaches
+    from vertexflow.verify import check_ybe
+
+    rep = check_ybe(trials=20, seed=0, n=3)
+    assert rep.passed and rep.max_abs_error < 1e-12
+
+
 def test_identity_suite_all_pass():
     for rep in check_identity_suite(seed=3):
         assert rep.passed, (rep.name, rep.max_abs_error)
