@@ -191,12 +191,10 @@ class PointFunction:
     """A function of k complex variables evaluated pointwise.
 
     ``evaluator`` maps a sequence of k numpy-broadcastable arguments to values.
-    ``singularities`` are free-text hints about forbidden hyperplanes.
     """
 
     k: int
     evaluator: object
-    singularities: tuple = ()
 
     def __call__(self, w):
         if len(w) != self.k:
@@ -223,11 +221,7 @@ class PointFunction:
     def __mul__(self, other: "PointFunction") -> "PointFunction":
         if self.k != other.k:
             raise ValidationError("rank mismatch in PointFunction product")
-        return PointFunction(
-            self.k,
-            lambda w: self.evaluator(list(w)) * other.evaluator(list(w)),
-            self.singularities + other.singularities,
-        )
+        return PointFunction(self.k, lambda w: self.evaluator(list(w)) * other.evaluator(list(w)))
 
 
 def apply_T(i: int, f: PointFunction, variant: str = "q", q=None) -> PointFunction:
@@ -242,7 +236,7 @@ def apply_T(i: int, f: PointFunction, variant: str = "q", q=None) -> PointFuncti
         swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
         return a_fn(w[i - 1], w[i]) * f.evaluator(list(w)) + b_fn(w[i - 1], w[i]) * f.evaluator(swapped)
 
-    return PointFunction(f.k, ev, f.singularities)
+    return PointFunction(f.k, ev)
 
 
 def apply_T_pi(pi: Permutation, f: PointFunction, variant: str = "q", q=None) -> PointFunction:
@@ -263,7 +257,7 @@ def apply_T_pi(pi: Permutation, f: PointFunction, variant: str = "q", q=None) ->
             out = term if out is None else out + term
         return out
 
-    return PointFunction(f.k, ev, f.singularities)
+    return PointFunction(f.k, ev)
 
 
 def kappa_table(pi: Permutation, w, variant: str = "q", q=None) -> dict:

@@ -386,23 +386,32 @@ def height(config: Configuration, point, c: int) -> int:
 
 def height_d(config: Configuration, p: Point, c: int) -> int:
     """Same as ``height`` but taking a doubled-integer dual point."""
+    return _read_height(config, height_anchor(config, p, c), c)
+
+
+def height_anchor(region, p: Point, c: int) -> tuple[int, int, range]:
+    """(base, x, rows): h_{>c} at the doubled dual point ``p`` is ``base`` plus the
+    paths of color > c on the h-edges (x, y), y in ``rows``.  ``region`` has
+    ``domain``, ``n_rows`` and ``m_cols`` (a Configuration or a SampleBatch); a
+    point outside its domain or window raises ValidationError."""
     a2, b2 = p
-    alpha_col = (a2 - 1) // 2  # h-edges crossing line alpha sit at x = alpha - 1/2
-    if config.domain is not None:
-        dom = config.domain
+    dom = region.domain
+    if dom is not None:
         if not dom.contains_face(p):
             raise ValidationError(f"point {undbl(p)} lies outside the domain")
         lo, _ = dom.face_range(a2)
-        h = dom.boundary_height((a2, lo), c)
-        y_from = lo // 2 + 1
+        base, y_from = dom.boundary_height((a2, lo), c), lo // 2 + 1
     else:
-        if not (1 <= a2 <= 2 * config.m_cols + 1) or not (1 <= b2 <= 2 * config.n_rows + 1):
+        if not (1 <= a2 <= 2 * region.m_cols + 1) or not (1 <= b2 <= 2 * region.n_rows + 1):
             raise ValidationError(f"point {undbl(p)} lies outside the window")
-        h = 0
-        y_from = 1
-    for y in range(y_from, b2 // 2 + 1):
-        h += _tail_count(config.h_edges[(alpha_col, y)], c, config.n_colors)
-    return h
+        base, y_from = 0, 1
+    # h-edges crossing line alpha sit at x = alpha - 1/2
+    return base, (a2 - 1) // 2, range(y_from, b2 // 2 + 1)
+
+
+def _read_height(config: Configuration, anchor, c: int) -> int:
+    base, x, rows = anchor
+    return base + sum(_tail_count(config.h_edges[(x, y)], c, config.n_colors) for y in rows)
 
 
 def merge_colors(config: Configuration, theta) -> Configuration:

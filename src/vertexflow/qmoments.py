@@ -192,7 +192,7 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand) -> dict:
     cross = {(a, b): grid.cross(a, b) for a in range(k) for b in range(a + 1, k)}
     out = {}
     for picoef, pi in integrand.pi_terms:
-        terms = {tuple(range(1, k + 1)): [(1.0 + 0j, {})]}
+        terms = {tuple(range(1, k + 1)): [{}]}
         for i in pi.reduced_word():
             new = {}
             for rho, tlist in terms.items():
@@ -202,9 +202,9 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand) -> dict:
                 rho_s = list(rho)
                 rho_s[i - 1], rho_s[i] = rho_s[i], rho_s[i - 1]
                 rho_s = tuple(rho_s)
-                for scal, mats in tlist:
-                    new.setdefault(rho, []).append((scal, _mat_mult(mats, a_key, a_mat)))
-                    new.setdefault(rho_s, []).append((scal, _mat_mult(mats, b_key, b_mat)))
+                for mats in tlist:
+                    new.setdefault(rho, []).append(_mat_mult(mats, a_key, a_mat))
+                    new.setdefault(rho_s, []).append(_mat_mult(mats, b_key, b_mat))
             terms = new
         total = 0j
         for rho, tlist in terms.items():
@@ -213,12 +213,12 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand) -> dict:
                 rho_inv[b - 1] = s  # slot feeding variable b (0-based slot)
             for phi_coef, table in phi_tables:
                 us = [base_u[b] * psi_vals[b] * table[rho_inv[b]][b] for b in range(k)]
-                for scal, mats in tlist:
+                for mats in tlist:
                     full = dict(cross)
                     for key, m in mats.items():
                         full[key] = cross[key] * m
                     val = _contract(us, full)
-                    total += phi_coef * scal * val
+                    total += phi_coef * val
         out[pi.images] = out.get(pi.images, 0j) + picoef * total
     return out
 

@@ -1,10 +1,11 @@
 """Monte Carlo samplers for every model variant plus exhaustive-enumeration oracles.
 
 RNG contract: Philox-4x64-10 counter-based generators, keyed (seed, stream).
-A batch of ``count`` samples is split across ``workers`` streams (stream id =
-worker index, sizes count//workers with the remainder spread over the first
-workers) and merged in worker order, so results are bit-identical for fixed
-(seed, workers).  Beta variates come from two Gamma draws.
+One runner, ``_run_streams``, splits a batch of ``count`` samples across
+``workers`` streams (stream id = worker index, sizes count//workers with the
+remainder spread over the first workers) and merges them in worker order, so
+results are bit-identical for fixed (seed, workers).  Beta variates come from
+two Gamma draws.
 
 Samplers sweep vertices in a fixed order (diagonals for skew domains, rows for
 quadrant windows) with all per-vertex draws vectorized across the batch.  Each
@@ -15,7 +16,8 @@ groups the batch by an integer key of the incoming state, builds and checks (the
 only stochasticity check) one row per state present, and makes one inverse-CDF
 draw per sample.  The enumerators are the package's one lattice sum,
 ``weights.lattice_sum``, over the same transitions with a slot per edge, without
-the check, since complex weights are legal there.
+the check, since complex weights are legal there; one ``_Model`` record per
+model feeds both.  Every height is read where ``lattice.height_anchor`` says.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from .lattice import (
     Configuration,
     ModelParams,
     SkewDomain,
+    _read_height,
     dbl,
+    height_anchor,
     quadrant_coloring,
 )
 from .weights import _hs_transitions, _sc6v_transitions, lattice_sum, q_pochhammer, qhahn_row
@@ -44,9 +48,15 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _worker_sizes(count: int, workers: int) -> list[int]:
+def _run_streams(seed: int, count: int, workers: int, draw) -> dict:
+    """``draw(rng, size) -> {name: array, sample axis first}`` on each worker's Philox
+    stream (stream id = worker index, sizes count//workers with the remainder spread
+    over the first workers; empty streams are skipped), merged in worker order."""
+    if count < 1 or workers < 1:
+        raise ValidationError(f"count and workers must be positive, got {count} and {workers}")
     base, rem = divmod(count, workers)
-    return [base + (1 if i < rem else 0) for i in range(workers)]
+    parts = [draw(make_rng(seed, w), base + (w < rem)) for w in range(workers) if base + (w < rem)]
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +101,6 @@ class SampleBatch:
                 v[(x, y)] = tuple(int(t) for t in vv) if fused_v else int(vv)
         return Configuration(self.n_rows, self.m_cols, h, v, self.domain, self.n_colors)
 
-    @property
-    def configs(self):
-        return _ConfigSeq(self)
-
     def heights(self, point, c: int) -> np.ndarray:
         """Per-sample h_{>c} at a dual point, from tracked or stored edges."""
         key = (float(point[0]), float(point[1]), int(c))
@@ -102,39 +108,15 @@ class SampleBatch:
             return self.tracked_heights[key]
         if self.h_edges is None:
             raise ValidationError("request this height via track= at sampling time")
-        a2, b2 = dbl(*point)
-        x = (a2 - 1) // 2
-        if self.domain is not None:
-            lo, hi = self.domain.face_range(a2)
-            if not lo <= b2 <= hi:
-                raise ValidationError("point outside the domain")
-            base = self.domain.boundary_height((a2, lo), c)
-            y_from = lo // 2 + 1
-        else:
-            base = 0
-            y_from = 1
+        base, x, rows = height_anchor(self, dbl(*point), c)
         out = np.full(self.count, base, dtype=np.int64)
-        for y in range(y_from, b2 // 2 + 1):
+        for y in rows:
             lab = self.h_edges[:, x, y]
             if self.h_edges.ndim == 4:
                 out += lab[:, c:].sum(axis=1)
             else:
                 out += lab > c
         return out
-
-
-class _ConfigSeq:
-    def __init__(self, batch: SampleBatch):
-        self._batch = batch
-
-    def __len__(self):
-        return self._batch.count
-
-    def __getitem__(self, i):
-        return self._batch.config(i)
-
-    def __iter__(self):
-        return (self._batch.config(i) for i in range(len(self)))
 
 
 @dataclass
@@ -148,11 +130,11 @@ class WeightedEnsemble:
 
     def moment(self, points, colors, q) -> complex:
         """sum_config weight * q^{sum_a h_{>c_a}(p_a)} over the ensemble."""
-        from .lattice import height
-
+        region = self.entries[0][1]  # every entry has the same domain or window
+        anchors = [(height_anchor(region, dbl(*p), c), c) for p, c in zip(points, colors)]
         out = 0
         for w, cfg in self.entries:
-            expo = sum(height(cfg, p, c) for p, c in zip(points, colors))
+            expo = sum(_read_height(cfg, anchor, c) for anchor, c in anchors)
             out = out + w * q**expo
         return out
 
@@ -235,27 +217,46 @@ class _VertexLaw:
         return outs.take(where.ravel().take(base + pick), axis=1)
 
 
-def _sweep(laws, boundary, seed: int, count: int, workers: int):
-    """Sample-major (h_edges, v_edges) of a sweep of ``laws`` on each worker stream from
-    ``boundary(size)``'s arrays, indexed [x, y, (color,) sample] so vertices read rows."""
-    h_parts, v_parts = [], []
-    for stream, size in enumerate(_worker_sizes(count, workers)):
-        if size == 0:
-            continue
-        rng = make_rng(seed, stream)
-        h, v = boundary(size)
+@dataclass(frozen=True)
+class _Model:
+    """A vertex model on one region, read by both ``_sweep`` and ``_enumerate``: each
+    vertex's transitions in sweep order, the label of every edge before the sweep
+    (``h``/``v`` keyed by edge in x-major order; boundary colors, else empty; a
+    fused label is a color composition), and the region's shape."""
+
+    transitions: dict
+    h: dict
+    v: dict
+    n_rows: int
+    m_cols: int
+    n_colors: int
+    domain: SkewDomain | None = None
+
+
+def _sweep(model: _Model, laws, seed: int, count: int, workers: int):
+    """Sample-major (h_edges, v_edges) of a sweep of ``laws`` over ``model`` from its
+    boundary labels; each stream is indexed [x, y, (color,) sample] so vertices read rows."""
+
+    def edges(labels, size):
+        first = next(iter(labels.values()))
+        dtype = np.int16 if isinstance(first, tuple) else _label_dtype(model.n_colors)
+        arr = np.zeros((model.m_cols + 1, model.n_rows + 1, *np.shape(first), size), dtype=dtype)
+        samples_first = np.moveaxis(arr, -1, 0)
+        for (x, y), label in labels.items():
+            if np.any(label):  # pages of zeros the sweep never writes stay unallocated
+                samples_first[:, x, y] = label
+        return arr
+
+    def draw(rng, size):
+        h, v = edges(model.h, size), edges(model.v, size)
         for (x, y), law in laws.items():
             out = law.draw([*v[x, y - 1].reshape(-1, size), h[x - 1, y]], rng.random(size), (x, y))
             v[x, y] = out[:-1]
             h[x, y] = out[-1]
-        h_parts.append(h)
-        v_parts.append(v)
-    return _merge(h_parts), _merge(v_parts)
+        return {"h": np.moveaxis(h, -1, 0), "v": np.moveaxis(v, -1, 0)}
 
-
-def _merge(parts) -> np.ndarray:
-    """Per-stream edge arrays, swept with the sample axis last, as one sample-major array."""
-    return np.concatenate([np.moveaxis(p, -1, 0) for p in parts])
+    merged = _run_streams(seed, count, workers, draw)
+    return merged["h"], merged["v"]
 
 
 def _label_dtype(n_colors: int):
@@ -263,19 +264,20 @@ def _label_dtype(n_colors: int):
     return np.min_scalar_type(-n_colors - 1)
 
 
-def _enumerate(verts, transitions, h, v, shape) -> WeightedEnsemble:
+def _enumerate(model: _Model) -> WeightedEnsemble:
     """Every configuration with its product weight (complex ok): one lattice sum over
-    ``verts`` from the boundary labels in ``h``/``v``; ``shape`` fills the Configurations.
-    The state lists the ``h`` labels, then the ``v`` labels, in key order, with one slot
-    per color of a fused ``v`` label."""
+    the model's vertices from its edge labels.  The state lists the ``h`` labels, then
+    the ``v`` labels, in key order, with one slot per color of a fused ``v`` label."""
+    h, v = model.h, model.v
     fused = isinstance(next(iter(v.values())), tuple)
     v_labels = [label if fused else (label,) for label in v.values()]
     width = len(v_labels[0])
     h_slot = {edge: t for t, edge in enumerate(h)}
     v_slots = {edge: tuple(range(len(h) + i * width, len(h) + (i + 1) * width)) for i, edge in enumerate(v)}
     state = (*h.values(), *(c for label in v_labels for c in label))
-    steps = [(transitions[x, y], v_slots[x, y - 1] + (h_slot[x - 1, y],), v_slots[x, y] + (h_slot[x, y],))
-             for x, y in verts]
+    steps = [(t, v_slots[x, y - 1] + (h_slot[x - 1, y],), v_slots[x, y] + (h_slot[x, y],))
+             for (x, y), t in model.transitions.items()]
+    shape = dict(n_rows=model.n_rows, m_cols=model.m_cols, domain=model.domain, n_colors=model.n_colors)
 
     def config(final):
         labels = final[len(h):]
@@ -291,42 +293,35 @@ def _enumerate(verts, transitions, h, v, shape) -> WeightedEnsemble:
 # ---------------------------------------------------------------------------
 
 
+def _sc6v_model(domain: SkewDomain, params: ModelParams) -> _Model:
+    xr, yc = params.row_rapidities, params.col_rapidities
+    h = {(x, y): 0 for x in range(domain.m_cols + 1) for y in range(domain.n_rows + 1)}
+    v = dict(h)
+    for kind, edge, color in domain.incoming_edges():
+        (h if kind == "h" else v)[edge] = color
+    return _Model({(x, y): partial(_sc6v_transitions, xr[y - 1] / yc[x - 1], params.q)
+                   for (x, y) in domain.vertices()},
+                  h, v, domain.n_rows, domain.m_cols, max(domain.coloring, default=1) or 1, domain)
+
+
 def sample_sc6v(domain: SkewDomain, params: ModelParams, seed: int, count: int,
                 workers: int = 1) -> SampleBatch:
     """Diagonal-sweep sampler for the SC6V model on a skew domain."""
-    xr, yc = params.row_rapidities, params.col_rapidities
-    laws = {(x, y): _VertexLaw(partial(_sc6v_transitions, xr[y - 1] / yc[x - 1], params.q))
-            for (x, y) in domain.vertices()}
+    model = _sc6v_model(domain, params)
+    laws = {vertex: _VertexLaw(t) for vertex, t in model.transitions.items()}
     for vertex, law in laws.items():  # R depends on sign(i - j) only: check all before drawing
         law.row((0, 1), vertex)
         law.row((1, 0), vertex)
-    n_colors = max(domain.coloring, default=1) or 1
-
-    def boundary(size):
-        h = np.zeros((domain.m_cols + 1, domain.n_rows + 1, size), dtype=_label_dtype(n_colors))
-        v = np.zeros_like(h)
-        for kind, (x, y), color in domain.incoming_edges():
-            (h if kind == "h" else v)[x, y] = color
-        return h, v
-
-    return SampleBatch("sc6v_skew", seed, params, count, domain.n_rows, domain.m_cols, n_colors,
-                       domain, *_sweep(laws, boundary, seed, count, workers))
+    return SampleBatch("sc6v_skew", seed, params, count, domain.n_rows, domain.m_cols, model.n_colors,
+                       domain, *_sweep(model, laws, seed, count, workers))
 
 
 def enumerate_sc6v(domain: SkewDomain, params: ModelParams, cap: int = 16) -> WeightedEnsemble:
     """Exact ensemble: every configuration with its product weight (complex ok)."""
-    verts = domain.vertices()
-    if len(verts) > cap:
-        raise EnumerationCapError(f"{len(verts)} vertices exceeds the cap {cap}")
-    xr, yc = params.row_rapidities, params.col_rapidities
-    transitions = {(x, y): partial(_sc6v_transitions, xr[y - 1] / yc[x - 1], params.q) for (x, y) in verts}
-    n_colors = max(domain.coloring, default=1) or 1
-    h = {(x, y): 0 for x in range(domain.m_cols + 1) for y in range(domain.n_rows + 1)}
-    v = dict(h)
-    for kind, (x, y), color in domain.incoming_edges():
-        (h if kind == "h" else v)[(x, y)] = color
-    return _enumerate(verts, transitions, h, v, dict(
-        n_rows=domain.n_rows, m_cols=domain.m_cols, domain=domain, n_colors=n_colors))
+    model = _sc6v_model(domain, params)
+    if len(model.transitions) > cap:
+        raise EnumerationCapError(f"{len(model.transitions)} vertices exceeds the cap {cap}")
+    return _enumerate(model)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +329,9 @@ def enumerate_sc6v(domain: SkewDomain, params: ModelParams, cap: int = 16) -> We
 # ---------------------------------------------------------------------------
 
 
-def _hs_window(params: ModelParams, rect: tuple[int, int]):
-    """The window's vertices in row-sweep order with their transitions, and its color count."""
+def _hs_model(params: ModelParams, rect: tuple[int, int]) -> _Model:
+    """The window's vertices in row-sweep order: color c enters at rows l_{c-1}+1 .. l_c
+    from the left, the bottom is empty and vertical labels are compositions."""
     n_rows, m_cols = rect
     u, ys, ss = params.row_rapidities, params.col_rapidities, params.col_spins
     for name, given, need in (("row_rapidities", u, n_rows), ("col_rapidities", ys, m_cols),
@@ -343,8 +339,12 @@ def _hs_window(params: ModelParams, rect: tuple[int, int]):
         if len(given) < need:
             raise ValidationError(f"{name}: the window needs {need}, {len(given)} given")
     n_colors = max((params.row_color(r) for r in range(1, n_rows + 1)), default=1) or 1
-    return {(x, y): partial(_hs_transitions, u[y - 1] / ys[x - 1], ss[x - 1], params.q)
-            for y in range(1, n_rows + 1) for x in range(1, m_cols + 1)}, n_colors
+    h = {(x, y): 0 for x in range(m_cols + 1) for y in range(n_rows + 1)}
+    for y in range(1, n_rows + 1):
+        h[0, y] = params.row_color(y)
+    return _Model({(x, y): partial(_hs_transitions, u[y - 1] / ys[x - 1], ss[x - 1], params.q)
+                   for y in range(1, n_rows + 1) for x in range(1, m_cols + 1)},
+                  h, {edge: (0,) * n_colors for edge in h}, n_rows, m_cols, n_colors)
 
 
 def sample_higher_spin(params: ModelParams, rect: tuple[int, int], seed: int, count: int,
@@ -354,18 +354,10 @@ def sample_higher_spin(params: ModelParams, rect: tuple[int, int], seed: int, co
     Boundary: color c enters at rows l_{c-1}+1 .. l_c, empty bottom; vertex
     (x, y) uses spectral parameter u_x / y_y and spin s_y of its column.
     """
-    n_rows, m_cols = rect
-    transitions, n_colors = _hs_window(params, rect)
-    laws = {vertex: _VertexLaw(t) for vertex, t in transitions.items()}
-
-    def boundary(size):
-        h = np.zeros((m_cols + 1, n_rows + 1, size), dtype=_label_dtype(n_colors))
-        for y in range(1, n_rows + 1):
-            h[0, y] = params.row_color(y)
-        return h, np.zeros((m_cols + 1, n_rows + 1, n_colors, size), dtype=np.int16)
-
-    return SampleBatch("higher_spin_quadrant", seed, params, count, n_rows, m_cols, n_colors,
-                       None, *_sweep(laws, boundary, seed, count, workers))
+    model = _hs_model(params, rect)
+    laws = {vertex: _VertexLaw(t) for vertex, t in model.transitions.items()}
+    return SampleBatch("higher_spin_quadrant", seed, params, count, model.n_rows, model.m_cols,
+                       model.n_colors, None, *_sweep(model, laws, seed, count, workers))
 
 
 def enumerate_higher_spin(params: ModelParams, rect: tuple[int, int], cap: int = 4) -> WeightedEnsemble:
@@ -373,13 +365,7 @@ def enumerate_higher_spin(params: ModelParams, rect: tuple[int, int], cap: int =
     n_rows, m_cols = rect
     if n_rows * m_cols > cap:
         raise EnumerationCapError(f"{n_rows * m_cols} vertices exceeds the cap {cap}")
-    transitions, n_colors = _hs_window(params, rect)
-    h = {(x, y): 0 for x in range(m_cols + 1) for y in range(n_rows + 1)}
-    v = {edge: (0,) * n_colors for edge in h}
-    for y in range(1, n_rows + 1):
-        h[(0, y)] = params.row_color(y)
-    return _enumerate(list(transitions), transitions, h, v,
-                      dict(n_rows=n_rows, m_cols=m_cols, n_colors=n_colors))
+    return _enumerate(_hs_model(params, rect))
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +427,13 @@ def sample_qhahn(q: float, s: float, z: float, rect: tuple[int, int], boundary_l
     bcdf = np.cumsum(qhahn_boundary_probs(q, s, z))
     if keep_edges is None:
         keep_edges = count * (m_cols + 1) * (n_rows + 1) * n_colors <= 4_000_000
-    track = [(float(a), float(b), int(c)) for (a, b, c) in track]
-    spots = [(key, (a2 - 1) // 2, b2 // 2) for key in track for a2, b2 in [dbl(*key[:2])]]
+    batch = SampleBatch("qhahn_quadrant", seed, (q, s, z, tuple(boundary_levels)), count, n_rows,
+                        m_cols, n_colors)
+    spots = {(float(a), float(b), int(c)): height_anchor(batch, dbl(a, b), int(c)) for (a, b, c) in track}
     law = _VertexLaw(partial(qhahn_row, s=s, z=z, q=q))  # every vertex has the same weights
-    h_parts, v_parts = [], []
-    tracked = {key: [] for key in track}
-    for stream, size in enumerate(_worker_sizes(count, workers)):
-        if size == 0:
-            continue
-        rng = make_rng(seed, stream)
-        acc = {key: np.zeros(size, dtype=np.int64) for key in track}
+
+    def draw(rng, size):
+        out = {key: np.full(size, base, dtype=np.int64) for key, (base, _, _) in spots.items()}
         left = np.zeros((n_rows + 1, n_colors, size), dtype=np.int64)
         for y in range(1, n_rows + 1):
             if params.row_color(y):
@@ -468,17 +451,16 @@ def sample_qhahn(q: float, s: float, z: float, rect: tuple[int, int], boundary_l
                     vert[x] += B - D
                     if keep_edges:
                         h_arr[x, y], v_arr[x, y] = D, vert[x]
-                for key, col, top in spots:
-                    if col == x and y <= top:
-                        acc[key] += D[key[2]:].sum(axis=0)
-        for key in track:
-            tracked[key].append(acc[key])
+                for key, (_, col, rows) in spots.items():
+                    if col == x and y in rows:
+                        out[key] += D[key[2]:].sum(axis=0)
         if keep_edges:
-            h_parts.append(h_arr)
-            v_parts.append(v_arr)
-    batch = SampleBatch("qhahn_quadrant", seed, (q, s, z, tuple(boundary_levels)), count, n_rows,
-                        m_cols, n_colors, None, *(_merge(p) if p else None for p in (h_parts, v_parts)))
-    batch.tracked_heights = {k: np.concatenate(v) for k, v in tracked.items()}
+            out["h"], out["v"] = np.moveaxis(h_arr, -1, 0), np.moveaxis(v_arr, -1, 0)
+        return out
+
+    tracked = _run_streams(seed, count, workers, draw)
+    batch.h_edges, batch.v_edges = tracked.pop("h", None), tracked.pop("v", None)
+    batch.tracked_heights = tracked
     return batch
 
 
@@ -521,12 +503,9 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
     for d, m, t in keep_points:
         if d not in delays or not (1 <= m <= t - d) or t > t_max:
             raise ValidationError(f"point {(d, m, t)} outside the simulated region")
-    sizes = _worker_sizes(count, workers)
-    parts = {pt: [] for pt in keep_points}
-    for stream, size in enumerate(sizes):
-        if size == 0:
-            continue
-        rng = make_rng(seed, stream)
+
+    def draw(rng, size):
+        out = dict.fromkeys(keep_points)
         state = {}  # delay -> list Z[m], index m from 1
         for t in range(1, t_max + 1):
             eta = {}
@@ -550,10 +529,11 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
                             new.append(eta[m] * old[m - 1] + (1 - eta[m]) * old[m - 2])
                     state[d] = new
             for (d, m, tt) in keep_points:
-                if tt == t and d in state and m <= t - d:
-                    parts[(d, m, tt)].append(state[d][m - 1].copy())
-    values = {pt: np.concatenate(chunks) for pt, chunks in parts.items()}
-    return BetaPolymerBatch(sigma, rho, seed, count, values)
+                if tt == t:
+                    out[d, m, tt] = state[d][m - 1]
+        return out
+
+    return BetaPolymerBatch(sigma, rho, seed, count, _run_streams(seed, count, workers, draw))
 
 
 def beta_first_moment(sigma: float, rho: float, delay: int, m: int, t: int) -> float:

@@ -518,22 +518,21 @@ def mc_vs_exact(observable_values: np.ndarray, exact: float, name: str,
     The standard error comes from batch means; a failing comparison reruns
     once at 4x samples via the ``rerun`` callback (guards 1-in-16k flukes).
     """
-    vals = np.asarray(observable_values, dtype=float)
+    def compare(values):
+        """(values, batch-means sigma, |mean - exact|, within z_factor sigma)."""
+        vals = np.asarray(values, dtype=float)
+        means = np.array([b.mean() for b in np.array_split(vals, n_batches)])
+        sigma = means.std(ddof=1) / np.sqrt(len(means))
+        err = abs(vals.mean() - exact)
+        return vals, sigma, err, err <= z_factor * sigma + 1e-12
+
+    vals, sigma, err, ok = compare(observable_values)
     n = len(vals)
-    batches = np.array_split(vals, n_batches)
-    means = np.array([b.mean() for b in batches])
-    sigma = means.std(ddof=1) / np.sqrt(len(means))
-    err = abs(vals.mean() - exact)
-    if err <= z_factor * sigma + 1e-12:
+    if ok:
         return CheckReport(name, "pass", float(err), n,
                            f"sigma={sigma:.3e}, z={err / max(sigma, 1e-300):.2f}")
     if rerun is not None:
-        vals = np.asarray(rerun(4 * n), dtype=float)
-        batches = np.array_split(vals, n_batches)
-        means = np.array([b.mean() for b in batches])
-        sigma = means.std(ddof=1) / np.sqrt(len(means))
-        err = abs(vals.mean() - exact)
-        status = "pass" if err <= z_factor * sigma + 1e-12 else "fail"
-        return CheckReport(name, status, float(err), len(vals),
+        vals, sigma, err, ok = compare(rerun(4 * n))
+        return CheckReport(name, "pass" if ok else "fail", float(err), len(vals),
                            f"rerun at 4x; sigma={sigma:.3e}")
     return CheckReport(name, "fail", float(err), n, f"sigma={sigma:.3e}")

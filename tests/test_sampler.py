@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vertexflow.errors import EnumerationCapError, ParameterRangeError
+from vertexflow.errors import EnumerationCapError, ParameterRangeError, ValidationError
 from vertexflow.lattice import ModelParams, rectangle_domain
 from vertexflow.sampler import (
     beta_first_moment,
@@ -207,6 +207,18 @@ def test_higher_spin_worker_determinism():
     assert not (np.array_equal(b1.h_edges, b3.h_edges) and np.array_equal(b1.v_edges, b3.v_edges))
 
 
+@pytest.mark.parametrize("point", [(-0.5, 3.5), (5.5, 1.5)])
+def test_quadrant_heights_outside_the_window_raise(point):
+    # one window check for stored edges and tracked heights alike
+    params = ModelParams(q=0.5, row_rapidities=(5.0, 6.0, 7.0), col_rapidities=(1.0, 1.1, 1.2),
+                         col_spins=(4.0,) * 3, boundary_levels=(1, 2, 3))
+    batch = sample_higher_spin(params, (3, 3), seed=3, count=10)
+    with pytest.raises(ValidationError):
+        batch.heights(point, 0)
+    with pytest.raises(ValidationError):
+        sample_qhahn(0.4, 0.4, 0.7, (2, 2), (1, 2), seed=3, count=10, track=[(*point, 0)])
+
+
 def test_grouping_keys_beyond_int64():
     # 70 binary columns: a plain mixed-radix key (2^70 states) would overflow int64
     from vertexflow.sampler import _group
@@ -363,6 +375,14 @@ def test_beta_polymer_delays_share_noise():
 def test_beta_polymer_invalid_params():
     with pytest.raises(ParameterRangeError):
         simulate_beta_polymer(1.0, 1.5, 4, {0}, seed=0, count=10)
+
+
+def test_empty_batches_and_no_workers_raise():
+    for count, workers in ((0, 1), (10, 0)):
+        with pytest.raises(ValidationError):
+            simulate_beta_polymer(6.0, 1.5, 4, {0}, seed=0, count=count, workers=workers)
+        with pytest.raises(ValidationError):
+            sample_higher_spin(HS_PARAMS, (2, 2), seed=0, count=count, workers=workers)
 
 
 def test_prop_9_1_drift_toward_beta_polymer():
