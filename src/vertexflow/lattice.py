@@ -393,7 +393,9 @@ def height_anchor(region, p: Point, c: int) -> tuple[int, int, range]:
     """(base, x, rows): h_{>c} at the doubled dual point ``p`` is ``base`` plus the
     paths of color > c on the h-edges (x, y), y in ``rows``.  ``region`` has
     ``domain``, ``n_rows`` and ``m_cols`` (a Configuration or a SampleBatch); a
-    point outside its domain or window raises ValidationError."""
+    point outside its domain or window, or a color c < 0, raises ValidationError."""
+    if c < 0:
+        raise ValidationError(f"height color must be >= 0, got {c}")
     a2, b2 = p
     dom = region.domain
     if dom is not None:

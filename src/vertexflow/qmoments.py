@@ -4,9 +4,18 @@ The pairing <Phi, Psi> = oint ... oint prod_{a<b} X(w_a, w_b) Phi Psi
 prod_a dw_a/(2 pi i w_a) is evaluated on tensor-product trapezoid grids over
 the contour circles.  Applying T_pi to a per-variable product Phi expands,
 via the kappa recursion, into a sum of terms that factor into per-variable
-vectors and pairwise matrices; each term is then a small tensor contraction
-(matrix products for k <= 4, an outer-variable loop beyond).  This keeps the
-cost at (nodes)^k floating-point work in BLAS rather than Python.
+vectors and pairwise matrices; each term is then a contraction over its pair
+graph, one vector per variable and one matrix per edge.  A b-factor on (u, v)
+with u < v cancels the cross factor of that pair exactly, so the edge is dropped.
+``_contract`` sums out a variable with at most two edges by a matvec or one
+GEMM; this covers every graph with k <= 3.  When every variable has three or
+more edges, it splits the edge of least numerical rank r into r rank-1 terms,
+each a graph with one edge fewer (for K4, two GEMMs per term).  The rank comes
+from a complete-pivot cross approximation that stops at roundoff: the largest
+entry of the explicit residual is at most 1e-15 of the largest entry of the
+matrix.  Pair matrices on q-nested circles are smooth, so their rank is low
+(28 to 53 at 192 nodes per variable).  Only when no edge has rank below half
+its order does the contraction condition on one variable, one subgraph per node.
 
 One adaptive loop serves every integral.  Node phases do not change with
 the node count, so the grid at n/2 is the stride-2 subset of the grid at n and
@@ -110,8 +119,7 @@ class _Grid:
         self.variant = variant
         self.q = q
         self._finer = finer
-        self._cross = {}
-        self._pair_cache = {}
+        self._tables = {}
 
     @classmethod
     def build(cls, fam: ContourFamily, nodes_per_circle: int, variant: str, q) -> "_Grid":
@@ -123,18 +131,29 @@ class _Grid:
         return _Grid([w[::2] for w in self.nodes], [2 * dw[::2] for dw in self.dws],
                      self.variant, self.q, finer=self)
 
+    def _table(self, key, build, thin):
+        """``build(grid)`` on the finest level; a coarser level applies ``thin`` to its finer's."""
+        if key not in self._tables:
+            self._tables[key] = (build(self) if self._finer is None
+                                 else thin(self._finer._table(key, build, thin)))
+        return self._tables[key]
+
     def cross(self, a: int, b: int) -> np.ndarray:
         """prod factor for the pair a < b (0-based): rows index var a, cols var b."""
-        if (a, b) not in self._cross and self._finer is not None:
-            self._cross[(a, b)] = self._finer.cross(a, b)[::2, ::2]
-        elif (a, b) not in self._cross:
-            wa = self.nodes[a][:, None]
-            wb = self.nodes[b][None, :]
-            if self.variant == "q":
-                self._cross[(a, b)] = (wb - wa) / (wb - self.q * wa)
-            else:
-                self._cross[(a, b)] = (wb - wa) / (wb - wa + 1)
-        return self._cross[(a, b)]
+        def build(grid):
+            wa = grid.nodes[a][:, None]
+            wb = grid.nodes[b][None, :]
+            if grid.variant == "q":
+                return (wb - wa) / (wb - grid.q * wa)
+            return (wb - wa) / (wb - wa + 1)
+
+        return self._table(("cross", a, b), build, lambda m: m[::2, ::2])
+
+    def cross_factors(self, a: int, b: int):
+        """``_cross_approx`` of ``cross(a, b)``; a coarser level reads its finer's factors
+        at stride 2 (entrywise error about 3e-15 of the largest entry)."""
+        return self._table(("factors", a, b), lambda grid: _cross_approx(grid.cross(a, b)),
+                           lambda f: None if f is None else (f[0][::2], f[1][:, ::2]))
 
     def pair_matrix(self, tag: str, u: int, v: int) -> tuple:
         """Coefficient matrix for DL-recursion factors on the variable pair (u, v).
@@ -142,46 +161,109 @@ class _Grid:
         Returns (key, mat) with key = (min(u,v), max(u,v)) and mat oriented
         rows = key[0], cols = key[1].
         """
-        ck = (tag, u, v)
-        if ck not in self._pair_cache and self._finer is not None:
-            key, mat = self._finer.pair_matrix(tag, u, v)
-            self._pair_cache[ck] = (key, mat[::2, ::2])
-        elif ck not in self._pair_cache:
-            wu = self.nodes[u]
-            wv = self.nodes[v]
-            fn = _coeffs(self.variant, self.q)[tag == "b"]
+        def build(grid):
+            fn = _coeffs(grid.variant, grid.q)[tag == "b"]
+            wu, wv = grid.nodes[u], grid.nodes[v]
             if u < v:
-                mat = fn(wu[:, None], wv[None, :])
-                self._pair_cache[ck] = ((u, v), mat)
-            else:
-                mat = fn(wu[None, :], wv[:, None])
-                self._pair_cache[ck] = ((v, u), mat)
-        return self._pair_cache[ck]
+                return (u, v), fn(wu[:, None], wv[None, :])
+            return (v, u), fn(wu[None, :], wv[:, None])
+
+        return self._table((tag, u, v), build, lambda km: (km[0], km[1][::2, ::2]))
 
 
-def _contract(us: list, mats: dict) -> complex:
-    """sum over the grid of prod_a us[a][n_a] * prod_{a<b} mats[(a,b)][n_a, n_b]."""
-    k = len(us)
-    if k == 1:
-        return us[0].sum()
-    if k == 2:
-        return us[0] @ mats[(0, 1)] @ us[1]
-    if k == 3:
-        a = mats[(0, 1)] * us[0][:, None] * us[1][None, :]
-        b = mats[(0, 2)] * us[2][None, :]
-        return (a * (b @ mats[(1, 2)].T)).sum()
-    # k >= 4: loop over the outermost variable, reduce to k-1
+def _cross_approx(mat: np.ndarray):
+    """Complete-pivot cross approximation (rank-revealing LU): factors (x, y) with
+    max|mat - x @ y| <= 1e-15 max|mat|, or None once the rank reaches half the
+    smaller dimension, where splitting the edge no longer pays."""
+    res = np.array(mat, dtype=complex)
+    mag = np.abs(res)
+    outer = np.empty_like(res)
+    stop = 1e-15 * mag.max()
+    cols, rows = [], []
+    while True:
+        i, j = divmod(int(mag.argmax()), res.shape[1])
+        if mag[i, j] <= stop:
+            break
+        if 2 * (len(cols) + 1) >= min(res.shape):
+            return None
+        cols.append(res[:, j].copy())
+        rows.append(res[i, :] / res[i, j])
+        res -= np.multiply(cols[-1][:, None], rows[-1][None, :], out=outer)
+        np.abs(res, out=mag)
+    return (np.array(cols).reshape(len(cols), res.shape[0]).T,
+            np.array(rows).reshape(len(rows), res.shape[1]))
+
+
+def _oriented(mats: dict, a: int, b: int) -> np.ndarray:
+    """The matrix of the edge {a, b} with rows indexing variable a."""
+    return mats[(a, b)] if a < b else mats[(b, a)].T
+
+
+def _contract(us: dict, mats: dict, factors) -> complex:
+    """sum over the grid of prod_a us[a][n_a] * prod_{(a,b) in mats} mats[(a,b)][n_a, n_b].
+
+    ``us`` maps each variable to its node vector and ``mats`` maps a pair a < b
+    to its matrix (rows index a); a pair not in ``mats`` is an absent edge.  The
+    last variable of least degree is summed out while it has at most two edges:
+    by a sum, a matvec into its neighbour, or one GEMM into the edge between its
+    two neighbours.  Once every variable has three or more edges, the edge of
+    least rank r is split into its r rank-1 terms, each a graph with that edge
+    gone; ``factors(key, mat)`` gives its factors as ``_cross_approx`` does.  Only
+    when no edge has rank below half its order does the routine condition on the
+    first variable of most edges, one subgraph per node.
+    """
+    us, mats = dict(us), dict(mats)
+    scale = 1
+    while us:
+        nbrs = {v: [] for v in us}
+        for a, b in mats:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        v = max(us, key=lambda v: (-len(nbrs[v]), v))
+        if len(nbrs[v]) > 2:
+            break
+        uv = us.pop(v)
+        if not nbrs[v]:
+            scale = scale * uv.sum()
+        elif len(nbrs[v]) == 1:
+            (w,) = nbrs[v]
+            us[w] = us[w] * (_oriented(mats, w, v) @ uv)
+            del mats[min(v, w), max(v, w)]
+        else:
+            a, b = sorted(nbrs[v])
+            edge = (_oriented(mats, a, v) * uv) @ _oriented(mats, v, b)
+            del mats[min(a, v), max(a, v)], mats[min(v, b), max(v, b)]
+            mats[(a, b)] = mats[(a, b)] * edge if (a, b) in mats else edge
+    if not us:
+        return scale
+
+    splits = []
+    for key, mat in mats.items():
+        f = factors(key, mat)
+        if f is not None and 2 * f[0].shape[1] < min(mat.shape):
+            splits.append((f[0].shape[1], key, f))
     total = 0j
-    u0 = us[0]
-    for i in range(len(u0)):
-        sub_us = [us[a] * mats[(0, a)][i, :] for a in range(1, k)]
-        sub_mats = {(a - 1, b - 1): mats[(a, b)] for a in range(1, k) for b in range(a + 1, k)}
-        total += u0[i] * _contract(sub_us, sub_mats)
-    return total
+    if splits:
+        _, (a, b), (x, y) = min(splits, key=lambda s: s[0])
+        del mats[(a, b)]
+        for t in range(x.shape[1]):
+            total += _contract({**us, a: us[a] * x[:, t], b: us[b] * y[t]}, mats, factors)
+    else:
+        v = min(us, key=lambda v: (-len(nbrs[v]), v))
+        uv = us.pop(v)
+        rest = {key: m for key, m in mats.items() if v not in key}
+        for i, ui in enumerate(uv):
+            rows = {w: us[w] * _oriented(mats, v, w)[i] for w in nbrs[v]}
+            total += ui * _contract({**us, **rows}, rest, factors)
+    return scale * total
 
 
 def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand) -> dict:
-    """Values of the pairing for each pi in integrand.pi_terms, on a fixed grid."""
+    """Values of the pairing for each pi in integrand.pi_terms, on a fixed grid.
+
+    Each DL term's edges start as the cross factors.  A b-factor on (u, v) with
+    u < v cancels an untouched cross(u, v) exactly, so that edge is dropped.
+    """
     k = grid.k
     base_u = [grid.dws[a] / grid.nodes[a] for a in range(k)]
     phi_tables = []
@@ -190,9 +272,13 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand) -> dict:
         phi_tables.append((coef, [[np.asarray(f(grid.nodes[b])) + 0j for b in range(k)] for f in factors]))
     psi_vals = [np.asarray(f(grid.nodes[a])) + 0j for a, f in enumerate(integrand.psi_factors)]
     cross = {(a, b): grid.cross(a, b) for a in range(k) for b in range(a + 1, k)}
+
+    def edge_factors(key, mat):
+        return grid.cross_factors(*key) if mat is cross[key] else _cross_approx(mat)
+
     out = {}
     for picoef, pi in integrand.pi_terms:
-        terms = {tuple(range(1, k + 1)): [{}]}
+        terms = {tuple(range(1, k + 1)): [cross]}
         for i in pi.reduced_word():
             new = {}
             for rho, tlist in terms.items():
@@ -204,7 +290,11 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand) -> dict:
                 rho_s = tuple(rho_s)
                 for mats in tlist:
                     new.setdefault(rho, []).append(_mat_mult(mats, a_key, a_mat))
-                    new.setdefault(rho_s, []).append(_mat_mult(mats, b_key, b_mat))
+                    if u_var < v_var and mats.get(b_key) is cross[b_key]:
+                        new.setdefault(rho_s, []).append(
+                            {key: m for key, m in mats.items() if key != b_key})
+                    else:
+                        new.setdefault(rho_s, []).append(_mat_mult(mats, b_key, b_mat))
             terms = new
         total = 0j
         for rho, tlist in terms.items():
@@ -212,13 +302,9 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand) -> dict:
             for s, b in enumerate(rho):
                 rho_inv[b - 1] = s  # slot feeding variable b (0-based slot)
             for phi_coef, table in phi_tables:
-                us = [base_u[b] * psi_vals[b] * table[rho_inv[b]][b] for b in range(k)]
+                us = {b: base_u[b] * psi_vals[b] * table[rho_inv[b]][b] for b in range(k)}
                 for mats in tlist:
-                    full = dict(cross)
-                    for key, m in mats.items():
-                        full[key] = cross[key] * m
-                    val = _contract(us, full)
-                    total += phi_coef * val
+                    total += phi_coef * _contract(us, mats, edge_factors)
         out[pi.images] = out.get(pi.images, 0j) + picoef * total
     return out
 

@@ -348,15 +348,15 @@ def qhahn_row(comp_a, s, z, q, outs=None):
 # ---------------------------------------------------------------------------
 
 
-def fused_weight_by_fusion(comp_a, comp_b, comp_c, comp_d, z, n_rows: int, m_cols: int, q, n_colors: int):
+def fused_weight_by_fusion(comp_a, comp_b, comp_c, comp_d, z, n_rows: int, m_cols: int, q):
     """W_z^(N,M) computed from its defining lattice sum, for cross-checking.
 
     The block has rows with rapidities x, qx, ..., q^(N-1)x bottom to top and
     columns q^(M-1)y, ..., y left to right, z = x/y.  Representative words for
     C and D are fixed as the sorted ones; q-exchangeability makes the result
     independent of that choice.  Each block is one ``lattice_sum`` from the words
-    of A and B, read at the words of C and D; ``n_colors`` is implied by the
-    compositions.  Exponential in N*M, so keep N, M <= 2.
+    of A and B, read at the words of C and D; the color count is implied by
+    the compositions.  Exponential in N*M, so keep N, M <= 2.
     """
     a, b, c, d = (list(t) for t in (comp_a, comp_b, comp_c, comp_d))
     if sum(a) > m_cols or sum(c) > m_cols or sum(b) > n_rows or sum(d) > n_rows:

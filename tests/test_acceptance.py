@@ -309,11 +309,9 @@ def figure_pair():
     return CutCollection(dom_a, cuts_a), CutCollection(dom_b, cuts_b), phi, psi
 
 
-def test_criterion_5_shift_invariance():
-    t0 = time.time()
+def criterion_5_pairs():
+    """The random exact pairs of criterion 5: (col_a, col_b, phi, psi, powers, params)."""
     rng = random.Random(23)
-    worst = 0.0
-    n_pairs = 0
     sizes = [(3, 3)] * 12 + [(3, 4)] * 5 + [(4, 4)] * 3
     for (n, m) in sizes:
         k = rng.choice([1, 2])
@@ -324,6 +322,14 @@ def test_criterion_5_shift_invariance():
             col_rapidities=tuple(1.0 + 0.05 * i for i in range(m)),
         )
         powers = [rng.choice([1, 2]) for _ in range(k)]
+        yield col_a, col_b, phi, psi, powers, params
+
+
+def test_criterion_5_shift_invariance():
+    t0 = time.time()
+    worst = 0.0
+    n_pairs = 0
+    for col_a, col_b, phi, psi, powers, params in criterion_5_pairs():
         rep = check_shift_invariance(col_a, col_b, phi, psi, powers, params,
                                      method="enumerate", nodes_per_circle=64)
         worst = max(worst, rep.max_abs_error)
@@ -342,6 +348,46 @@ def test_criterion_5_shift_invariance():
     assert elapsed < 900, f"runtime {elapsed:.1f}s exceeds 15 min"
     _pass(5, f"{n_pairs} random exact pairs (max|err| = {worst:.2e} < 1e-10) "
              f"+ 6x6 figure pair MC ({rep.details})", t0)
+
+
+def _dense_k4(us, mats):
+    """Reference for a K4 pair graph: condition on variable 0, one GEMM per node."""
+    total = 0j
+    for i in range(len(us[0])):
+        u1, u2, u3 = (us[a] * mats[(0, a)][i] for a in (1, 2, 3))
+        inner = (mats[(1, 3)] * u3) @ mats[(2, 3)].T
+        total += us[0][i] * (u1 @ (mats[(1, 2)] * inner) @ u2)
+    return total
+
+
+def test_criterion_5_k4_integrals_match_dense_contraction(monkeypatch):
+    # the split of the lowest-rank edge stops at roundoff: on both levels of every
+    # k = 4 integral of criterion 5 it agrees with the dense outer-variable loop
+    from vertexflow import qmoments
+    from vertexflow.verify import _cut_moment_query, _shifted_params
+
+    captured = []
+    monkeypatch.setattr(qmoments, "pairing_values",
+                        lambda fam, integrand, q, *args: captured.append((fam, integrand, q))
+                        or {integrand.pi_terms[0][1].images: None})
+    for col_a, col_b, phi, psi, powers, params in criterion_5_pairs():
+        for col, par in ((col_a, params), (col_b, _shifted_params(params, phi, psi))):
+            pts, cols, pi = _cut_moment_query(col, powers)
+            if len(pts) == 4:
+                qmoment_skew(col.domain, par, MomentQuery(pts, cols, pi), nodes_per_circle=64)
+    assert len(captured) == 12
+    for fam, integrand, q in captured:
+        ((picoef, pi),) = integrand.pi_terms
+        ((phi_coef, phis),) = integrand.phi_terms
+        assert pi == Permutation.identity(4)  # one DL term: every edge is a cross factor
+        fine = qmoments._Grid.build(fam, 64, "q", q)
+        for grid in (fine, fine.coarse()):
+            us = [grid.dws[a] / grid.nodes[a] * integrand.psi_factors[a](grid.nodes[a])
+                  * phis[a](grid.nodes[a]) for a in range(4)]
+            mats = {(a, b): grid.cross(a, b) for a in range(4) for b in range(a + 1, 4)}
+            want = picoef * phi_coef * _dense_k4(us, mats)
+            got = qmoments._pairing_on_grid(grid, integrand)[pi.images]
+            assert abs(got - want) <= 1e-14 * abs(want), (got, want)
 
 
 # ---------------------------------------------------------------------------

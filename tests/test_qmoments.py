@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexflow.contours import build_contours
 from vertexflow.errors import UnsupportedRegimeError, ValidationError
@@ -12,6 +14,8 @@ from vertexflow.lattice import ModelParams, SkewDomain, UpLeftPath, rectangle_do
 from vertexflow.qmoments import (
     MomentQuery,
     PairingIntegrand,
+    _contract,
+    _cross_approx,
     beta_moment,
     iterated_integral,
     pairing_values,
@@ -489,3 +493,61 @@ def test_summed_integrals_vouch_for_their_sum():
     res = shifted_observable(HS, pts, [1, 1], Permutation((2, 1)), nodes_per_circle=NODES,
                              tol=1e-300, cap=NODES)
     assert not res.converged
+
+
+# ---------------------------------------------------------------------------
+# the pair-graph contraction against the full product-grid sum
+# ---------------------------------------------------------------------------
+
+
+def brute_force_contract(us, mats):
+    """Oracle: sum over the full product grid of every vector and edge factor."""
+    k = len(us)
+    total = np.ones(())
+    for a, u in us.items():
+        total = total * u.reshape([-1 if c == a else 1 for c in range(k)])
+    for (a, b), m in mats.items():
+        total = total * m.reshape([m.shape[0] if c == a else m.shape[1] if c == b else 1
+                                   for c in range(k)])
+    return total.sum()
+
+
+@st.composite
+def pair_graphs(draw):
+    """Vectors near 1 on k = 1..5 variables of 6..10 nodes; each pair's edge is
+    absent, of rank 1 or 2 (split), or dense (conditioned on)."""
+    k = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(6, 10), min_size=k, max_size=k))
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    palette = draw(st.sampled_from([[None, 1, 2, "dense"], ["dense"], [2, "dense"]]))
+    kinds = draw(st.lists(st.sampled_from(palette), min_size=len(pairs), max_size=len(pairs)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def near_one(*shape):
+        return 1 + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    mats = {}
+    for (a, b), kind in zip(pairs, kinds):
+        if kind == "dense":
+            mats[(a, b)] = near_one(sizes[a], sizes[b])
+        elif kind is not None:
+            mats[(a, b)] = near_one(sizes[a], kind) @ near_one(kind, sizes[b]) / kind
+    return {a: near_one(n) for a, n in enumerate(sizes)}, mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_graphs())
+def test_contraction_matches_brute_force_sum(graph):
+    us, mats = graph
+    want = brute_force_contract(us, mats)
+    got = _contract(us, mats, lambda key, mat: _cross_approx(mat))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_cross_approx_stops_at_roundoff():
+    rng = np.random.default_rng(5)
+    low = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 30))
+    x, y = _cross_approx(low)
+    assert x.shape == (40, 3) and y.shape == (3, 30)
+    assert np.abs(low - x @ y).max() <= 1e-15 * np.abs(low).max()
+    assert _cross_approx(rng.standard_normal((40, 30))) is None  # rank >= 15: not split

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vertexflow.errors import EnumerationCapError, ParameterRangeError, ValidationError
-from vertexflow.lattice import ModelParams, rectangle_domain
+from vertexflow.lattice import ModelParams, dbl, height_d, rectangle_domain
 from vertexflow.sampler import (
     beta_first_moment,
     enumerate_higher_spin,
@@ -217,6 +217,22 @@ def test_quadrant_heights_outside_the_window_raise(point):
         batch.heights(point, 0)
     with pytest.raises(ValidationError):
         sample_qhahn(0.4, 0.4, 0.7, (2, 2), (1, 2), seed=3, count=10, track=[(*point, 0)])
+
+
+def test_negative_height_colors_raise():
+    # h_{>c} is defined for c >= 0 only; every height reader shares one check
+    params = ModelParams(q=0.4, row_rapidities=(2.0, 2.1, 2.2), col_rapidities=(1.0, 1.05, 1.1))
+    dom = rectangle_domain(3, 3, (1, 2, 3, 4, 5, 6))
+    batch = sample_sc6v(dom, params, seed=7, count=50)
+    ens = enumerate_sc6v(rectangle_domain(1, 1, (0, 1)), params)
+    with pytest.raises(ValidationError):
+        height_d(batch.config(0), dbl(3.5, 3.5), -1)
+    with pytest.raises(ValidationError):
+        batch.heights((3.5, 3.5), -1)
+    with pytest.raises(ValidationError):
+        ens.moment([(1.5, 1.5)], [-1], params.q)
+    with pytest.raises(ValidationError):
+        sample_qhahn(0.4, 0.4, 0.7, (2, 2), (1, 2), seed=3, count=10, track=[(1.5, 1.5, -1)])
 
 
 def test_grouping_keys_beyond_int64():

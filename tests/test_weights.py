@@ -247,7 +247,7 @@ def test_fused_weight_equals_stochastic_fusion_exact():
                     if min(D) < 0 or sum(D) > n_rows:
                         continue
                     lhs = fused_weight(A, B, C, D, z, q**n_rows, q**m_cols, q)
-                    rhs = fused_weight_by_fusion(A, B, C, D, z, n_rows, m_cols, q, ncol)
+                    rhs = fused_weight_by_fusion(A, B, C, D, z, n_rows, m_cols, q)
                     assert lhs == rhs, (n_rows, m_cols, A, B, C, D)
 
 
