@@ -101,6 +101,8 @@ def _cmd_sample(args) -> int:
     cfg = _load_json(args.config, "sample_config")
     model = args.model
     count = args.samples
+    if count < 1:
+        raise ConfigError(f"/samples: --samples must be a positive integer, got {count}")
     seed = args.seed
     workers = _workers(args)
     lines = []

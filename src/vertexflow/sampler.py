@@ -1,11 +1,14 @@
 """Monte Carlo samplers for every model variant plus exhaustive-enumeration oracles.
 
 RNG contract: Philox-4x64-10 counter-based generators, keyed (seed, stream).
-One runner, ``_run_streams``, splits a batch of ``count`` samples across
-``workers`` streams (stream id = worker index, sizes count//workers with the
-remainder spread over the first workers) and merges them in worker order, so
-results are bit-identical for fixed (seed, workers).  Beta variates come from
-two Gamma draws.
+``_stream_slices`` splits a batch of ``count`` samples across ``workers``
+streams (stream id = worker index, sizes count//workers with the remainder
+spread over the first workers), each owning one slice of the sample axis.  Each
+sampler allocates its whole batch once; one runner, ``_run_streams``, runs the
+streams on threads (numpy releases the GIL in the kernels, RNG fills and
+``take``) and each writes its own slice, so there is no merge step and results
+are bit-identical for fixed (seed, workers).  Beta variates come from two Gamma
+draws.
 
 Samplers sweep vertices in a fixed order (diagonals for skew domains, rows for
 quadrant windows) with all per-vertex draws vectorized across the batch.  Each
@@ -22,6 +25,7 @@ model feeds both.  Every height is read where ``lattice.height_anchor`` says.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -48,15 +52,28 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_streams(seed: int, count: int, workers: int, draw) -> dict:
-    """``draw(rng, size) -> {name: array, sample axis first}`` on each worker's Philox
-    stream (stream id = worker index, sizes count//workers with the remainder spread
-    over the first workers; empty streams are skipped), merged in worker order."""
+def _stream_slices(seed: int, count: int, workers: int) -> list:
+    """(Philox generator, slice of the sample axis) of each non-empty stream: stream
+    id = worker index, sizes count//workers with the remainder spread over the first
+    workers, slices in worker order."""
     if count < 1 or workers < 1:
         raise ValidationError(f"count and workers must be positive, got {count} and {workers}")
     base, rem = divmod(count, workers)
-    parts = [draw(make_rng(seed, w), base + (w < rem)) for w in range(workers) if base + (w < rem)]
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    starts = [w * base + min(w, rem) for w in range(min(workers, count) + 1)]
+    return [(make_rng(seed, w), slice(a, b)) for w, (a, b) in enumerate(zip(starts, starts[1:]))]
+
+
+def _run_streams(streams, draw) -> None:
+    """``draw(rng, sl)`` for each stream, writing the slice ``sl`` of arrays the caller
+    allocated for the whole batch.  Streams run on min(streams, CPUs) threads, a single
+    one inline; an error raised in a stream reaches the caller in worker order."""
+    if len(streams) == 1:
+        draw(*streams[0])
+        return
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: only where threads run
+
+    with ThreadPoolExecutor(min(len(streams), os.cpu_count() or 1)) as pool:
+        list(pool.map(lambda stream: draw(*stream), streams))
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +87,9 @@ class SampleBatch:
 
     ``h_edges[i, x, y]`` / ``v_edges[i, x, y]`` give sample i's labels; fused
     vertical (and for q-Hahn also horizontal) edges carry a trailing color
-    axis.  ``tracked_heights`` maps (alpha, beta, c) to per-sample heights for
+    axis.  In memory they are ``np.moveaxis`` views of arrays indexed
+    [x, y, (color,) sample], so one edge across the batch is a contiguous row.
+    ``tracked_heights`` maps (alpha, beta, c) to per-sample heights for
     observables requested at sampling time.
     """
 
@@ -175,7 +194,8 @@ def _group(parts):
 
 class _VertexLaw:
     """Inverse-CDF draws from ``transitions``; each incoming state's row is built on
-    first use, checked (the samplers' one stochasticity check) and cached."""
+    first use, checked (the samplers' one stochasticity check) and cached.  Streams on
+    different threads share the cache: a race may build a row twice, to the same value."""
 
     def __init__(self, transitions):
         self.transitions = transitions
@@ -235,28 +255,31 @@ class _Model:
 
 def _sweep(model: _Model, laws, seed: int, count: int, workers: int):
     """Sample-major (h_edges, v_edges) of a sweep of ``laws`` over ``model`` from its
-    boundary labels; each stream is indexed [x, y, (color,) sample] so vertices read rows."""
+    boundary labels: views of arrays indexed [x, y, (color,) sample], so vertices read rows."""
+    streams = _stream_slices(seed, count, workers)
 
-    def edges(labels, size):
+    def edges(labels):
         first = next(iter(labels.values()))
         dtype = np.int16 if isinstance(first, tuple) else _label_dtype(model.n_colors)
-        arr = np.zeros((model.m_cols + 1, model.n_rows + 1, *np.shape(first), size), dtype=dtype)
+        arr = np.zeros((model.m_cols + 1, model.n_rows + 1, *np.shape(first), count), dtype=dtype)
         samples_first = np.moveaxis(arr, -1, 0)
         for (x, y), label in labels.items():
             if np.any(label):  # pages of zeros the sweep never writes stay unallocated
                 samples_first[:, x, y] = label
         return arr
 
-    def draw(rng, size):
-        h, v = edges(model.h, size), edges(model.v, size)
-        for (x, y), law in laws.items():
-            out = law.draw([*v[x, y - 1].reshape(-1, size), h[x - 1, y]], rng.random(size), (x, y))
-            v[x, y] = out[:-1]
-            h[x, y] = out[-1]
-        return {"h": np.moveaxis(h, -1, 0), "v": np.moveaxis(v, -1, 0)}
+    h, v = edges(model.h), edges(model.v)
 
-    merged = _run_streams(seed, count, workers, draw)
-    return merged["h"], merged["v"]
+    def draw(rng, sl):
+        size = sl.stop - sl.start
+        for (x, y), law in laws.items():
+            out = law.draw([*v[x, y - 1, ..., sl].reshape(-1, size), h[x - 1, y, sl]], rng.random(size),
+                           (x, y))
+            v[x, y, ..., sl] = out[:-1]
+            h[x, y, sl] = out[-1]
+
+    _run_streams(streams, draw)
+    return np.moveaxis(h, -1, 0), np.moveaxis(v, -1, 0)
 
 
 def _label_dtype(n_colors: int):
@@ -431,17 +454,20 @@ def sample_qhahn(q: float, s: float, z: float, rect: tuple[int, int], boundary_l
                         m_cols, n_colors)
     spots = {(float(a), float(b), int(c)): height_anchor(batch, dbl(a, b), int(c)) for (a, b, c) in track}
     law = _VertexLaw(partial(qhahn_row, s=s, z=z, q=q))  # every vertex has the same weights
+    streams = _stream_slices(seed, count, workers)
+    tracked = {key: np.full(count, base, dtype=np.int64) for key, (base, _, _) in spots.items()}
+    if keep_edges:
+        h_arr = np.zeros((m_cols + 1, n_rows + 1, n_colors, count), dtype=np.int16)
+        v_arr = np.zeros_like(h_arr)
 
-    def draw(rng, size):
-        out = {key: np.full(size, base, dtype=np.int64) for key, (base, _, _) in spots.items()}
+    def draw(rng, sl):
+        size = sl.stop - sl.start
         left = np.zeros((n_rows + 1, n_colors, size), dtype=np.int64)
         for y in range(1, n_rows + 1):
             if params.row_color(y):
                 left[y, params.row_color(y) - 1] = np.searchsorted(bcdf, rng.random(size), side="right")
         if keep_edges:
-            h_arr = np.zeros((m_cols + 1, n_rows + 1, n_colors, size), dtype=np.int16)
-            v_arr = np.zeros_like(h_arr)
-            h_arr[0] = left
+            h_arr[0, ..., sl] = left
         vert = np.zeros((m_cols + 1, n_colors, size), dtype=np.int64)  # A of column x >= 1
         for y in range(1, n_rows + 1):
             D = left[y]  # right-going paths; column 0 is the boundary
@@ -450,16 +476,14 @@ def sample_qhahn(q: float, s: float, z: float, rect: tuple[int, int], boundary_l
                     B, D = D, law.draw(vert[x], rng.random(size), (x, y))
                     vert[x] += B - D
                     if keep_edges:
-                        h_arr[x, y], v_arr[x, y] = D, vert[x]
+                        h_arr[x, y, :, sl], v_arr[x, y, :, sl] = D, vert[x]
                 for key, (_, col, rows) in spots.items():
                     if col == x and y in rows:
-                        out[key] += D[key[2]:].sum(axis=0)
-        if keep_edges:
-            out["h"], out["v"] = np.moveaxis(h_arr, -1, 0), np.moveaxis(v_arr, -1, 0)
-        return out
+                        tracked[key][sl] += D[key[2]:].sum(axis=0)
 
-    tracked = _run_streams(seed, count, workers, draw)
-    batch.h_edges, batch.v_edges = tracked.pop("h", None), tracked.pop("v", None)
+    _run_streams(streams, draw)
+    if keep_edges:
+        batch.h_edges, batch.v_edges = np.moveaxis(h_arr, -1, 0), np.moveaxis(v_arr, -1, 0)
     batch.tracked_heights = tracked
     return batch
 
@@ -503,9 +527,11 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
     for d, m, t in keep_points:
         if d not in delays or not (1 <= m <= t - d) or t > t_max:
             raise ValidationError(f"point {(d, m, t)} outside the simulated region")
+    streams = _stream_slices(seed, count, workers)
+    values = {point: np.empty(count) for point in keep_points}
 
-    def draw(rng, size):
-        out = dict.fromkeys(keep_points)
+    def draw(rng, sl):
+        size = sl.stop - sl.start
         state = {}  # delay -> list Z[m], index m from 1
         for t in range(1, t_max + 1):
             eta = {}
@@ -530,10 +556,10 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
                     state[d] = new
             for (d, m, tt) in keep_points:
                 if tt == t:
-                    out[d, m, tt] = state[d][m - 1]
-        return out
+                    values[d, m, tt][sl] = state[d][m - 1]
 
-    return BetaPolymerBatch(sigma, rho, seed, count, _run_streams(seed, count, workers, draw))
+    _run_streams(streams, draw)
+    return BetaPolymerBatch(sigma, rho, seed, count, values)
 
 
 def beta_first_moment(sigma: float, rho: float, delay: int, m: int, t: int) -> float:

@@ -157,6 +157,15 @@ def test_workers_env_fallback(tmp_path, monkeypatch):
     assert len(out.read_text().strip().split("\n")) == 10
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_sample_count_not_positive_exits_2_at_samples(tmp_path, capsys, samples):
+    cfg = write(tmp_path, "cfg.json", {"domain": DOMAIN, "params": PARAMS})
+    code = run(["sample", "--model", "sc6v", "--config", cfg, "--samples", samples,
+                "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert "at /samples:" in capsys.readouterr().err
+
+
 def test_workers_env_not_an_integer_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VERTEXFLOW_WORKERS", "abc")
     cfg = write(tmp_path, "cfg.json", {"domain": DOMAIN, "params": PARAMS})
@@ -236,6 +245,17 @@ def test_sample_sc6v_vertex_law_error_exits_2_at_params(tmp_path, capsys):
     params = dict(PARAMS, row_rapidities=[0.5, 0.6])  # z < 1: R leaves [0, 1]
     cfg = write(tmp_path, "cfg.json", {"domain": DOMAIN, "params": params})
     code = run(["sample", "--model", "sc6v", "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "at /params" in err and "vertex" in err
+
+
+def test_sample_hs_stream_row_error_exits_2_at_params(tmp_path, capsys):
+    # sz < 1: the first row that fails is built inside a stream, on a thread
+    params = dict(HS_PARAMS, row_rapidities=[1.0, 1.1])
+    cfg = write(tmp_path, "cfg.json", {"params": params, "rect": [2, 2]})
+    code = run(["sample", "--model", "hs", "--config", cfg, "--samples", "50", "--workers", "2",
                 "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
     assert code == 2
     err = capsys.readouterr().err

@@ -1,5 +1,8 @@
 """Samplers against exact oracles, seed determinism, and parameter validation."""
 
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -267,8 +270,14 @@ def test_higher_spin_seventy_colors_conserve_paths():
 def test_higher_spin_regime_error():
     bad = ModelParams(q=0.5, row_rapidities=(1.0, 1.1), col_rapidities=(1.0, 1.1),
                       col_spins=(4.0, 4.0), boundary_levels=(1, 2))  # sz < 1 regime
-    with pytest.raises(ParameterRangeError, match="vertex"):
-        sample_higher_spin(bad, (2, 2), seed=0, count=50)
+    # higher-spin rows are first built inside the streams: at two workers the error
+    # is raised on a thread and must reach the caller unchanged
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(ParameterRangeError, match="vertex") as info:
+            sample_higher_spin(bad, (2, 2), seed=0, count=50, workers=workers)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------
@@ -417,3 +426,84 @@ def test_prop_9_1_drift_toward_beta_polymer():
             emp = (q ** batch.tracked_heights[(m - 0.5, t - 0.5, c)].astype(float)).mean()
             errs.append(abs(emp - exact))
         assert errs[1] < errs[0], (c, m, t, errs)
+
+
+# ---------------------------------------------------------------------------
+# golden digests: (seed, workers) fixes every batch bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _digest(*arrays):
+    """SHA-256 of dtype, shape and C-order bytes, whatever the memory order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _golden_sc6v(count, workers):
+    params = ModelParams(q=0.4, row_rapidities=(2.0, 2.1, 2.2), col_rapidities=(1.0, 1.05, 1.1))
+    b = sample_sc6v(rectangle_domain(3, 3, (1, 2, 3, 4, 5, 6)), params, seed=41, count=count,
+                    workers=workers)
+    return _digest(b.h_edges, b.v_edges)
+
+
+def _golden_hs(count, workers):
+    b = sample_higher_spin(HS_PARAMS, (2, 2), seed=42, count=count, workers=workers)
+    return _digest(b.h_edges, b.v_edges)
+
+
+def _golden_qhahn(count, workers):
+    b = sample_qhahn(0.4, 0.4, 0.7, (2, 3), (1, 2), seed=43, count=count, workers=workers,
+                     track=[(1.5, 2.5, 0), (3.5, 1.5, 1)], keep_edges=True)
+    return _digest(b.h_edges, b.v_edges, *(b.tracked_heights[k] for k in sorted(b.tracked_heights)))
+
+
+def _golden_beta(count, workers):
+    b = simulate_beta_polymer(4.0, 1.0, 5, {0, 1}, seed=44, count=count, workers=workers)
+    return _digest(*(b.values[k] for k in sorted(b.values)))
+
+
+GOLDEN_CASES = [(20000, 1), (20000, 2), (20000, 3), (5, 8)]  # the last leaves three streams empty
+GOLDEN = {  # per GOLDEN_CASES entry; moving one re-seeds the Monte Carlo tests
+    "sc6v": (
+        "954ea699731e8622e4ec9f5243d17c066e9a0089cde06b2d15357b26c1a3b41b",
+        "937a5bd180809acf98da3501c62eb8a67ef994549573defcd3c6eeebb5c13f43",
+        "76b8491278bea4838f42eacd7400e278f61a9752e0c56ba472e6bd54d8104838",
+        "e9a586910fe79a56c57e0dc7a331f4e9870c52f511328c34e1ade27ce5a4e9d4",
+    ),
+    "hs": (
+        "a10bdec219bd4abbbfbc6527f46e76aef989a1c48c09db9b6c5fd125e9da1d66",
+        "c64585cf39ffd9e58fc185d9b612d60970ff5b576749ea6a3a28d20add42c74f",
+        "7bb4ec65a8001aee744fb236f4c6c254caa0159d8c321d6d3fb46624239ed5c1",
+        "1265ebc8b76b1975a0eee672556c07a99e0dd5623e38de0d4ffdbb506a8873c7",
+    ),
+    "qhahn": (
+        "a80c949def45419eeb10e5e9f56867cde8d952af2b7f56fd8450f92f0aec6fa8",
+        "e742a7b408bfa01b3f5dcbab6e55ab0a18c3847f5a5537350ff234d98a8fb2d5",
+        "e7f6015f2c9c2b618e414cc5afb13fea29c687e3f5bc702c3fd7e7058fc2e7f5",
+        "699d4776a385878d118afcc1c8dfaea694300bfe8ed5bc8d30f2d61e7b9a7ab6",
+    ),
+    "beta": (
+        "547062f8016eb629fef10d09b14ed0d0ecf6788fea2b60419bd02193311375c1",
+        "739d17919744d480d0db2904e56a51578dc0862d58e24aa2f2ee473c5a3cd1cc",
+        "2f0021373efeefeff54efd7fafaeecd8671199e8db5eb2d61e14ed7833cf1674",
+        "fbb309adfcfda113aedca3298786cb58d2bb7dec9acecf9476a98220dce18eeb",
+    ),
+}
+
+
+@pytest.mark.parametrize("count, workers", GOLDEN_CASES)
+@pytest.mark.parametrize("model", ["sc6v", "hs", "qhahn", "beta"])
+def test_golden_digests(model, count, workers):
+    # streams share the row cache and the output arrays; switching threads often
+    # would let a lost update or a stray write show in the digest
+    draw = globals()[f"_golden_{model}"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        digest = draw(count, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert digest == GOLDEN[model][GOLDEN_CASES.index((count, workers))]
