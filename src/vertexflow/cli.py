@@ -2,9 +2,10 @@
 
 Configs and queries are JSON documents validated against the schemas shipped
 in the package (src/vertexflow/schemas/) before any computation.  Every
-configuration error exits with code 2 and a JSON pointer: the offending field,
-``/params`` for parameters a model rejects, ``/`` otherwise.  Numeric output
-uses 17 significant digits so doubles round-trip.
+configuration error exits with code 2 and a JSON pointer: the offending field
+(also for errors the library raises with a ``field``), ``/params`` for
+parameters a model rejects, ``/`` otherwise.  Numeric output uses 17
+significant digits so doubles round-trip.
 """
 
 from __future__ import annotations
@@ -58,17 +59,29 @@ def _validate_schema(doc, schema_name: str) -> None:
         raise ConfigError(f"{pointer}: {err.message}")
 
 
-def _semantic(doc, builder, pointer: str):
+def _semantic(doc, pointer: str, builder):
+    """``builder`` applied to the field at ``pointer``; its errors are reported there."""
     from .errors import NonMonotoneColoringError, PathMismatchError, PathOrderError
 
+    value = _field(doc, pointer)
     try:
-        return builder(doc)
+        return builder(value)
     except NonMonotoneColoringError as exc:
         raise ConfigError(f"{pointer}/coloring: {exc}") from exc
     except (PathMismatchError, PathOrderError) as exc:
         raise ConfigError(f"{pointer}/q_steps: {exc}") from exc
-    except (ValidationError, KeyError, TypeError) as exc:
+    except ValidationError as exc:
+        raise ConfigError(f"{_at(exc, pointer)}: {exc}") from exc
+    except KeyError as exc:  # the builders index only the field's own keys
+        raise ConfigError(f"{pointer}/{exc.args[0]}: required field is missing") from exc
+    except TypeError as exc:
         raise ConfigError(f"{pointer}: {exc}") from exc
+
+
+def _at(exc: VertexflowError, default: str) -> str:
+    """The JSON pointer of a library error: the field it names, else ``default``."""
+    field = getattr(exc, "field", None)
+    return f"/{field}" if field else default
 
 
 def _field(doc, pointer: str):
@@ -107,25 +120,21 @@ def _cmd_sample(args) -> int:
     workers = _workers(args)
     lines = []
     if model == "sc6v":
-        domain = _semantic(cfg, lambda d: lattice.domain_from_json(d["domain"]), "/domain")
-        params = _semantic(cfg, lambda d: lattice.params_from_json(d["params"]), "/params")
+        domain = _semantic(cfg, "/domain", lattice.domain_from_json)
+        params = _semantic(cfg, "/params", lattice.params_from_json)
         batch = sampler.sample_sc6v(domain, params, seed, count, workers)
         for i in range(count):
             lines.append(lattice.dumps(lattice.config_to_json(batch.config(i))))
     elif model == "hs":
-        params = _semantic(cfg, lambda d: lattice.params_from_json(d["params"]), "/params")
-        rect = _semantic(cfg, lambda d: (int(d["rect"][0]), int(d["rect"][1])), "/rect")
-        for name, need in (("row_rapidities", rect[0]), ("col_rapidities", rect[1]), ("col_spins", rect[1])):
-            if len(getattr(params, name)) < need:
-                raise ConfigError(f"/params/{name}: the {rect[0]}x{rect[1]} window needs {need}, "
-                                  f"{len(getattr(params, name))} given")
+        params = _semantic(cfg, "/params", lattice.params_from_json)
+        rect = _semantic(cfg, "/rect", lambda r: (int(r[0]), int(r[1])))
         batch = sampler.sample_higher_spin(params, rect, seed, count, workers)
         for i in range(count):
             lines.append(lattice.dumps(lattice.config_to_json(batch.config(i))))
     elif model == "qhahn":
         q, s, z, levels = (_field(cfg, f"/params/{key}")
                            for key in ("q", "s", "z", "boundary_levels"))
-        rect = _semantic(cfg, lambda d: (int(d["rect"][0]), int(d["rect"][1])), "/rect")
+        rect = _semantic(cfg, "/rect", lambda r: (int(r[0]), int(r[1])))
         batch = sampler.sample_qhahn(q, s, z, rect, tuple(levels), seed, count, workers,
                                      keep_edges=True)
         for i in range(count):
@@ -153,8 +162,9 @@ def _cmd_sample(args) -> int:
 
 
 def _query_from_json(doc) -> qmoments.MomentQuery:
-    pi = Permutation(tuple(doc["pi"])) if "pi" in doc else None
-    return qmoments.MomentQuery([tuple(p) for p in doc["points"]], list(doc["colors"]), pi)
+    pi = _semantic(doc, "/pi", lambda p: Permutation(tuple(p))) if "pi" in doc else None
+    return _semantic(doc, "/points", lambda points: qmoments.MomentQuery(
+        [tuple(p) for p in points], list(_field(doc, "/colors")), pi))
 
 
 def _convergence(res: qmoments.MomentResult) -> str:
@@ -168,16 +178,16 @@ def _cmd_moment(args) -> int:
     theorem = args.theorem
     nodes = doc.get("nodes_per_circle", qmoments.DEFAULT_NODES)
     tol = doc.get("tolerance", qmoments.DEFAULT_TOL)
-    query = _semantic(doc, _query_from_json, "/points")
+    query = _query_from_json(doc)
     if theorem == "6.1":
-        domain = _semantic(doc, lambda d: lattice.domain_from_json(d["domain"]), "/domain")
-        params = _semantic(doc, lambda d: lattice.params_from_json(d["params"]), "/params")
+        domain = _semantic(doc, "/domain", lattice.domain_from_json)
+        params = _semantic(doc, "/params", lattice.params_from_json)
         res = qmoments.qmoment_skew(domain, params, query, nodes, tol)
     elif theorem == "8.1":
-        params = _semantic(doc, lambda d: lattice.params_from_json(d["params"]), "/params")
+        params = _semantic(doc, "/params", lattice.params_from_json)
         res = qmoments.qmoment_higher_spin(params, query, nodes, tol)
     elif theorem == "8.4":
-        params = _semantic(doc, lambda d: lattice.params_from_json(d["params"]), "/params")
+        params = _semantic(doc, "/params", lattice.params_from_json)
         res = qmoments.shifted_observable(params, query.points, query.colors, query.pi,
                                           exact=True, nodes_per_circle=nodes, tol=tol)
     elif theorem == "8.5":
@@ -391,7 +401,7 @@ def run(argv=None) -> int:
         return EXIT_CONFIG
     except VertexflowError as exc:
         at = "/params" if isinstance(exc, (ParameterRangeError, ParameterSingularityError)) else "/"
-        print(f"configuration error at {at}: {exc}", file=sys.stderr)
+        print(f"configuration error at {_at(exc, at)}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

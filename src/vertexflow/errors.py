@@ -1,12 +1,23 @@
 """Exception hierarchy shared by all vertexflow modules."""
 
+from __future__ import annotations
+
 
 class VertexflowError(Exception):
     """Base class for all errors raised by this package."""
 
 
 class ValidationError(VertexflowError):
-    """Invalid user-supplied data (domains, configs, queries)."""
+    """Invalid user-supplied data (domains, configs, queries).
+
+    ``field``, when given, names the offending input by its argument and attribute
+    names, such as ``points`` or ``params/row_rapidities``.  The CLI's JSON
+    documents use the same names, so it reports the error at ``/`` + field.
+    """
+
+    def __init__(self, message: str = "", field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class PathMismatchError(ValidationError):

@@ -271,8 +271,10 @@ class SkewDomain:
     def step_rapidities(self, params: ModelParams):
         """Rapidity zeta_i attached to each step of Q."""
         x, y = params.row_rapidities, params.col_rapidities
-        if len(x) < self.n_rows or len(y) < self.m_cols:
-            raise ValidationError("not enough rapidities for the domain")
+        for name, given, need in (("row_rapidities", x, self.n_rows), ("col_rapidities", y, self.m_cols)):
+            if len(given) < need:
+                raise ValidationError(f"the domain needs {need} {name}, {len(given)} given",
+                                      field=f"params/{name}")
         out = []
         a, b = self.q_path.start
         for s in self.q_path.steps:

@@ -10,12 +10,18 @@ with u < v cancels the cross factor of that pair exactly, so the edge is dropped
 ``_contract`` sums out a variable with at most two edges by a matvec or one
 GEMM; this covers every graph with k <= 3.  When every variable has three or
 more edges, it splits the edge of least numerical rank r into r rank-1 terms,
-each a graph with one edge fewer (for K4, two GEMMs per term).  The rank comes
-from a complete-pivot cross approximation that stops at roundoff: the largest
-entry of the explicit residual is at most 1e-15 of the largest entry of the
-matrix.  Pair matrices on q-nested circles are smooth, so their rank is low
-(28 to 53 at 192 nodes per variable).  Only when no edge has rank below half
-its order does the contraction condition on one variable, one subgraph per node.
+each a graph with one edge fewer.  The rank comes from a complete-pivot cross
+approximation that stops at roundoff: the largest entry of the explicit
+residual is at most 1e-15 of the largest entry of the matrix.  Pair matrices
+on q-nested circles are smooth, so their rank is low (28 to 53 at 192 nodes
+per variable).  The split passes the factors x @ y of the other edges down to
+its terms, and a degree-two variable v between a and b is summed out through
+those of its edge of lower rank r < N_v / 2: M_av diag(u_v) M_vb becomes
+x @ ((y u_v) @ M_vb) (or the mirrored form), two thin GEMMs of 2 r N^2
+multiply-adds in place of one square GEMM of N^3.  For K4 that is both GEMMs
+of every term, at r = 31 against N = 192.  A graph that never splits has no
+factors and keeps the square GEMM.  Only when no edge has rank below half its
+order does the contraction condition on one variable, one subgraph per node.
 
 One adaptive loop serves every integral.  Node phases do not change with
 the node count, so the grid at n/2 is the stride-2 subset of the grid at n and
@@ -56,13 +62,13 @@ class MomentQuery:
     def __post_init__(self):
         k = len(self.points)
         if len(self.colors) != k:
-            raise ValidationError("points and colors must have equal length")
+            raise ValidationError("points and colors must have equal length", field="colors")
         if any(a > b for a, b in zip(self.colors, self.colors[1:])):
-            raise ValidationError("colors must be nondecreasing")
+            raise ValidationError("colors must be nondecreasing", field="colors")
         if self.pi is None:
             self.pi = Permutation.identity(k)
         if len(self.pi) != k:
-            raise ValidationError("permutation rank must equal the number of points")
+            raise ValidationError("permutation rank must equal the number of points", field="pi")
 
     @property
     def k(self) -> int:
@@ -199,20 +205,24 @@ def _oriented(mats: dict, a: int, b: int) -> np.ndarray:
     return mats[(a, b)] if a < b else mats[(b, a)].T
 
 
-def _contract(us: dict, mats: dict, factors) -> complex:
+def _contract(us: dict, mats: dict, factors, cached: dict | None = None) -> complex:
     """sum over the grid of prod_a us[a][n_a] * prod_{(a,b) in mats} mats[(a,b)][n_a, n_b].
 
     ``us`` maps each variable to its node vector and ``mats`` maps a pair a < b
-    to its matrix (rows index a); a pair not in ``mats`` is an absent edge.  The
-    last variable of least degree is summed out while it has at most two edges:
-    by a sum, a matvec into its neighbour, or one GEMM into the edge between its
-    two neighbours.  Once every variable has three or more edges, the edge of
-    least rank r is split into its r rank-1 terms, each a graph with that edge
-    gone; ``factors(key, mat)`` gives its factors as ``_cross_approx`` does.  Only
-    when no edge has rank below half its order does the routine condition on the
-    first variable of most edges, one subgraph per node.
+    to its matrix (rows index a); a pair not in ``mats`` is an absent edge.
+    ``cached`` maps some pairs to factors (x, y) with x @ y = mats[pair].  The
+    last variable v of least degree is summed out while it has at most two
+    edges: by a sum, a matvec into its neighbour, or into the edge between its
+    two neighbours a and b.  That edge is M_av diag(u_v) M_vb: two thin GEMMs
+    through the cached factors of the edge of v of lower rank r if 2r < N_v,
+    else one square GEMM.  Once every variable has three or more edges, the
+    edge of least rank r is split into its r rank-1 terms, each a graph with
+    that edge gone; ``factors(key, mat)`` gives its factors as ``_cross_approx``
+    does, and the factors of every edge go down to the terms as ``cached``.
+    Only when no edge has rank below half its order does the routine condition
+    on the first variable of most edges, one subgraph per node.
     """
-    us, mats = dict(us), dict(mats)
+    us, mats, cached = dict(us), dict(mats), dict(cached or {})
     scale = 1
     while us:
         nbrs = {v: [] for v in us}
@@ -231,23 +241,37 @@ def _contract(us: dict, mats: dict, factors) -> complex:
             del mats[min(v, w), max(v, w)]
         else:
             a, b = sorted(nbrs[v])
-            edge = (_oriented(mats, a, v) * uv) @ _oriented(mats, v, b)
+            thin = [(f[0].shape[1], s, t) for s, t in ((a, v), (v, b))
+                    if (f := cached.get((min(s, t), max(s, t)))) is not None
+                    and 2 * f[0].shape[1] < len(uv)]
+            if not thin:
+                edge = (_oriented(mats, a, v) * uv) @ _oriented(mats, v, b)
+            else:
+                _, s, t = min(thin)
+                x, y = cached[min(s, t), max(s, t)]
+                left, right = (x, y) if s < t else (y.T, x.T)  # M_st = left @ right
+                if s == a:
+                    edge = left @ ((right * uv) @ _oriented(mats, v, b))
+                else:
+                    edge = ((_oriented(mats, a, v) * uv) @ left) @ right
             del mats[min(a, v), max(a, v)], mats[min(v, b), max(v, b)]
+            cached.pop((a, b), None)
             mats[(a, b)] = mats[(a, b)] * edge if (a, b) in mats else edge
     if not us:
         return scale
 
     splits = []
     for key, mat in mats.items():
-        f = factors(key, mat)
+        f = cached.get(key) or factors(key, mat)
         if f is not None and 2 * f[0].shape[1] < min(mat.shape):
             splits.append((f[0].shape[1], key, f))
     total = 0j
     if splits:
         _, (a, b), (x, y) = min(splits, key=lambda s: s[0])
         del mats[(a, b)]
+        cached = {key: f for _, key, f in splits if key != (a, b)}
         for t in range(x.shape[1]):
-            total += _contract({**us, a: us[a] * x[:, t], b: us[b] * y[t]}, mats, factors)
+            total += _contract({**us, a: us[a] * x[:, t], b: us[b] * y[t]}, mats, factors, cached)
     else:
         v = min(us, key=lambda v: (-len(nbrs[v]), v))
         uv = us.pop(v)
@@ -447,11 +471,11 @@ def _validate_query_order(points, colors):
     alphas = [p[0] for p in points]
     betas = [p[1] for p in points]
     if any(a1 > a2 for a1, a2 in zip(alphas, alphas[1:])):
-        raise ValidationError("alphas must be nondecreasing")
+        raise ValidationError("alphas must be nondecreasing", field="points")
     if any(b1 < b2 for b1, b2 in zip(betas, betas[1:])):
-        raise ValidationError("betas must be nonincreasing")
+        raise ValidationError("betas must be nonincreasing", field="points")
     if any(c1 > c2 for c1, c2 in zip(colors, colors[1:])):
-        raise ValidationError("colors must be nondecreasing")
+        raise ValidationError("colors must be nondecreasing", field="colors")
 
 
 def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, pis,
@@ -465,7 +489,7 @@ def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, 
     p_points = set(domain.p_path.points())
     for p in pts:
         if p not in p_points:
-            raise ValidationError(f"point {p} does not lie on P")
+            raise ValidationError(f"point {p} does not lie on P", field="points")
     zetas = domain.step_rapidities(params)
     check_pole_separation(zetas, q)
     xs = params.row_rapidities[: domain.n_rows]
@@ -515,8 +539,11 @@ def _hs_factors(params: ModelParams, points, colors):
     max_alpha_col = max(int(p[0] - 0.5) for p in points)
     levels = [params.level(c) for c in colors]
     n_rows_needed = max([max_beta_row] + levels)
-    if len(us) < n_rows_needed or len(ys) < max_alpha_col or len(ss) < max_alpha_col:
-        raise ValidationError("not enough rapidities/spins for the query")
+    for name, given, need in (("row_rapidities", us, n_rows_needed),
+                              ("col_rapidities", ys, max_alpha_col), ("col_spins", ss, max_alpha_col)):
+        if len(given) < need:
+            raise ValidationError(f"the query needs {need} {name}, {len(given)} given",
+                                  field=f"params/{name}")
 
     phi_factors = [ratio_product([us[i] for i in range(lc)], [q * us[i] for i in range(lc)])
                    for lc in levels]
@@ -548,7 +575,7 @@ def qmoment_higher_spin_multi(params: ModelParams, points, colors, pis,
                               contour_scale: float = 1.0) -> dict:
     _validate_query_order(points, colors)
     if any(p[0] <= 0 or p[1] <= 0 for p in points):
-        raise ValidationError("points must lie in the open quadrant")
+        raise ValidationError("points must lie in the open quadrant", field="points")
     q = params.q
     k = len(points)
     phi_factors, psi_factors, inside, outside = _hs_factors(params, points, colors)
@@ -660,13 +687,13 @@ def _shifted_exact(params, points, colors, pi, mults, nodes_per_circle, tol, cap
     k = len(points)
     n = len(mults)
     us = params.row_rapidities
+    _, psi_factors, inside, outside = _hs_factors(params, points, [n] * k)
 
     def level_factor(lc):
         return ratio_product([us[i] for i in range(lc)], [q * us[i] for i in range(lc)])
 
     # expand prod_c (sum_{j_c=0}^{m_c} coef * slot assignment) into phi terms
     phi_terms = [(1.0, [])]
-    offset = 0
     for c in range(1, n + 1):
         m_c = mults[c - 1]
         lower = level_factor(params.level(c - 1))
@@ -680,8 +707,6 @@ def _shifted_exact(params, points, colors, pi, mults, nodes_per_circle, tol, cap
                 slot_factors = [lower] * j + [upper] * (m_c - j)
                 new_terms.append((coef * cj, factors + slot_factors))
         phi_terms = new_terms
-        offset += m_c
-    _, psi_factors, inside, outside = _hs_factors(params, points, [n] * k)
     fam = build_contours(inside, outside, k, q)
     pref = (1 - q) ** k
     integrand = PairingIntegrand(phi_terms, psi_factors,

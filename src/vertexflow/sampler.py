@@ -360,7 +360,8 @@ def _hs_model(params: ModelParams, rect: tuple[int, int]) -> _Model:
     for name, given, need in (("row_rapidities", u, n_rows), ("col_rapidities", ys, m_cols),
                               ("col_spins", ss, m_cols)):
         if len(given) < need:
-            raise ValidationError(f"{name}: the window needs {need}, {len(given)} given")
+            raise ValidationError(f"the window needs {need} {name}, {len(given)} given",
+                                  field=f"params/{name}")
     n_colors = max((params.row_color(r) for r in range(1, n_rows + 1)), default=1) or 1
     h = {(x, y): 0 for x in range(m_cols + 1) for y in range(n_rows + 1)}
     for y in range(1, n_rows + 1):
@@ -526,7 +527,8 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
     keep_points = [(int(d), int(m), int(t)) for d, m, t in keep_points]
     for d, m, t in keep_points:
         if d not in delays or not (1 <= m <= t - d) or t > t_max:
-            raise ValidationError(f"point {(d, m, t)} outside the simulated region")
+            raise ValidationError(f"point {(d, m, t)} outside the simulated region",
+                                  field="keep_points")
     streams = _stream_slices(seed, count, workers)
     values = {point: np.empty(count) for point in keep_points}
 

@@ -390,6 +390,41 @@ def test_criterion_5_k4_integrals_match_dense_contraction(monkeypatch):
             assert abs(got - want) <= 1e-14 * abs(want), (got, want)
 
 
+def test_criterion_5_k4_sums_out_through_the_split_factors(monkeypatch):
+    # after the split, both degree-two steps of every rank-1 term take the thin GEMMs
+    # through the factors x @ y the split passes down: doubling every x doubles both
+    # edges so built and quadruples the integral; the square GEMM would ignore them
+    from vertexflow import qmoments
+    from vertexflow.verify import _cut_moment_query
+
+    captured = []
+    monkeypatch.setattr(qmoments, "pairing_values",
+                        lambda fam, integrand, q, *args: captured.append((fam, integrand, q))
+                        or {integrand.pi_terms[0][1].images: None})
+    col_a, _, _, _, powers, params = next(
+        c for c in criterion_5_pairs() if len(_cut_moment_query(c[0], c[4])[0]) == 4)
+    pts, cols, pi = _cut_moment_query(col_a, powers)
+    qmoment_skew(col_a.domain, params, MomentQuery(pts, cols, pi), nodes_per_circle=64)
+    ((fam, integrand, q),) = captured
+    ((picoef, _),) = integrand.pi_terms
+    ((phi_coef, phis),) = integrand.phi_terms
+    grid = qmoments._Grid.build(fam, 64, "q", q)
+    us = [grid.dws[a] / grid.nodes[a] * integrand.psi_factors[a](grid.nodes[a])
+          * phis[a](grid.nodes[a]) for a in range(4)]
+    want = picoef * phi_coef * _dense_k4(
+        us, {(a, b): grid.cross(a, b) for a in range(4) for b in range(a + 1, 4)})
+
+    contract = qmoments._contract
+
+    def doubled(us, mats, factors, cached=None):
+        cached = {key: (2 * x, y) for key, (x, y) in (cached or {}).items()}
+        return contract(us, mats, factors, cached)
+
+    monkeypatch.setattr(qmoments, "_contract", doubled)
+    got = qmoments._pairing_on_grid(grid, integrand)[pi.images]
+    assert abs(got - 4 * want) <= 4e-14 * abs(want), (got, want)
+
+
 # ---------------------------------------------------------------------------
 # criterion 6: fusion consistency
 # ---------------------------------------------------------------------------

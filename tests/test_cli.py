@@ -260,3 +260,66 @@ def test_sample_hs_stream_row_error_exits_2_at_params(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "at /params" in err and "vertex" in err
+
+
+MOMENT_QUERY = {"points": [[1.5, 2.5], [2.5, 1.5]], "colors": [0, 1], "nodes_per_circle": 64,
+                "domain": DOMAIN, "params": PARAMS}
+
+
+@pytest.mark.parametrize("change, pointer", [
+    ({"colors": [1, 0]}, "/colors"),
+    ({"pi": [2, 1, 3]}, "/pi"),
+    ({"pi": [1, 1]}, "/pi"),
+    ({"points": [[2.5, 1.5], [2.5, 2.5]]}, "/points"),  # betas increase
+    ({"points": [[1.5, 1.5]], "colors": [0]}, "/points"),  # not on P
+])
+def test_moment_query_error_exits_2_at_its_field(tmp_path, capsys, change, pointer):
+    query = write(tmp_path, "q.json", dict(MOMENT_QUERY, **change))
+    code = run(["moment", "--theorem", "6.1", "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"at {pointer}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theorem", ["8.1", "8.4"])
+@pytest.mark.parametrize("field", ["row_rapidities", "col_rapidities", "col_spins"])
+def test_moment_hs_short_list_exits_2_at_its_field(tmp_path, capsys, theorem, field):
+    query = write(tmp_path, "q.json", {"points": [[2.5, 2.5]], "colors": [1],
+                                       "params": dict(HS_PARAMS, **{field: HS_PARAMS[field][:1]})})
+    code = run(["moment", "--theorem", theorem, "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"at /params/{field}:" in capsys.readouterr().err
+
+
+def test_moment_shifted_level_past_rapidities_exits_2(tmp_path, capsys):
+    # color 2 enters below row 1: the level factor needs a second row rapidity
+    query = write(tmp_path, "q.json", {"points": [[0.5, 0.5]], "colors": [2],
+                                       "params": dict(HS_PARAMS, row_rapidities=[5.0])})
+    code = run(["moment", "--theorem", "8.4", "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "at /params/row_rapidities:" in capsys.readouterr().err
+
+
+def test_sample_sc6v_missing_domain_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", {"params": PARAMS})
+    code = run(["sample", "--model", "sc6v", "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert "at /domain: required field is missing" in capsys.readouterr().err
+
+
+def test_sample_beta_keep_point_outside_exits_2_at_keep_points(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", {
+        "params": {"sigma": 6.0, "rho": 1.5, "t_max": 3, "delays": [0]},
+        "keep_points": [[0, 9, 3]]})
+    code = run(["sample", "--model", "beta", "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert "at /keep_points:" in capsys.readouterr().err
+
+
+def test_moment_params_without_q_exits_2_at_params_q(tmp_path, capsys):
+    params = {key: v for key, v in PARAMS.items() if key != "q"}
+    query = write(tmp_path, "q.json", dict(MOMENT_QUERY, params=params))
+    code = run(["moment", "--theorem", "6.1", "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "at /params/q: required field is missing" in capsys.readouterr().err

@@ -515,32 +515,39 @@ def brute_force_contract(us, mats):
 @st.composite
 def pair_graphs(draw):
     """Vectors near 1 on k = 1..5 variables of 6..10 nodes; each pair's edge is
-    absent, of rank 1 or 2 (split), or dense (conditioned on)."""
+    absent, of rank 1 or 2 (split), or dense (conditioned on).  A random subset
+    of the low-rank edges comes with its ``_cross_approx`` factors, as a split
+    passes them down to its terms."""
     k = draw(st.integers(1, 5))
     sizes = draw(st.lists(st.integers(6, 10), min_size=k, max_size=k))
     pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
     palette = draw(st.sampled_from([[None, 1, 2, "dense"], ["dense"], [2, "dense"]]))
     kinds = draw(st.lists(st.sampled_from(palette), min_size=len(pairs), max_size=len(pairs)))
+    with_factors = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def near_one(*shape):
         return 1 + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    mats = {}
-    for (a, b), kind in zip(pairs, kinds):
+    mats, cached = {}, {}
+    for (a, b), kind, cache in zip(pairs, kinds, with_factors):
         if kind == "dense":
             mats[(a, b)] = near_one(sizes[a], sizes[b])
         elif kind is not None:
             mats[(a, b)] = near_one(sizes[a], kind) @ near_one(kind, sizes[b]) / kind
-    return {a: near_one(n) for a, n in enumerate(sizes)}, mats
+            if cache:
+                cached[(a, b)] = _cross_approx(mats[(a, b)])
+    return {a: near_one(n) for a, n in enumerate(sizes)}, mats, cached
 
 
 @settings(max_examples=150, deadline=None)
 @given(pair_graphs())
 def test_contraction_matches_brute_force_sum(graph):
-    us, mats = graph
+    # a degree-two variable is summed out through cached factors on either side of
+    # it, whether it is the row or the column variable of the stored pair
+    us, mats, cached = graph
     want = brute_force_contract(us, mats)
-    got = _contract(us, mats, lambda key, mat: _cross_approx(mat))
+    got = _contract(us, mats, lambda key, mat: _cross_approx(mat), cached)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
