@@ -10,18 +10,24 @@ with u < v cancels the cross factor of that pair exactly, so the edge is dropped
 ``_contract`` sums out a variable with at most two edges by a matvec or one
 GEMM; this covers every graph with k <= 3.  When every variable has three or
 more edges, it splits the edge of least numerical rank r into r rank-1 terms,
-each a graph with one edge fewer.  The rank comes from a complete-pivot cross
-approximation that stops at roundoff: the largest entry of the explicit
+each a graph with one edge fewer.  An edge is ranked by a complete-pivot cross
+approximation of its stride-2 submatrix, a quarter of the work per pivot step,
+capped at half the order of the full matrix; only an edge the contraction
+chooses is factored at full size, seeded with the submatrix pivots doubled.
+Every factorization stops at roundoff: the largest entry of the explicit
 residual is at most 1e-15 of the largest entry of the matrix.  Pair matrices
 on q-nested circles are smooth, so their rank is low (28 to 53 at 192 nodes
-per variable).  The split passes the factors x @ y of the other edges down to
-its terms, and a degree-two variable v between a and b is summed out through
-those of its edge of lower rank r < N_v / 2: M_av diag(u_v) M_vb becomes
+per variable).  The split passes its rankings of the other edges down to its
+terms, and a degree-two variable v between a and b is summed out through the
+factors of its edge of lower rank r < N_v / 2: M_av diag(u_v) M_vb becomes
 x @ ((y u_v) @ M_vb) (or the mirrored form), two thin GEMMs of 2 r N^2
 multiply-adds in place of one square GEMM of N^3.  For K4 that is both GEMMs
-of every term, at r = 31 against N = 192.  A graph that never splits has no
-factors and keeps the square GEMM.  Only when no edge has rank below half its
-order does the contraction condition on one variable, one subgraph per node.
+of every term, at r = 31 against N = 192, so of its six edges only the split
+edge and the two edges of those steps are factored at full size.  A graph that
+never splits is never ranked and keeps the square GEMM.  Only when no edge has
+rank below half its order does the contraction condition on one variable, one
+subgraph per node.  The stride-2 submatrix of a cross matrix is the cross
+matrix of the next coarser level, which takes that ranking as its factors.
 
 One adaptive loop serves every integral.  Node phases do not change with
 the node count, so the grid at n/2 is the stride-2 subset of the grid at n and
@@ -156,10 +162,11 @@ class _Grid:
         return self._table(("cross", a, b), build, lambda m: m[::2, ::2])
 
     def cross_factors(self, a: int, b: int):
-        """``_cross_approx`` of ``cross(a, b)``; a coarser level reads its finer's factors
-        at stride 2 (entrywise error about 3e-15 of the largest entry)."""
-        return self._table(("factors", a, b), lambda grid: _cross_approx(grid.cross(a, b)),
-                           lambda f: None if f is None else (f[0][::2], f[1][:, ::2]))
+        """``_ranked(cross(a, b))``, computed on the finest level.  It factors the stride-2
+        submatrix, which is the cross matrix of the next coarser level: that level reads
+        it as its own factors."""
+        return self._table(("factors", a, b), lambda grid: _ranked(grid.cross(a, b)),
+                           lambda f: f)
 
     def pair_matrix(self, tag: str, u: int, v: int) -> tuple:
         """Coefficient matrix for DL-recursion factors on the variable pair (u, v).
@@ -177,27 +184,90 @@ class _Grid:
         return self._table((tag, u, v), build, lambda km: (km[0], km[1][::2, ::2]))
 
 
-def _cross_approx(mat: np.ndarray):
-    """Complete-pivot cross approximation (rank-revealing LU): factors (x, y) with
-    max|mat - x @ y| <= 1e-15 max|mat|, or None once the rank reaches half the
-    smaller dimension, where splitting the edge no longer pays."""
-    res = np.array(mat, dtype=complex)
-    mag = np.abs(res)
-    outer = np.empty_like(res)
-    stop = 1e-15 * mag.max()
-    cols, rows = [], []
+class _Cross(tuple):
+    """Factors (x, y) of a cross approximation; ``pivots`` holds the (row, column) of each
+    step.  ``_factored`` keeps on a ranking record its full-size factors as ``full``."""
+
+    def __new__(cls, x, y, pivots):
+        cross = super().__new__(cls, (x, y))
+        cross.pivots = pivots
+        return cross
+
+
+def _cross_approx(mat: np.ndarray, cap: int | None = None, seed=()):
+    """Cross approximation (rank-revealing LU): factors (x, y) with
+    max|mat - x @ y| <= 1e-15 max|mat| on the explicit residual, with their pivots, or
+    None once the rank would pass ``cap``; by default that is at half the smaller
+    dimension, where splitting the edge no longer pays.
+
+    The ``seed`` pivots come first, each from one residual row and column at O(N r);
+    a seed whose residual pivot is at roundoff is skipped.  Complete pivoting on the
+    explicit residual mat - x @ y finishes, and goes on until that residual passes.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    if cap is None:
+        cap = (min(mat.shape) - 1) // 2
+    stop = 1e-15 * np.abs(mat).max()
+    cols, rows, pivots = [], [], []
+
+    def factors():
+        return (np.array(cols).reshape(len(cols), mat.shape[0]).T,
+                np.array(rows).reshape(len(rows), mat.shape[1]))
+
+    for i, j in seed:
+        x, y = factors()
+        col = mat[:, j] - x @ y[:, j]
+        if abs(col[i]) <= stop:
+            continue
+        if len(pivots) == cap:
+            return None
+        cols.append(col)
+        rows.append((mat[i] - x[i] @ y) / col[i])
+        pivots.append((i, j))
+    res, mag, outer = np.empty_like(mat), np.empty(mat.shape), np.empty_like(mat)
     while True:
+        x, y = factors()
+        np.subtract(mat, np.matmul(x, y, out=res), out=res)
+        np.abs(res, out=mag)
         i, j = divmod(int(mag.argmax()), res.shape[1])
         if mag[i, j] <= stop:
-            break
-        if 2 * (len(cols) + 1) >= min(res.shape):
-            return None
-        cols.append(res[:, j].copy())
-        rows.append(res[i, :] / res[i, j])
-        res -= np.multiply(cols[-1][:, None], rows[-1][None, :], out=outer)
-        np.abs(res, out=mag)
-    return (np.array(cols).reshape(len(cols), res.shape[0]).T,
-            np.array(rows).reshape(len(rows), res.shape[1]))
+            return _Cross(x, y, pivots)
+        while mag[i, j] > stop:
+            if len(pivots) == cap:
+                return None
+            cols.append(res[:, j].copy())
+            rows.append(res[i] / res[i, j])
+            pivots.append((i, j))
+            res -= np.multiply(cols[-1][:, None], rows[-1][None, :], out=outer)
+            np.abs(res, out=mag)
+            i, j = divmod(int(mag.argmax()), res.shape[1])
+
+
+def _ranked(mat: np.ndarray):
+    """The record an edge is ranked by: ``_cross_approx`` of the stride-2 submatrix of
+    ``mat`` with the cap of ``mat``, or of ``mat`` itself if a dimension is odd."""
+    if mat.shape[0] % 2 or mat.shape[1] % 2:
+        return _cross_approx(mat)
+    return _cross_approx(mat[::2, ::2], (min(mat.shape) - 1) // 2)
+
+
+def _factored(f, mat: np.ndarray):
+    """Factors of ``mat`` from its record ``f``: ``f`` itself if it has the size of ``mat``,
+    else ``mat`` factored from the pivots of ``f`` doubled to (2i, 2j), once per record."""
+    if len(f[0]) == len(mat):
+        return f
+    if not hasattr(f, "full"):
+        f.full = _cross_approx(mat, seed=[(2 * i, 2 * j) for i, j in f.pivots])
+    return f.full
+
+
+def _least_rank(records: dict, mats: dict):
+    """(key, factors of ``mats[key]``) for the edge of least rank among ``records`` whose
+    full-size factorization stays below half rank; None if there is none."""
+    for _, key in sorted((f[0].shape[1], key) for key, f in records.items()):
+        if (f := _factored(records[key], mats[key])) is not None:
+            return key, f
+    return None
 
 
 def _oriented(mats: dict, a: int, b: int) -> np.ndarray:
@@ -209,18 +279,21 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None) -> comp
     """sum over the grid of prod_a us[a][n_a] * prod_{(a,b) in mats} mats[(a,b)][n_a, n_b].
 
     ``us`` maps each variable to its node vector and ``mats`` maps a pair a < b
-    to its matrix (rows index a); a pair not in ``mats`` is an absent edge.
-    ``cached`` maps some pairs to factors (x, y) with x @ y = mats[pair].  The
-    last variable v of least degree is summed out while it has at most two
-    edges: by a sum, a matvec into its neighbour, or into the edge between its
-    two neighbours a and b.  That edge is M_av diag(u_v) M_vb: two thin GEMMs
-    through the cached factors of the edge of v of lower rank r if 2r < N_v,
-    else one square GEMM.  Once every variable has three or more edges, the
-    edge of least rank r is split into its r rank-1 terms, each a graph with
-    that edge gone; ``factors(key, mat)`` gives its factors as ``_cross_approx``
-    does, and the factors of every edge go down to the terms as ``cached``.
-    Only when no edge has rank below half its order does the routine condition
-    on the first variable of most edges, one subgraph per node.
+    to its matrix (rows index a); a pair not in ``mats`` is an absent edge.  An
+    edge's record is factors (x, y) from ``_cross_approx``, either of its matrix
+    or, with their pivots, of its stride-2 submatrix (as ``_ranked`` gives); the
+    rank of x ranks the edge, and only an edge chosen by that rank is factored at
+    full size (``_factored``).  ``cached`` maps some pairs to their records.  The
+    last variable v of least degree is summed out while it has at most two edges:
+    by a sum, a matvec into its neighbour, or into the edge between its two
+    neighbours a and b.  That edge is M_av diag(u_v) M_vb: two thin GEMMs through
+    the factors of the cached edge of v of lower rank r if 2r < N_v, else one
+    square GEMM.  Once every variable has three or more edges, each edge is ranked,
+    by ``factors(key, mat)`` unless cached, and the edge of least rank r below half
+    its order is split into its r rank-1 terms, each a graph with that edge gone;
+    the records of the other edges go down to the terms as ``cached``.  Only when
+    no edge has rank below half its order does the routine condition on the first
+    variable of most edges, one subgraph per node.
     """
     us, mats, cached = dict(us), dict(mats), dict(cached or {})
     scale = 1
@@ -241,37 +314,41 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None) -> comp
             del mats[min(v, w), max(v, w)]
         else:
             a, b = sorted(nbrs[v])
-            thin = [(f[0].shape[1], s, t) for s, t in ((a, v), (v, b))
-                    if (f := cached.get((min(s, t), max(s, t)))) is not None
-                    and 2 * f[0].shape[1] < len(uv)]
-            if not thin:
-                edge = (_oriented(mats, a, v) * uv) @ _oriented(mats, v, b)
-            else:
-                _, s, t = min(thin)
-                x, y = cached[min(s, t), max(s, t)]
-                left, right = (x, y) if s < t else (y.T, x.T)  # M_st = left @ right
-                if s == a:
-                    edge = left @ ((right * uv) @ _oriented(mats, v, b))
-                else:
-                    edge = ((_oriented(mats, a, v) * uv) @ left) @ right
+            thin = _least_rank({key: f for key in ((min(a, v), max(a, v)), (min(v, b), max(v, b)))
+                                if (f := cached.get(key)) is not None
+                                and 2 * f[0].shape[1] < len(uv)}, mats)
+            m_av, m_vb = _oriented(mats, a, v), _oriented(mats, v, b)
             del mats[min(a, v), max(a, v)], mats[min(v, b), max(v, b)]
+            if thin is None:
+                left, right = m_av * uv, m_vb
+            else:
+                key, (x, y) = thin
+                if a in key:  # M_av = left @ right
+                    left, right = (x, y) if a < v else (y.T, x.T)
+                    right = (right * uv) @ m_vb
+                else:  # M_vb = left @ right
+                    left, right = (x, y) if v < b else (y.T, x.T)
+                    left = (m_av * uv) @ left
+            # an N^2 edge summed out here is freed before the new one is allocated, and
+            # the product below is taken in place: a term of a split then holds one N^2
+            # temporary at a time, which the allocator reuses from term to term
+            del m_av, m_vb
+            edge = left @ right
             cached.pop((a, b), None)
-            mats[(a, b)] = mats[(a, b)] * edge if (a, b) in mats else edge
+            mats[(a, b)] = np.multiply(mats[(a, b)], edge, out=edge) if (a, b) in mats else edge
     if not us:
         return scale
 
-    splits = []
-    for key, mat in mats.items():
-        f = cached.get(key) or factors(key, mat)
-        if f is not None and 2 * f[0].shape[1] < min(mat.shape):
-            splits.append((f[0].shape[1], key, f))
+    records = {key: cached[key] if key in cached else factors(key, mat)
+               for key, mat in mats.items()}
+    split = _least_rank({key: f for key, f in records.items()
+                         if f is not None and 2 * f[0].shape[1] < min(mats[key].shape)}, mats)
     total = 0j
-    if splits:
-        _, (a, b), (x, y) = min(splits, key=lambda s: s[0])
-        del mats[(a, b)]
-        cached = {key: f for _, key, f in splits if key != (a, b)}
+    if split:
+        (a, b), (x, y) = split
+        del mats[(a, b)], records[(a, b)]
         for t in range(x.shape[1]):
-            total += _contract({**us, a: us[a] * x[:, t], b: us[b] * y[t]}, mats, factors, cached)
+            total += _contract({**us, a: us[a] * x[:, t], b: us[b] * y[t]}, mats, factors, records)
     else:
         v = min(us, key=lambda v: (-len(nbrs[v]), v))
         uv = us.pop(v)
@@ -298,7 +375,7 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand) -> dict:
     cross = {(a, b): grid.cross(a, b) for a in range(k) for b in range(a + 1, k)}
 
     def edge_factors(key, mat):
-        return grid.cross_factors(*key) if mat is cross[key] else _cross_approx(mat)
+        return grid.cross_factors(*key) if mat is cross[key] else _ranked(mat)
 
     out = {}
     for picoef, pi in integrand.pi_terms:
@@ -667,7 +744,7 @@ def shifted_observable(params: ModelParams, points, base_colors, pi: Permutation
     """
     colors = list(base_colors)
     if any(c1 > c2 for c1, c2 in zip(colors, colors[1:])) or (colors and colors[0] < 1):
-        raise ValidationError("base colors must be nondecreasing and >= 1")
+        raise ValidationError("base colors must be nondecreasing and >= 1", field="colors")
     k = len(points)
     if len(colors) != k or len(pi) != k:
         raise ValidationError("points, colors, pi must share one rank")

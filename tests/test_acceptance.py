@@ -417,12 +417,49 @@ def test_criterion_5_k4_sums_out_through_the_split_factors(monkeypatch):
     contract = qmoments._contract
 
     def doubled(us, mats, factors, cached=None):
-        cached = {key: (2 * x, y) for key, (x, y) in (cached or {}).items()}
+        cached = {key: (2 * x, y) for key, f in (cached or {}).items()
+                  for x, y in [qmoments._factored(f, mats[key])]}
         return contract(us, mats, factors, cached)
 
     monkeypatch.setattr(qmoments, "_contract", doubled)
     got = qmoments._pairing_on_grid(grid, integrand)[pi.images]
     assert abs(got - 4 * want) <= 4e-14 * abs(want), (got, want)
+
+
+def test_criterion_5_k4_factors_only_the_edges_it_uses(monkeypatch):
+    # every edge is ranked on its stride-2 submatrix (N = 96); only the split edge (the
+    # far pair (0, 3), of least rank) and the distance-2 pairs of the two thin steps
+    # are factored at full size (N = 192); the coarse level reads the rankings as its
+    # factors, so it factors nothing
+    from vertexflow import qmoments
+    from vertexflow.verify import _cut_moment_query
+
+    captured = []
+    monkeypatch.setattr(qmoments, "pairing_values",
+                        lambda fam, integrand, q, *args: captured.append((fam, integrand, q))
+                        or {integrand.pi_terms[0][1].images: None})
+    col_a, _, _, _, powers, params = next(
+        c for c in criterion_5_pairs() if len(_cut_moment_query(c[0], c[4])[0]) == 4)
+    pts, cols, pi = _cut_moment_query(col_a, powers)
+    qmoment_skew(col_a.domain, params, MomentQuery(pts, cols, pi), nodes_per_circle=64)
+    ((fam, integrand, q),) = captured
+    grid = qmoments._Grid.build(fam, 64, "q", q)
+    assert [len(w) for w in grid.nodes] == [192] * 4
+
+    shapes, full = [], []
+    cross_approx = qmoments._cross_approx
+
+    def counted(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        full.extend((a, b) for a in range(4) for b in range(a + 1, 4) if mat is grid.cross(a, b))
+        return cross_approx(mat, *args, **kwargs)
+
+    monkeypatch.setattr(qmoments, "_cross_approx", counted)
+    qmoments._pairing_on_grid(grid, integrand)
+    assert sorted(shapes) == [(96, 96)] * 6 + [(192, 192)] * 3
+    assert sorted(full) == [(0, 2), (0, 3), (1, 3)]
+    qmoments._pairing_on_grid(grid.coarse(), integrand)
+    assert len(shapes) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,15 @@ def test_moment_shifted_level_past_rapidities_exits_2(tmp_path, capsys):
     assert "at /params/row_rapidities:" in capsys.readouterr().err
 
 
+def test_moment_shifted_base_color_zero_exits_2_at_colors(tmp_path, capsys):
+    # shifted observables take base colors >= 1
+    query = write(tmp_path, "q.json", {"points": [[1.5, 2.5], [2.5, 1.5]], "colors": [0, 1],
+                                       "params": HS_PARAMS})
+    code = run(["moment", "--theorem", "8.4", "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "at /colors: base colors must be nondecreasing and >= 1" in capsys.readouterr().err
+
+
 def test_sample_sc6v_missing_domain_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, "cfg.json", {"params": PARAMS})
     code = run(["sample", "--model", "sc6v", "--config", cfg, "--samples", "2",

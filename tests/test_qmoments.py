@@ -16,6 +16,7 @@ from vertexflow.qmoments import (
     PairingIntegrand,
     _contract,
     _cross_approx,
+    _ranked,
     beta_moment,
     iterated_integral,
     pairing_values,
@@ -549,6 +550,53 @@ def test_contraction_matches_brute_force_sum(graph):
     want = brute_force_contract(us, mats)
     got = _contract(us, mats, lambda key, mat: _cross_approx(mat), cached)
     assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_graphs())
+def test_contraction_through_ranked_edges_matches_brute_force_sum(graph):
+    # as a grid contracts: each edge ranked on its stride-2 submatrix (whole, at an odd
+    # size) and factored at full size, from those pivots, only once a step chooses it
+    us, mats, cached = graph
+    want = brute_force_contract(us, mats)
+    got = _contract(us, mats, lambda key, mat: _ranked(mat),
+                    {key: _ranked(mats[key]) for key in cached})
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@st.composite
+def seeded_low_rank(draw):
+    """A complex matrix of rank 0..5 and 6..24 rows and columns, with noise at roundoff
+    (1e-17 of its largest entry, or none), and seed pivots: random indices and repeats."""
+    n, m, r = draw(st.integers(6, 24)), draw(st.integers(6, 24)), draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    mat = cplx(n, r) @ cplx(r, m)
+    mat = mat + draw(st.sampled_from([0.0, 1e-17])) * np.abs(mat).max() * cplx(n, m)
+    seed = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=8))
+    return mat, seed + (draw(st.lists(st.sampled_from(seed), max_size=4)) if seed else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_low_rank())
+def test_seeded_cross_approx_stops_at_roundoff(case):
+    mat, seed = case
+    bound = 1e-15 * np.abs(mat).max()
+    f = _cross_approx(mat, seed=seed)
+    if f is not None:
+        x, y = f
+        assert x.shape[1] == len(f.pivots) <= (min(mat.shape) - 1) // 2
+        assert np.abs(mat - x @ y).max() <= bound
+    # seeded with its own complete-pivot pivots, it gives back its rank: the residual
+    # of every further seed is then at roundoff, so the seed is skipped.  Refactored
+    # from the same pivots, the residual moves by up to 3e-16 of max|mat|, so this
+    # holds once the residual is at most half the bound
+    own = _cross_approx(mat)
+    if own is not None and np.abs(mat - own[0] @ own[1]).max() <= bound / 2:
+        assert _cross_approx(mat, seed=own.pivots + seed)[0].shape[1] == own[0].shape[1]
 
 
 def test_cross_approx_stops_at_roundoff():
