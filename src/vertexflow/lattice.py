@@ -64,11 +64,21 @@ class ModelParams:
             vals = getattr(self, name)
             object.__setattr__(self, name, tuple(vals))
             if any(v == 0 for v in getattr(self, name)):
-                raise ValidationError(f"{name} must be nonzero")
+                raise ValidationError(f"{name} must be nonzero", field=f"params/{name}")
         lv = tuple(int(v) for v in self.boundary_levels)
         object.__setattr__(self, "boundary_levels", lv)
         if any(v < 0 for v in lv) or any(a > b for a, b in zip(lv, lv[1:])):
-            raise ValidationError("boundary_levels must be nonnegative and nondecreasing")
+            raise ValidationError("boundary_levels must be nonnegative and nondecreasing",
+                                  field="params/boundary_levels")
+
+    def require(self, what: str, **need: int) -> None:
+        """Raise at ``params/<name>`` unless each named list has at least ``need[name]``
+        entries; ``what`` names the region or query that needs them."""
+        for name, n in need.items():
+            given = len(getattr(self, name))
+            if given < n:
+                raise ValidationError(f"the {what} needs {n} {name}, {given} given",
+                                      field=f"params/{name}")
 
     def level(self, c: int) -> int:
         """l_c with l_0 = 0; the last listed level extends to all larger c."""
@@ -270,11 +280,8 @@ class SkewDomain:
 
     def step_rapidities(self, params: ModelParams):
         """Rapidity zeta_i attached to each step of Q."""
+        params.require("domain", row_rapidities=self.n_rows, col_rapidities=self.m_cols)
         x, y = params.row_rapidities, params.col_rapidities
-        for name, given, need in (("row_rapidities", x, self.n_rows), ("col_rapidities", y, self.m_cols)):
-            if len(given) < need:
-                raise ValidationError(f"the domain needs {need} {name}, {len(given)} given",
-                                      field=f"params/{name}")
         out = []
         a, b = self.q_path.start
         for s in self.q_path.steps:

@@ -616,11 +616,8 @@ def _hs_factors(params: ModelParams, points, colors):
     max_alpha_col = max(int(p[0] - 0.5) for p in points)
     levels = [params.level(c) for c in colors]
     n_rows_needed = max([max_beta_row] + levels)
-    for name, given, need in (("row_rapidities", us, n_rows_needed),
-                              ("col_rapidities", ys, max_alpha_col), ("col_spins", ss, max_alpha_col)):
-        if len(given) < need:
-            raise ValidationError(f"the query needs {need} {name}, {len(given)} given",
-                                  field=f"params/{name}")
+    params.require("query", row_rapidities=n_rows_needed, col_rapidities=max_alpha_col,
+                   col_spins=max_alpha_col)
 
     phi_factors = [ratio_product([us[i] for i in range(lc)], [q * us[i] for i in range(lc)])
                    for lc in levels]

@@ -15,17 +15,23 @@ quadrant windows) with all per-vertex draws vectorized across the batch.  Each
 vertex model has one ``transitions(state)``: ``weights._sc6v_transitions``,
 ``weights._hs_transitions`` or ``weights.qhahn_row`` (a whole row of
 ``qhahn_weight``).  All samplers draw through one kernel, ``_VertexLaw``: it
-groups the batch by an integer key of the incoming state, builds and checks (the
-only stochasticity check) one row per state present, and makes one inverse-CDF
-draw per sample.  The enumerators are the package's one lattice sum,
-``weights.lattice_sum``, over the same transitions with a slot per edge, without
-the check, since complex weights are legal there; one ``_Model`` record per
-model feeds both.  Every height is read where ``lattice.height_anchor`` says.
+groups the batch by a mixed-radix key of the incoming state built in place,
+builds and checks (the only stochasticity check) one row per state present, once
+for all streams, and makes one inverse-CDF draw per sample.  A row stores the
+least uniform that reaches each cumulative weight (``_thresholds``), so the draw
+is a binary search on u alone, in place on one index array, and one ``take``
+from an outcome table already in the edge dtype; it picks what a search for
+u times the row total picks, bit for bit.  The enumerators are the package's one
+lattice sum, ``weights.lattice_sum``, over the same transitions with a slot per
+edge, without the check, since complex weights are legal there; one ``_Model``
+record per model feeds both.  Every height is read where ``lattice.height_anchor``
+says.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -174,67 +180,106 @@ class WeightedEnsemble:
 def _group(parts):
     """(group per sample, state per group) for the incoming-state columns ``parts``.
 
-    The mixed-radix key is re-ranked whenever its space outgrows the batch, so it
-    stays below batch size times one radix (no int64 overflow) and one dense table
-    numbers the states present, whatever the number of columns."""
-    key, span = np.zeros(len(parts[0]), dtype=np.intp), 1
-    for c in parts:
+    The mixed-radix key is built in place on one ``intp`` array and re-ranked whenever
+    its space outgrows the batch, so it stays below batch size times one radix (no
+    int64 overflow) and one dense table numbers the states present, whatever the
+    number of columns.  The states are decoded from the keys present."""
+    key, span, radices = parts[0].astype(np.intp), 1, []
+    for i, c in enumerate(parts):
         r = int(c.max()) + 1
-        key, span = key * r + c, span * r
+        if i:
+            key *= r
+            key += c
+        span *= r
+        ranks = None
         if span > len(c):
-            key = np.unique(key, return_inverse=True)[1]
-            span = int(key.max()) + 1
-    rep = np.full(span, -1, dtype=np.intp)
-    rep[key] = np.arange(len(key))  # any sample with a key carries its state
-    present = np.flatnonzero(rep >= 0)
+            ranks, key = np.unique(key, return_inverse=True)
+            span = len(ranks)
+        radices.append((r, ranks))
+    present = np.flatnonzero(np.bincount(key, minlength=span))
     lookup = np.empty(span, dtype=np.intp)
     lookup[present] = np.arange(len(present))
-    return lookup.take(key), list(zip(*(c.take(rep[present]).tolist() for c in parts)))
+    digits = []
+    for r, ranks in reversed(radices):
+        if ranks is not None:
+            present = ranks[present]
+        present, digit = np.divmod(present, r)
+        digits.append(digit.tolist())
+    return lookup.take(key), list(zip(*reversed(digits)))
+
+
+def _thresholds(cdf):
+    """For each cumulative weight c of a row with total t, the least double u with
+    u * t >= c in floating point.  Rounding is monotone, so u * t >= c holds exactly
+    when u >= that threshold, and a draw compares u with it, not u * t with c.  c / t
+    is within a few ulps of it for the totals near 1 of checked rows (t in [0.5, 2])."""
+    t = cdf[-1]
+    thr = cdf / t
+    while True:
+        up = thr * t < cdf  # too small
+        down = ~up & (np.nextafter(thr, -np.inf) * t >= cdf)  # a smaller u also passes
+        if not (up.any() or down.any()):
+            return thr
+        thr[up] = np.nextafter(thr[up], np.inf)
+        thr[down] = np.nextafter(thr[down], -np.inf)
 
 
 class _VertexLaw:
     """Inverse-CDF draws from ``transitions``; each incoming state's row is built on
     first use, checked (the samplers' one stochasticity check) and cached.  Streams on
-    different threads share the cache: a race may build a row twice, to the same value."""
+    different threads share the cache; a miss builds its row under a lock, so each row
+    is built once."""
 
     def __init__(self, transitions):
         self.transitions = transitions
-        self.rows = {}  # state -> (outgoing states (#out, length), cumulative weights)
+        self.rows = {}  # state -> (outgoing states (#out, length), _thresholds of the cdf)
+        self.lock = threading.Lock()
 
     def row(self, state, vertex):
-        if state not in self.rows:
-            outs, ws = self.transitions(state)
-            w = np.asarray(ws, dtype=complex)
-            p = w.real
-            if (np.abs(w.imag).max() > 1e-12 or p.min() < -1e-12 or p.max() > 1 + 1e-12
-                    or abs(p.sum() - 1) > PROB_TOL):
-                raise ParameterRangeError(
-                    f"vertex {vertex}: weights out of state {state} are not a probability distribution "
-                    f"(min {p.min():.3g}, sum {p.sum():.15g}, max |imag| {np.abs(w.imag).max():.3g})")
-            self.rows[state] = (np.array(outs, dtype=np.int64), np.cumsum(np.clip(p, 0, None)))
-        return self.rows[state]
+        cached = self.rows.get(state)
+        if cached is not None:
+            return cached
+        with self.lock:
+            if state not in self.rows:
+                outs, ws = self.transitions(state)
+                w = np.asarray(ws, dtype=complex)
+                p = w.real
+                if (not np.isfinite(w).all() or np.abs(w.imag).max() > 1e-12 or p.min() < -1e-12
+                        or p.max() > 1 + 1e-12 or abs(p.sum() - 1) > PROB_TOL):
+                    raise ParameterRangeError(
+                        f"vertex {vertex}: weights out of state {state} are not a probability "
+                        f"distribution (min {p.min():.3g}, sum {p.sum():.15g}, "
+                        f"max |imag| {np.abs(w.imag).max():.3g})")
+                self.rows[state] = (np.array(outs, dtype=np.int64),
+                                    _thresholds(np.cumsum(np.clip(p, 0, None))))
+            return self.rows[state]
 
-    def draw(self, parts, u, vertex):
-        """Outgoing states (length, samples): sample i takes the first outcome whose
-        cumulative weight exceeds u_i times its row total, found by a branchless
-        binary search over rows padded with their total to a power-of-two width."""
+    def draw(self, parts, u, vertex, dtype=np.int64):
+        """Outgoing states (length, samples) in ``dtype``: sample i takes the first
+        outcome whose cumulative weight exceeds u_i times its row total.
+
+        The rows of the states present are padded with their last threshold and
+        outcome to one power-of-two width.  A branchless binary search then moves each
+        sample's group index into the padded threshold table in place, and one
+        ``take`` from the outcome table, already in ``dtype``, reads the outcomes."""
         group, states = _group(parts)
         rows = [self.row(st, vertex) for st in states]
-        lengths = np.array([len(cdf) for _, cdf in rows])
+        lengths = np.array([len(thr) for _, thr in rows])
         width = 1 << int(lengths.max() - 1).bit_length()
-        where = (np.cumsum(lengths) - lengths)[:, None] + np.minimum(np.arange(width), lengths[:, None] - 1)
-        cdfs = np.concatenate([cdf for _, cdf in rows])[where]  # padded with each row's total
-        base = group * width
-        pick = np.zeros(len(u), dtype=np.intp)
+        where = ((np.cumsum(lengths) - lengths)[:, None]
+                 + np.minimum(np.arange(width), lengths[:, None] - 1)).ravel()
+        outs = np.concatenate([o for o, _ in rows]).T.astype(dtype, order="C")[:, where]
         if width > 1:
-            x = u * cdfs[:, -1].take(group)
-            flat = cdfs.ravel()
+            thr = np.concatenate([thr for _, thr in rows])[where]
+            probe, hit = np.empty(len(u)), np.empty(len(u), dtype=bool)
             step = width >> 1
-            while step:
-                pick += step * (flat.take(base + pick + (step - 1)) <= x)
+            while step:  # 2 * step * group is the first padded index not yet ruled out
+                np.take(thr[step - 1::2 * step], group, out=probe, mode="clip")  # indices are in range
+                np.less_equal(probe, u, out=hit)
+                group <<= 1
+                group += hit
                 step >>= 1
-        outs = np.concatenate([o for o, _ in rows]).T
-        return outs.take(where.ravel().take(base + pick), axis=1)
+        return outs.take(group, axis=1)
 
 
 @dataclass(frozen=True)
@@ -274,7 +319,7 @@ def _sweep(model: _Model, laws, seed: int, count: int, workers: int):
         size = sl.stop - sl.start
         for (x, y), law in laws.items():
             out = law.draw([*v[x, y - 1, ..., sl].reshape(-1, size), h[x - 1, y, sl]], rng.random(size),
-                           (x, y))
+                           (x, y), v.dtype)
             v[x, y, ..., sl] = out[:-1]
             h[x, y, sl] = out[-1]
 
@@ -317,13 +362,16 @@ def _enumerate(model: _Model) -> WeightedEnsemble:
 
 
 def _sc6v_model(domain: SkewDomain, params: ModelParams) -> _Model:
+    vertices = list(domain.vertices())
+    params.require("domain", row_rapidities=max((y for _, y in vertices), default=0),
+                   col_rapidities=max((x for x, _ in vertices), default=0))
     xr, yc = params.row_rapidities, params.col_rapidities
     h = {(x, y): 0 for x in range(domain.m_cols + 1) for y in range(domain.n_rows + 1)}
     v = dict(h)
     for kind, edge, color in domain.incoming_edges():
         (h if kind == "h" else v)[edge] = color
     return _Model({(x, y): partial(_sc6v_transitions, xr[y - 1] / yc[x - 1], params.q)
-                   for (x, y) in domain.vertices()},
+                   for (x, y) in vertices},
                   h, v, domain.n_rows, domain.m_cols, max(domain.coloring, default=1) or 1, domain)
 
 
@@ -356,12 +404,8 @@ def _hs_model(params: ModelParams, rect: tuple[int, int]) -> _Model:
     """The window's vertices in row-sweep order: color c enters at rows l_{c-1}+1 .. l_c
     from the left, the bottom is empty and vertical labels are compositions."""
     n_rows, m_cols = rect
+    params.require("window", row_rapidities=n_rows, col_rapidities=m_cols, col_spins=m_cols)
     u, ys, ss = params.row_rapidities, params.col_rapidities, params.col_spins
-    for name, given, need in (("row_rapidities", u, n_rows), ("col_rapidities", ys, m_cols),
-                              ("col_spins", ss, m_cols)):
-        if len(given) < need:
-            raise ValidationError(f"the window needs {need} {name}, {len(given)} given",
-                                  field=f"params/{name}")
     n_colors = max((params.row_color(r) for r in range(1, n_rows + 1)), default=1) or 1
     h = {(x, y): 0 for x in range(m_cols + 1) for y in range(n_rows + 1)}
     for y in range(1, n_rows + 1):

@@ -222,6 +222,33 @@ def test_moment_reports_convergence(tmp_path, capsys):
     assert "converged at 64 nodes/circle" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field", ["row_rapidities", "col_rapidities"])
+def test_sample_sc6v_short_list_exits_2_at_its_field(tmp_path, capsys, field):
+    # the 2x2 domain needs two of each; the sampler read past the end of a shorter list
+    params = dict(PARAMS, **{field: PARAMS[field][:1]})
+    cfg = write(tmp_path, "cfg.json", {"domain": DOMAIN, "params": params})
+    code = run(["sample", "--model", "sc6v", "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert f"at /params/{field}:" in capsys.readouterr().err
+
+
+QHAHN_PARAMS = {"q": 0.4, "s": 0.4, "z": 0.7, "boundary_levels": [1, 2]}
+
+
+@pytest.mark.parametrize("model, params, field", [
+    ("qhahn", dict(QHAHN_PARAMS, boundary_levels=[2, 1]), "boundary_levels"),
+    ("hs", dict(HS_PARAMS, boundary_levels=[2, 1]), "boundary_levels"),
+    ("hs", dict(HS_PARAMS, col_spins=[4.0, 0.0]), "col_spins"),
+])
+def test_sample_model_params_error_exits_2_at_its_field(tmp_path, capsys, model, params, field):
+    cfg = write(tmp_path, "cfg.json", {"params": params, "rect": [2, 2]})
+    code = run(["sample", "--model", model, "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert f"at /params/{field}:" in capsys.readouterr().err
+
+
 def test_moment_qhahn_string_levels_exits_2(tmp_path, capsys):
     query = write(tmp_path, "q.json", {
         "points": [[1.5, 0.5]], "colors": [0],

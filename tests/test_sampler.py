@@ -2,13 +2,19 @@
 
 import hashlib
 import sys
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexflow.errors import EnumerationCapError, ParameterRangeError, ValidationError
 from vertexflow.lattice import ModelParams, dbl, height_d, rectangle_domain
 from vertexflow.sampler import (
+    _thresholds,
+    _VertexLaw,
     beta_first_moment,
     enumerate_higher_spin,
     enumerate_sc6v,
@@ -248,6 +254,97 @@ def test_grouping_keys_beyond_int64():
     group, states = _group(list(cols))
     assert len(states) == len({tuple(r) for r in cols.T.tolist()})
     assert [states[g] for g in group] == [tuple(r) for r in cols.T.tolist()]
+
+
+@st.composite
+def vertex_laws(draw):
+    """Incoming-state columns, a transitions table over their states, uniforms and an
+    output dtype.  Rows have 1..9 outcomes (padded widths 1..16) with zero weights
+    among them; one state or many; 1..8 columns of radix up to 2^40, so some key
+    spaces outgrow the batch and are re-ranked.  The uniforms include 0, the largest
+    double below 1 and values at and one ulp around the boundaries of the rows' cdfs."""
+    dtypes = st.sampled_from([np.int8, np.int16, np.int64])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, n_cols = draw(st.integers(1, 60)), draw(st.integers(1, 8))
+    radix = draw(st.sampled_from([2, 5, 2**40]))
+    pool = np.unique(rng.integers(0, radix, (draw(st.sampled_from([1, 12])), n_cols)), axis=0)
+    states = pool[rng.integers(0, len(pool), n)]
+    parts = list(states.T.astype(np.int64 if radix > 100 else draw(dtypes)))
+    out_len = draw(st.integers(1, 4))
+    table = {}
+    for state in pool.tolist():
+        length = draw(st.integers(1, 9))
+        w = rng.random(length) * (rng.random(length) < 0.7)
+        w[rng.integers(length)] += w.sum() == 0
+        outs = rng.integers(-100, 100, (length, out_len)).tolist()
+        table[tuple(state)] = (outs, (w / w.sum()).tolist())
+    top = np.nextafter(1.0, 0)
+    u = rng.random(n)
+    for i in rng.integers(0, n, min(n, 8)):
+        cdf = np.cumsum(table[tuple(states[i].tolist())][1])
+        x = cdf[rng.integers(len(cdf))] / cdf[-1]
+        u[i] = min((np.nextafter(x, 0), x, np.nextafter(x, 2))[rng.integers(3)], top)
+    u[rng.integers(0, n, 2)] = (0.0, top)
+    return parts, table, u, draw(dtypes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_laws())
+def test_vertex_law_draws_match_per_sample_inverse_cdf(case):
+    # each sample takes the first outcome whose cumulative weight exceeds u times its
+    # row total, the last one if none does (u * total can round up to the total)
+    parts, table, u, dtype = case
+    want = []
+    for i in range(len(u)):
+        outs, w = table[tuple(int(c[i]) for c in parts)]
+        cdf = np.cumsum(np.clip(w, 0, None))
+        want.append(outs[min(int(np.searchsorted(cdf, u[i] * cdf[-1], side="right")), len(cdf) - 1)])
+    got = _VertexLaw(table.__getitem__).draw(parts, u, (1, 1), dtype)
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.array(want, dtype=dtype).T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 50), st.floats(0, 50, allow_subnormal=False)),
+                min_size=1, max_size=9).filter(lambda w: sum(w) > 0),
+       st.floats(0.5, 2))
+def test_thresholds_are_the_least_passing_uniforms(weights, total):
+    # u * total >= c in floating point exactly when u >= the threshold of c; c / total
+    # misses that threshold by an ulp now and then, either way (15 / 22 * 22 < 15)
+    cdf = np.cumsum(weights) * (total / sum(weights))
+    thr = _thresholds(cdf)
+    assert (thr * cdf[-1] >= cdf).all()
+    assert (np.nextafter(thr, -np.inf) * cdf[-1] < cdf).all()
+
+
+def test_vertex_law_rejects_nan_weights():
+    # NaN fails no comparison: a check made only of comparisons would pass the row
+    law = _VertexLaw(lambda state: ([(0,), (1,)], [float("nan"), 1.0]))
+    with pytest.raises(ParameterRangeError, match="vertex"):
+        law.row((0,), (1, 1))
+
+
+def test_row_cache_builds_each_row_once(monkeypatch):
+    # a stream that misses the cache builds the row under the law's lock, so two
+    # streams that meet a new state together build it once, however often they switch
+    from vertexflow import sampler
+
+    calls = Counter()
+    transitions = sampler._hs_transitions
+
+    def counted(*args):  # (spectral parameter, spin, q, state): one vertex per parameter here
+        calls[args] += 1
+        time.sleep(1e-3)  # lets the other stream run into the same miss
+        return transitions(*args)
+
+    monkeypatch.setattr(sampler, "_hs_transitions", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sample_higher_spin(HS_PARAMS, (2, 2), seed=42, count=2000, workers=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls and set(calls.values()) == {1}
 
 
 def test_higher_spin_seventy_colors_conserve_paths():
