@@ -176,7 +176,7 @@ def _convergence(res: qmoments.MomentResult) -> str:
 def _cmd_moment(args) -> int:
     doc = _load_json(args.query, "moment_query")
     theorem = args.theorem
-    nodes = doc.get("nodes_per_circle", qmoments.DEFAULT_NODES)
+    nodes = doc.get("nodes_per_circle")
     tol = doc.get("tolerance", qmoments.DEFAULT_TOL)
     query = _query_from_json(doc)
     if theorem == "6.1":

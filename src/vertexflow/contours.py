@@ -33,6 +33,11 @@ def phase_denominator(k: int) -> int:
     return k + 1 if k % 2 == 0 else k + 2
 
 
+def _resolution_floor(circle: "Circle", gap: float) -> float:
+    """The least node count at which ``gap`` is 10x the resolution 2 pi r / n of ``circle``."""
+    return 10 * 2 * np.pi * circle.radius / gap
+
+
 @dataclass(frozen=True)
 class Circle:
     center: complex
@@ -61,25 +66,49 @@ class ContourFamily:
             self.q,
         )
 
-    def nodes(self, var: int, nodes_per_circle: int):
+    def nodes(self, var: int, nodes_per_circle: int, turn: float = 0.0):
         """Quadrature nodes and dw/(2 pi i) weights for variable ``var`` (1-based).
 
         The nodes of each circle follow one another, ``nodes_per_circle`` per
         circle.  Their phase depends only on the odd part of the count (see
         ``phase_denominator``), so the grid at n/2 is exactly ``w[::2]`` of the
-        grid at n, with weights ``2 * dw[::2]``.
+        grid at n, with weights ``2 * dw[::2]``.  ``turn`` turns every circle's
+        nodes by that many spacings more; every variable turns alike, so nodes of
+        two variables on a shared circle keep their distance.
         """
         ws, dws = [], []
         odd = nodes_per_circle // (nodes_per_circle & -nodes_per_circle)
         phase = var / (phase_denominator(self.k) * odd)
         for circ in self.per_variable[var - 1]:
-            theta = 2 * np.pi * (np.arange(nodes_per_circle) / nodes_per_circle + phase)
+            theta = 2 * np.pi * ((np.arange(nodes_per_circle) + turn) / nodes_per_circle + phase)
             w = circ.center + circ.radius * np.exp(1j * theta)
             ws.append(w)
             dws.append((w - circ.center) / nodes_per_circle)
         return np.concatenate(ws), np.concatenate(dws)
 
-    def validate(self, nodes_per_circle: int = 256) -> dict:
+    def _outside_gaps(self):
+        """(pole, circle, gap) for every outside pole and every circle of every union."""
+        for circles in self.per_variable:
+            for p in self.outside_poles:
+                for c in circles:
+                    gap = abs(p - c.center) - c.radius
+                    if gap <= 0:
+                        raise ContourError(f"outside pole {p} not outside circle {c}")
+                    yield p, c, gap
+
+    def start_count(self) -> int:
+        """The least power of two >= 8 nodes per circle that ``validate`` accepts.
+
+        ``validate`` accepts n when every outside pole's gap to every circle is at
+        least 10x the resolution 2 pi r / n, that is n >= 20 pi r / gap.
+        """
+        floor = max((_resolution_floor(c, gap) for _, c, gap in self._outside_gaps()), default=0)
+        n = 8
+        while n < floor:
+            n *= 2
+        return n
+
+    def validate(self, nodes_per_circle: int) -> dict:
         """Check the inside/outside classification and nesting; return margins.
 
         Inside poles must lie strictly inside exactly one circle of every
@@ -87,6 +116,10 @@ class ContourFamily:
         with margin >= 10x the quadrature resolution 2 pi r / nodes.
         """
         margins = {"inside": np.inf, "outside": np.inf}
+        for p, c, gap in self._outside_gaps():
+            if _resolution_floor(c, gap) > nodes_per_circle:
+                raise ContourError(f"outside pole {p} within 10x quadrature resolution of {c}")
+            margins["outside"] = min(margins["outside"], gap)
         for circles in self.per_variable:
             for p in self.inside_poles:
                 containing = [c for c in circles if abs(p - c.center) < c.radius]
@@ -94,17 +127,6 @@ class ContourFamily:
                     raise ContourError(f"inside pole {p} contained in {len(containing)} circles")
                 c = containing[0]
                 margins["inside"] = min(margins["inside"], c.radius - abs(p - c.center))
-            for p in self.outside_poles:
-                for c in circles:
-                    gap = abs(p - c.center) - c.radius
-                    if gap <= 0:
-                        raise ContourError(f"outside pole {p} not outside circle {c}")
-                    res = 10 * 2 * np.pi * c.radius / nodes_per_circle
-                    if gap < res:
-                        raise ContourError(
-                            f"outside pole {p} within 10x quadrature resolution of {c}"
-                        )
-                    margins["outside"] = min(margins["outside"], gap)
             # disjointness within one union
             for i, c1 in enumerate(circles):
                 for c2 in circles[i + 1:]:

@@ -30,13 +30,27 @@ subgraph per node.  The stride-2 submatrix of a cross matrix is the cross
 matrix of the next coarser level, which takes that ranking as its factors.
 
 One adaptive loop serves every integral.  Node phases do not change with
-the node count, so the grid at n/2 is the stride-2 subset of the grid at n and
-is read from the same tables.  The loop evaluates the requested count n first
-and returns I(n) when |I(n) - I(n/2)| < tol; otherwise n doubles and the old
-level becomes the coarse one.  The estimate is taken on the quantity returned:
-moment prefactors such as q^{k(k-1)/2 - l(pi)} ride in the ``pi_terms``
-coefficients, and summed integrals are priced as sums.  A run that would pass
-the node cap stops there and returns ``converged=False``; ``converged=True``
+the node count, so the grids at n/2 and n/4 are stride-2 subsets of the grid
+at n and are read from the same tables.  The loop starts at the requested
+count n, or, when none is given, at the least power of two >= 8 that the
+contour family's margin rule accepts (``ContourFamily.start_count``).  It
+returns I(n) when |I(n) - I(n/2)| < tol.  That difference is the error of
+I(n/2), one level behind; trapezoid sums on circles converge geometrically,
+so on a miss the loop reads I(n/4) too (free after a doubling).  When the
+three levels contract, |I(n) - I(n/2)| < |I(n/2) - I(n/4)|, the three-level
+estimate max(|I(n) - I(n/2)|^2 / |I(n/2) - I(n/4)|, 64 eps max|I|) predicts
+the error of I(n).  Differences of nested levels cannot see a roundoff floor
+above 64 eps |I|, which integrands with large cancellation have (1e-10 on a
+k = 3 skew query whose prediction read 5e-17), so a prediction below tol is
+confirmed on I~(n), the n-grid turned by half a spacing: its nodes are new
+and its leading aliasing term flips sign, so |I(n) - I~(n)| is about twice
+the error of I(n), roundoff included.  The loop returns I(n) when the larger
+of the two is below tol; that costs one more evaluation at n, where a
+doubling costs 2^k of them.  Otherwise n doubles and the old levels move down
+one.  The estimate is taken on the quantity returned: moment prefactors such
+as q^{k(k-1)/2 - l(pi)} ride in the ``pi_terms`` coefficients, and summed
+integrals are priced as sums.  A run that would pass the node cap stops there
+and returns ``converged=False`` with |I(n) - I(n/2)|; ``converged=True``
 always means ``error_estimate < tol``.
 """
 
@@ -52,9 +66,9 @@ from .hecke import Permutation, PointFunction, _coeffs, kappa_table
 from .lattice import ModelParams, SkewDomain, check_pole_separation, dbl
 from .weights import q_pochhammer
 
-DEFAULT_NODES = 256
 NODE_CAP = 4096
 DEFAULT_TOL = 1e-10
+ROUNDOFF = 64 * np.finfo(float).eps  # relative floor of the three-level estimate
 
 
 @dataclass
@@ -83,8 +97,13 @@ class MomentQuery:
 
 @dataclass
 class MomentResult:
-    """An integral value, |I(n) - I(n/2)| of that value, the final node count n,
-    and whether the estimate met the tolerance before the node cap."""
+    """An integral value I(n), its error estimate, the final node count n, and
+    whether the estimate met the tolerance before the node cap.
+
+    The estimate is |I(n) - I(n/2)|, or, where that misses the tolerance, the
+    larger of the three-level estimate and |I(n) - I~(n)| (see the module
+    docstring) if that one meets it.
+    """
 
     value: complex
     error_estimate: float
@@ -134,8 +153,9 @@ class _Grid:
         self._tables = {}
 
     @classmethod
-    def build(cls, fam: ContourFamily, nodes_per_circle: int, variant: str, q) -> "_Grid":
-        nodes, dws = zip(*(fam.nodes(a, nodes_per_circle) for a in range(1, fam.k + 1)))
+    def build(cls, fam: ContourFamily, nodes_per_circle: int, variant: str, q,
+              turn: float = 0.0) -> "_Grid":
+        nodes, dws = zip(*(fam.nodes(a, nodes_per_circle, turn) for a in range(1, fam.k + 1)))
         return cls(list(nodes), list(dws), variant, q)
 
     def coarse(self) -> "_Grid":
@@ -162,11 +182,16 @@ class _Grid:
         return self._table(("cross", a, b), build, lambda m: m[::2, ::2])
 
     def cross_factors(self, a: int, b: int):
-        """``_ranked(cross(a, b))``, computed on the finest level.  It factors the stride-2
+        """``_ranked(cross(a, b))``.  On the finest level it factors the stride-2
         submatrix, which is the cross matrix of the next coarser level: that level reads
-        it as its own factors."""
-        return self._table(("factors", a, b), lambda grid: _ranked(grid.cross(a, b)),
-                           lambda f: f)
+        it as its own factors.  A level further down ranks its own cross matrix."""
+        key = ("factors", a, b)
+        if key not in self._tables:
+            finer = self._finer
+            self._tables[key] = (finer.cross_factors(a, b)
+                                 if finer is not None and finer._finer is None
+                                 else _ranked(self.cross(a, b)))
+        return self._tables[key]
 
     def pair_matrix(self, tag: str, u: int, v: int) -> tuple:
         """Coefficient matrix for DL-recursion factors on the variable pair (u, v).
@@ -384,18 +409,18 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand) -> dict:
             new = {}
             for rho, tlist in terms.items():
                 u_var, v_var = rho[i - 1] - 1, rho[i] - 1
-                a_key, a_mat = grid.pair_matrix("a", u_var, v_var)
-                b_key, b_mat = grid.pair_matrix("b", u_var, v_var)
+                key, a_mat = grid.pair_matrix("a", u_var, v_var)
                 rho_s = list(rho)
                 rho_s[i - 1], rho_s[i] = rho_s[i], rho_s[i - 1]
                 rho_s = tuple(rho_s)
                 for mats in tlist:
-                    new.setdefault(rho, []).append(_mat_mult(mats, a_key, a_mat))
-                    if u_var < v_var and mats.get(b_key) is cross[b_key]:
+                    new.setdefault(rho, []).append(_mat_mult(mats, key, a_mat))
+                    if u_var < v_var and mats.get(key) is cross[key]:
                         new.setdefault(rho_s, []).append(
-                            {key: m for key, m in mats.items() if key != b_key})
-                    else:
-                        new.setdefault(rho_s, []).append(_mat_mult(mats, b_key, b_mat))
+                            {edge: m for edge, m in mats.items() if edge != key})
+                    else:  # the b-table is built only here, where it is read
+                        b_mat = grid.pair_matrix("b", u_var, v_var)[1]
+                        new.setdefault(rho_s, []).append(_mat_mult(mats, key, b_mat))
             terms = new
         total = 0j
         for rho, tlist in terms.items():
@@ -419,44 +444,94 @@ def _mat_mult(mats: dict, key, mat) -> dict:
     return new
 
 
-def _adaptive(fam: ContourFamily, variant: str, q, evaluate, nodes_per_circle: int,
+def _start(fam: ContourFamily, nodes_per_circle: int | None) -> int:
+    """The start count: ``nodes_per_circle`` if given, else the family's own.  The
+    entry points resolve it before they call ``pairing_values``, so the count that
+    ``pairing_values`` receives is the one the loop starts at."""
+    return fam.start_count() if nodes_per_circle is None else nodes_per_circle
+
+
+def _three_level(fine: complex, coarse: complex, coarser: complex) -> float:
+    """max(|I(n) - I(n/2)|^2 / |I(n/2) - I(n/4)|, 64 eps max|I|) for I(n) = ``fine``,
+    I(n/2) = ``coarse`` and I(n/4) = ``coarser``; inf unless the levels contract."""
+    two, back = abs(fine - coarse), abs(coarse - coarser)
+    if not two < back:
+        return np.inf
+    return max(two * two / back, ROUNDOFF * max(abs(fine), abs(coarse), abs(coarser)))
+
+
+def _reads_quarter(n: int) -> bool:
+    """Whether level n may be certified through I(n/4): only if that level has at
+    least 8 nodes per circle, the least start count.  Predictions from 4 nodes per
+    circle were off by up to 4x on the enumeration sweep of the test corpus."""
+    return n % 4 == 0 and n // 4 >= 8
+
+
+def _estimate(fine: complex, coarse: complex, coarser, turned, tol: float) -> float:
+    """The error estimate of I(n) = ``fine``: |I(n) - I(n/2)|, unless that misses ``tol``
+    and the larger of the three-level estimate and |I(n) - I~(n)| meets it.  I~(n) =
+    ``turned`` is I on the n-grid turned by half a spacing; ``coarser`` or ``turned``
+    is None where that level is not read."""
+    two = abs(fine - coarse)
+    if two < tol or coarser is None or turned is None:
+        return two
+    sharp = max(_three_level(fine, coarse, coarser), abs(fine - turned))
+    return sharp if sharp < tol else two
+
+
+def _adaptive(fam: ContourFamily, variant: str, q, evaluate, nodes_per_circle: int | None,
               tol: float, cap: int) -> dict:
     """The adaptive loop: {key: MomentResult} for ``evaluate(grid) -> {key: value}``.
 
     Level n is priced against its stride-2 subset n/2 (an odd start count is
-    first doubled, so the requested grid is that subset).  If some key's
-    |I(n) - I(n/2)| is not below ``tol``, n doubles and the old level becomes
-    the coarse one, until every key passes or doubling would pass ``cap``.
+    first doubled, so the requested grid is that subset).  Where some key misses
+    ``tol`` and ``_reads_quarter(n)``, I(n/4) is read too (at the first level it
+    is evaluated then), and where the three-level estimate of such a key meets
+    ``tol``, I~(n) on the turned grid is evaluated to confirm it (see
+    ``_estimate``).  Until every key's estimate is below ``tol``, or doubling
+    would pass ``cap``, n doubles and the old levels become the coarse ones.
     """
-    fam.validate(nodes_per_circle)
-    n = nodes_per_circle if nodes_per_circle % 2 == 0 else 2 * nodes_per_circle
+    n = _start(fam, nodes_per_circle)
+    fam.validate(n)
+    if n % 2:
+        n *= 2
     grid = _Grid.build(fam, n, variant, q)
-    fine = evaluate(grid)
-    coarse = evaluate(grid.coarse())
+    half = grid.coarse()
+    fine, coarse, coarser = evaluate(grid), evaluate(half), None
     while True:
         for v in fine.values():
             if not np.isfinite(v):
                 raise ContourResolutionError(
                     f"non-finite integral value at {n} nodes per circle; increase nodes"
                 )
-        est = {key: abs(fine[key] - coarse[key]) for key in fine}
+        missed = [key for key in fine if not abs(fine[key] - coarse[key]) < tol]
+        turned = None
+        if missed and _reads_quarter(n):
+            if coarser is None:
+                coarser = evaluate(half.coarse())
+            if any(_three_level(fine[key], coarse[key], coarser[key]) < tol for key in missed):
+                turned = evaluate(_Grid.build(fam, n, variant, q, turn=0.5))
+        est = {key: _estimate(fine[key], coarse[key], coarser and coarser[key],
+                              turned and turned[key], tol) for key in fine}
         if max(est.values()) < tol or 2 * n > cap:
             return {key: MomentResult(fine[key], est[key], n, bool(est[key] < tol))
                     for key in fine}
         n *= 2
-        coarse, fine = fine, evaluate(_Grid.build(fam, n, variant, q))
+        coarser, coarse = coarse, fine
+        fine = evaluate(_Grid.build(fam, n, variant, q))
 
 
 def pairing_values(fam: ContourFamily, integrand: PairingIntegrand, q,
-                   nodes_per_circle: int = DEFAULT_NODES, tol: float = DEFAULT_TOL,
+                   nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
                    cap: int = NODE_CAP) -> dict:
     """Adaptive evaluation; returns {pi images: MomentResult}, each pi's value
-    carrying its ``pi_terms`` coefficient."""
+    carrying its ``pi_terms`` coefficient.  With no node count the loop starts at
+    ``fam.start_count()``."""
     return _adaptive(fam, integrand.variant, q, lambda g: _pairing_on_grid(g, integrand),
                      nodes_per_circle, tol, cap)
 
 
-def iterated_integral(f, contours: ContourFamily, nodes_per_circle: int = DEFAULT_NODES,
+def iterated_integral(f, contours: ContourFamily, nodes_per_circle: int | None = None,
                       q=None, variant: str = "q", tol: float = DEFAULT_TOL,
                       cap: int = NODE_CAP) -> MomentResult:
     """The pairing integral of ``f`` over the contour family.
@@ -556,7 +631,7 @@ def _validate_query_order(points, colors):
 
 
 def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, pis,
-                       nodes_per_circle: int = DEFAULT_NODES, tol: float = DEFAULT_TOL,
+                       nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
                        cap: int = NODE_CAP, contour_scale: float = 1.0) -> dict:
     """E[q^{H_{pi.c}}] for every pi in ``pis``, sharing one quadrature grid."""
     _validate_query_order(points, colors)
@@ -590,11 +665,11 @@ def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, 
     if contour_scale != 1.0:
         fam = fam.scaled(contour_scale)
     integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors, _moment_terms(q, pis), "q")
-    return pairing_values(fam, integrand, q, nodes_per_circle, tol, cap)
+    return pairing_values(fam, integrand, q, _start(fam, nodes_per_circle), tol, cap)
 
 
 def qmoment_skew(domain: SkewDomain, params: ModelParams, query: MomentQuery,
-                 nodes_per_circle: int = DEFAULT_NODES, tol: float = DEFAULT_TOL,
+                 nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
                  cap: int = NODE_CAP, contour_scale: float = 1.0) -> MomentResult:
     """E[exp_q(H^{(A,B)}_{pi.c})] for the SC6V model on a skew domain."""
     res = qmoment_skew_multi(domain, params, query.points, query.colors, [query.pi],
@@ -644,7 +719,7 @@ def _hs_factors(params: ModelParams, points, colors):
 
 
 def qmoment_higher_spin_multi(params: ModelParams, points, colors, pis,
-                              nodes_per_circle: int = DEFAULT_NODES,
+                              nodes_per_circle: int | None = None,
                               tol: float = DEFAULT_TOL, cap: int = NODE_CAP,
                               contour_scale: float = 1.0) -> dict:
     _validate_query_order(points, colors)
@@ -658,11 +733,11 @@ def qmoment_higher_spin_multi(params: ModelParams, points, colors, pis,
     if contour_scale != 1.0:
         fam = fam.scaled(contour_scale)
     integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors, _moment_terms(q, pis), "q")
-    return pairing_values(fam, integrand, q, nodes_per_circle, tol, cap)
+    return pairing_values(fam, integrand, q, _start(fam, nodes_per_circle), tol, cap)
 
 
 def qmoment_higher_spin(params: ModelParams, query: MomentQuery,
-                        nodes_per_circle: int = DEFAULT_NODES, tol: float = DEFAULT_TOL,
+                        nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
                         cap: int = NODE_CAP, contour_scale: float = 1.0) -> MomentResult:
     """E[q^{sum_i h_{>c_i}(alpha_pi(i), beta_pi(i))}] on the higher-spin quadrant."""
     res = qmoment_higher_spin_multi(params, query.points, query.colors, [query.pi],
@@ -671,7 +746,7 @@ def qmoment_higher_spin(params: ModelParams, query: MomentQuery,
 
 
 def qmoment_higher_spin_kappa(params: ModelParams, query: MomentQuery,
-                              nodes_per_circle: int = DEFAULT_NODES,
+                              nodes_per_circle: int | None = None,
                               tol: float = DEFAULT_TOL, cap: int = NODE_CAP) -> MomentResult:
     """Alternative kappa-expansion route: sum over rho of kappa-weighted integrals.
 
@@ -731,7 +806,7 @@ def _coset(pi: Permutation, mults):
 
 def shifted_observable(params: ModelParams, points, base_colors, pi: Permutation,
                        exact: bool = True, batch=None,
-                       nodes_per_circle: int = DEFAULT_NODES, tol: float = DEFAULT_TOL,
+                       nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
                        cap: int = NODE_CAP):
     """E[O^p_{pi.c}] for the shifted q-moment observable.
 
@@ -814,7 +889,7 @@ def _shifted_empirical(batch, points, colors, pi):
 
 
 def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQuery,
-                  nodes_per_circle: int = DEFAULT_NODES, tol: float = DEFAULT_TOL,
+                  nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
                   cap: int = NODE_CAP, contour_scale: float = 1.0) -> MomentResult:
     """E[q^{sum h}] for the q-Hahn quadrant model via the fully fused formula."""
     _validate_query_order(query.points, query.colors)
@@ -848,7 +923,8 @@ def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQu
         fam = fam.scaled(contour_scale)
     integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors,
                                  _moment_terms(q, [query.pi]), "q")
-    return pairing_values(fam, integrand, q, nodes_per_circle, tol, cap)[query.pi.images]
+    return pairing_values(fam, integrand, q, _start(fam, nodes_per_circle), tol,
+                          cap)[query.pi.images]
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +933,7 @@ def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQu
 
 
 def beta_moment(sigma: float, rho: float, points, delays, pi: Permutation | None = None,
-                nodes_per_circle: int = DEFAULT_NODES, tol: float = DEFAULT_TOL,
+                nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
                 cap: int = NODE_CAP, contour_scale: float = 1.0) -> MomentResult:
     """E[prod_i Z_(c_i)^(m_pi(i), t_pi(i))] for the delayed Beta polymer.
 
@@ -865,21 +941,21 @@ def beta_moment(sigma: float, rho: float, points, delays, pi: Permutation | None
     (alpha, beta) = (m - 1/2, t - 1/2); ``delays`` are the c_i.
     """
     if not sigma > rho > 0:
-        raise ValidationError("need sigma > rho > 0")
+        raise ValidationError("need sigma > rho > 0", field="params")
     k = len(points)
     delays = list(delays)
     pi = pi or Permutation.identity(k)
     ms = [int(p[0]) for p in points]
     ts = [int(p[1]) for p in points]
     if any(m1 > m2 for m1, m2 in zip(ms, ms[1:])) or any(t1 < t2 for t1, t2 in zip(ts, ts[1:])):
-        raise ValidationError("need m nondecreasing and t nonincreasing")
+        raise ValidationError("need m nondecreasing and t nonincreasing", field="points")
     if any(c1 > c2 for c1, c2 in zip(delays, delays[1:])) or any(c < 0 for c in delays):
-        raise ValidationError("delays must be nonnegative and nondecreasing")
+        raise ValidationError("delays must be nonnegative and nondecreasing", field="colors")
     if delays and delays[-1] >= ts[-1]:
-        raise ValidationError("need c_k < beta_k")
+        raise ValidationError("need c_k < beta_k", field="colors")
     for i in range(k):
         if ms[pi(i + 1) - 1] + delays[i] > ts[pi(i + 1) - 1]:
-            raise ValidationError("need alpha_pi(i) + c_i <= beta_pi(i)")
+            raise ValidationError("need alpha_pi(i) + c_i <= beta_pi(i)", field="colors")
 
     half = sigma / 2
 
@@ -907,4 +983,5 @@ def beta_moment(sigma: float, rho: float, points, delays, pi: Permutation | None
         [psi_for(m, t) for m, t in zip(ms, ts)],
         [(1.0, pi)], "polymer",
     )
-    return pairing_values(fam, integrand, None, nodes_per_circle, tol, cap)[pi.images]
+    return pairing_values(fam, integrand, None, _start(fam, nodes_per_circle), tol,
+                          cap)[pi.images]

@@ -307,6 +307,34 @@ def test_moment_query_error_exits_2_at_its_field(tmp_path, capsys, change, point
     assert f"at {pointer}:" in capsys.readouterr().err
 
 
+BETA_QUERY = {"points": [[2, 5], [3, 5]], "colors": [0, 1], "params": {"sigma": 6.0, "rho": 1.5}}
+
+
+@pytest.mark.parametrize("change, pointer", [
+    ({"points": [[3, 5], [2, 5]]}, "/points"),  # m decreases
+    ({"colors": [0, 4]}, "/colors"),  # 3 + 4 > t = 5: alpha_pi(i) + c_i > beta_pi(i)
+    ({"params": {"sigma": 1.0, "rho": 1.5}}, "/params"),  # sigma < rho
+])
+def test_moment_beta_query_error_exits_2_at_its_field(tmp_path, capsys, change, pointer):
+    query = write(tmp_path, "q.json", dict(BETA_QUERY, **change))
+    code = run(["moment", "--theorem", "9.2", "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"at {pointer}:" in capsys.readouterr().err
+
+
+def test_moment_without_node_count_starts_at_the_family_count(tmp_path):
+    # no nodes_per_circle: the loop starts at the least power of two >= 8 that the
+    # contour family's margin rule accepts, and still meets the default tolerance
+    doc = dict(MOMENT_QUERY, pi=[2, 1])
+    del doc["nodes_per_circle"]
+    out = tmp_path / "res.json"
+    assert run(["moment", "--theorem", "6.1", "--query", write(tmp_path, "q.json", doc),
+                "--out", str(out)]) == 0
+    res = json.loads(out.read_text())
+    assert res["converged"] and res["error_estimate"] < 1e-10
+    assert res["nodes_per_circle"] < 256
+
+
 @pytest.mark.parametrize("theorem", ["8.1", "8.4"])
 @pytest.mark.parametrize("field", ["row_rapidities", "col_rapidities", "col_spins"])
 def test_moment_hs_short_list_exits_2_at_its_field(tmp_path, capsys, theorem, field):

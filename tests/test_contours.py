@@ -55,6 +55,23 @@ def test_margin_rule_rejects_coarse_grids():
         fam.validate(8)  # 10x quadrature resolution exceeds the margin
 
 
+@pytest.mark.parametrize("fam", [
+    build_contours([1.0, 1.18], [1 / 0.45], 2, 0.45),
+    build_contours([1.0], [1 / 0.5], 2, 0.5),
+    build_contours_qhahn(0.4, 0.7, 0.4, 2),
+    build_contours_beta(6.0, 1.5, 3),
+    build_contours_beta(6.0, 5.5, 1),
+])
+def test_start_count_is_the_least_accepted_power_of_two(fam):
+    n = fam.start_count()
+    assert n >= 8 and n & (n - 1) == 0
+    fam.validate(n)
+    if n > 8:
+        with pytest.raises(ContourError):
+            fam.validate(n // 2)
+    assert fam.scaled(0.5).start_count() <= n  # smaller circles, wider gaps
+
+
 def test_scaled_copy_preserves_validity():
     q = 0.4
     fam = build_contours([1.0], [1 / q], 2, q)

@@ -453,7 +453,8 @@ def test_cap_at_start_count_reports_unconverged():
     params = ModelParams(q=0.3, row_rapidities=(1.9, 2.2), col_rapidities=(1.0, 1.12))
     dom = rectangle_domain(2, 2, (0, 1, 1, 2))
     query = MomentQuery([(1.5, 2.5), (2.5, 1.5)], [0, 1], Permutation((2, 1)))
-    res = qmoment_skew(dom, params, query, nodes_per_circle=NODES, tol=1e-12, cap=NODES)
+    # tol below the three-level estimate's roundoff floor: no estimate can certify it
+    res = qmoment_skew(dom, params, query, nodes_per_circle=NODES, tol=1e-17, cap=NODES)
     assert not res.converged and res.error_estimate >= 1e-12
     assert res.nodes_per_circle == NODES
     res = qmoment_skew(dom, params, query, nodes_per_circle=NODES, tol=1e-12)
@@ -462,7 +463,9 @@ def test_cap_at_start_count_reports_unconverged():
 
 def test_error_estimate_is_in_returned_units():
     # a pi_terms coefficient (the moment prefactor) scales what the loop prices:
-    # 10^-3 times an integral whose 32-node estimate is ~1e-8 stops at 32 nodes
+    # |I(32) - I(16)| is 1.4e-8 (the error of I(16); I(32) is off by 4e-16), so
+    # 10^-3 times the integral stops at 32 nodes at tol 1e-10.  The unscaled runs
+    # ask for 1e-14, which the three-level estimate at 32 (5.6e-12) misses too
     q = 0.3
     zetas = [1.05, 1.2]
     phi = [ratio_product([], []), ratio_product(zetas[:1], [q * zetas[0]])]
@@ -470,15 +473,15 @@ def test_error_estimate_is_in_returned_units():
     fam = build_contours([1 / t for t in zetas], [1 / (q * t) for t in zetas], 2, q)
     pi = Permutation((2, 1))
 
-    def run(coef, **cap):
+    def run(coef, tol, **cap):
         integrand = PairingIntegrand([(1.0, phi)], psi, [(coef, pi)], "q")
-        return pairing_values(fam, integrand, q, nodes_per_circle=32, tol=1e-10,
+        return pairing_values(fam, integrand, q, nodes_per_circle=32, tol=tol,
                               **cap)[pi.images]
 
-    raw = run(1.0, cap=32)
+    raw = run(1.0, 1e-14, cap=32)
     assert not raw.converged and raw.error_estimate > 1e-10
-    assert run(1.0).nodes_per_circle == 64
-    scaled = run(1e-3)
+    assert run(1.0, 1e-14).nodes_per_circle == 64
+    scaled = run(1e-3, 1e-10)
     assert scaled.converged and scaled.nodes_per_circle == 32
     assert abs(scaled.error_estimate - 1e-3 * raw.error_estimate) < 1e-6 * scaled.error_estimate
     assert abs(scaled.value - 1e-3 * raw.value) < 1e-15
