@@ -4,7 +4,8 @@ Configs and queries are JSON documents validated against the schemas shipped
 in the package (src/vertexflow/schemas/) before any computation.  Every
 configuration error exits with code 2 and a JSON pointer: the offending field
 (also for errors the library raises with a ``field``), ``/params`` for
-parameters a model rejects, ``/`` otherwise.  Numeric output uses 17
+parameters a model rejects, ``/`` otherwise.  A bad flag of ``kappa`` or
+``polymer`` is reported at ``/`` + the flag name.  Numeric output uses 17
 significant digits so doubles round-trip.
 """
 
@@ -18,7 +19,8 @@ import sys
 from pathlib import Path
 
 from . import lattice, qmoments, sampler, verify
-from .errors import ParameterRangeError, ParameterSingularityError, ValidationError, VertexflowError
+from .errors import (ParameterRangeError, ParameterSingularityError, SingularEvaluationError,
+                     ValidationError, VertexflowError)
 from .hecke import Permutation, kappa
 
 SCHEMA_DIR = Path(__file__).resolve().parent / "schemas"
@@ -170,7 +172,8 @@ def _query_from_json(doc) -> qmoments.MomentQuery:
 def _convergence(res: qmoments.MomentResult) -> str:
     if res.converged:
         return f"converged at {res.nodes_per_circle} nodes/circle"
-    return f"NOT converged: stopped at the node cap, {res.nodes_per_circle} nodes/circle"
+    return (f"NOT converged: stopped at the node cap or table budget, "
+            f"{res.nodes_per_circle} nodes/circle")
 
 
 def _cmd_moment(args) -> int:
@@ -305,21 +308,61 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_kappa(args) -> int:
+def _flag(pointer: str, parse, raw):
+    """``parse(raw)`` for a command-line flag; a malformed value is reported at ``pointer``."""
     try:
-        pi = Permutation(tuple(int(t) for t in args.pi.split(",")))
-        rho = Permutation(tuple(int(t) for t in args.rho.split(",")))
-        w = [complex(t[0], t[1]) if isinstance(t, list) else complex(t)
-             for t in json.loads(args.w)]
-    except (ValueError, ValidationError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"/: {exc}") from exc
-    val = kappa(pi, rho, w, q=args.q)
-    val = complex(val)
+        return parse(raw)
+    except (ValueError, TypeError, ValidationError) as exc:
+        raise ConfigError(f"{pointer}: {exc}") from exc
+
+
+def _permutation_flag(raw: str) -> Permutation:
+    return Permutation(tuple(int(t) for t in raw.split(",")))
+
+
+def _complex_list_flag(raw: str) -> list:
+    """A JSON list of reals or [re, im] pairs, as complex numbers."""
+    values = json.loads(raw)
+    if not isinstance(values, list):
+        raise ValueError("expected a JSON list of [re, im] pairs or reals")
+    out = []
+    for t in values:
+        if isinstance(t, list) and len(t) != 2:
+            raise ValueError(f"expected an [re, im] pair, got {t}")
+        out.append(complex(*t) if isinstance(t, list) else complex(t))
+    return out
+
+
+def _cmd_kappa(args) -> int:
+    pi = _flag("/pi", _permutation_flag, args.pi)
+    rho = _flag("/rho", _permutation_flag, args.rho)
+    w = _flag("/w", _complex_list_flag, args.w)
+    try:  # a rank mismatch is a ValidationError at /rho or /w
+        val = complex(kappa(pi, rho, w, q=args.q))
+    except SingularEvaluationError as exc:
+        raise ConfigError(f"/w: {exc}") from exc
     print(f"{_fmt(val.real)} {'+' if val.imag >= 0 else '-'} {_fmt(abs(val.imag))}j")
     return EXIT_OK
 
 
+def _polymer_flags(args) -> None:
+    """Reject flags outside sigma > rho > 0, t >= 1, 0 <= delay < t, 1 <= m <= t - delay
+    at the flag at fault."""
+    if not args.rho > 0:
+        raise ConfigError(f"/rho: need rho > 0, got {args.rho}")
+    if not args.sigma > args.rho:
+        raise ConfigError(f"/sigma: need sigma > rho, got sigma = {args.sigma}, rho = {args.rho}")
+    if args.t < 1:
+        raise ConfigError(f"/t: need t >= 1, got {args.t}")
+    if not 0 <= args.delay < args.t:
+        raise ConfigError(f"/delay: need 0 <= delay < t, got delay = {args.delay}, t = {args.t}")
+    if not 1 <= args.m <= args.t - args.delay:
+        raise ConfigError(f"/m: need 1 <= m <= t - delay, got m = {args.m}, t = {args.t}, "
+                          f"delay = {args.delay}")
+
+
 def _cmd_polymer(args) -> int:
+    _polymer_flags(args)
     res = qmoments.beta_moment(args.sigma, args.rho, [(args.m, args.t)], [args.delay])
     exact1 = None
     out = {

@@ -11,7 +11,9 @@ a_i evaluated at (w_{rho(i)}, w_{rho(i+1)}) and to target rho*sigma_i with the
 b_i factor at the same pair.  Everything evaluates pointwise; no symbolic algebra.
 
 The lattice partition functions Z_pi^rho and the row operators C_k are sums of
-R-weight products; both are one ``weights.lattice_sum`` over the SC6V transitions.
+R-weight products over the SC6V transitions: Z_pi^rho, one boundary state, is one
+``weights.lattice_sum``; C_k, a matrix over every column state, is one
+``weights.tensor_sweep``.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations as _all_perms
-from itertools import product as _product
 
 import numpy as np
 
 from .errors import SingularEvaluationError, ValidationError
-from .weights import _sc6v_transitions, lattice_sum
+from .weights import _sc6v_transitions, lattice_sum, tensor_sweep, vertex_tensor
 
 COINCIDENCE_RTOL = 1e-12
 
@@ -268,6 +269,8 @@ def kappa_table(pi: Permutation, w, variant: str = "q", q=None) -> dict:
     """
     a_fn, b_fn = _coeffs(variant, q)
     k = len(pi)
+    if len(w) != k:
+        raise ValidationError(f"w has {len(w)} entries, pi has rank {k}", field="w")
     table = {tuple(range(1, k + 1)): 1}
     for i in pi.reduced_word():
         new = {}
@@ -291,6 +294,8 @@ def _accum(d, key, val):
 
 def kappa(pi: Permutation, rho: Permutation, w, variant: str = "q", q=None):
     """kappa_pi^rho(w); exactly 0 when rho is not Bruhat-below pi."""
+    if len(rho) != len(pi):
+        raise ValidationError(f"rho has rank {len(rho)}, pi has rank {len(pi)}", field="rho")
     table = kappa_table(pi, w, variant=variant, q=q)
     return table.get(rho.images, 0.0)
 
@@ -321,14 +326,14 @@ def row_operator(k_color: int, x, ys, q, n_colors: int) -> np.ndarray:
 
     Basis tuples are ordered lexicographically; entry [j_tuple, i_tuple] is the
     single-row partition function with left color k_color and right output 0.
+    One ``tensor_sweep`` runs the row from every column state at once: axes 0..M-1
+    hold the column labels, axis M the row label, axes M+1..2M the starting columns.
     """
-    m = len(ys)
-    basis = list(_product(range(n_colors + 1), repeat=m))
-    index = {b: i for i, b in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    steps = [(partial(_sc6v_transitions, x / y, q), (col, m), (col, m)) for col, y in enumerate(ys)]
-    for i_tup in basis:
-        for final, amp in lattice_sum(steps, i_tup + (k_color,)).items():
-            if final[m] == 0:
-                mat[index[final[:m]], index[i_tup]] += amp
-    return mat
+    m, labels = len(ys), n_colors + 1
+    size = labels**m
+    start = np.zeros((size, labels, size), dtype=complex)
+    start[:, k_color, :] = np.eye(size)
+    steps = [(vertex_tensor(partial(_sc6v_transitions, x / y, q), labels), (col, m))
+             for col, y in enumerate(ys)]
+    end = tensor_sweep(steps, start.reshape((labels,) * (2 * m + 1)))
+    return end.reshape(size, labels, size)[:, 0]

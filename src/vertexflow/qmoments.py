@@ -49,9 +49,11 @@ of the two is below tol; that costs one more evaluation at n, where a
 doubling costs 2^k of them.  Otherwise n doubles and the old levels move down
 one.  The estimate is taken on the quantity returned: moment prefactors such
 as q^{k(k-1)/2 - l(pi)} ride in the ``pi_terms`` coefficients, and summed
-integrals are priced as sums.  A run that would pass the node cap stops there
+integrals are priced as sums.  A run that would pass the node cap, or whose
+next level's cross tables would pass ``TABLE_BUDGET`` bytes, stops where it is
 and returns ``converged=False`` with |I(n) - I(n/2)|; ``converged=True``
-always means ``error_estimate < tol``.
+always means ``error_estimate < tol``.  On a miss, I(n/4) and I~(n) are
+evaluated only for the keys (pi) that need them.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .lattice import ModelParams, SkewDomain, check_pole_separation, dbl
 from .weights import q_pochhammer
 
 NODE_CAP = 4096
+TABLE_BUDGET = 2**28  # bytes of one level's cross tables (``_table_bytes``) the loop may build
 DEFAULT_TOL = 1e-10
 ROUNDOFF = 64 * np.finfo(float).eps  # relative floor of the three-level estimate
 
@@ -98,7 +101,7 @@ class MomentQuery:
 @dataclass
 class MomentResult:
     """An integral value I(n), its error estimate, the final node count n, and
-    whether the estimate met the tolerance before the node cap.
+    whether the estimate met the tolerance before the node cap or table budget.
 
     The estimate is |I(n) - I(n/2)|, or, where that misses the tolerance, the
     larger of the three-level estimate and |I(n) - I~(n)| (see the module
@@ -384,8 +387,9 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None) -> comp
     return scale * total
 
 
-def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand) -> dict:
-    """Values of the pairing for each pi in integrand.pi_terms, on a fixed grid.
+def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand, keys=None) -> dict:
+    """Values of the pairing for each pi in integrand.pi_terms, on a fixed grid; with
+    ``keys``, only for the pi whose images are in ``keys``.
 
     Each DL term's edges start as the cross factors.  A b-factor on (u, v) with
     u < v cancels an untouched cross(u, v) exactly, so that edge is dropped.
@@ -404,6 +408,8 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand) -> dict:
 
     out = {}
     for picoef, pi in integrand.pi_terms:
+        if keys is not None and pi.images not in keys:
+            continue
         terms = {tuple(range(1, k + 1)): [cross]}
         for i in pi.reduced_word():
             new = {}
@@ -451,6 +457,14 @@ def _start(fam: ContourFamily, nodes_per_circle: int | None) -> int:
     return fam.start_count() if nodes_per_circle is None else nodes_per_circle
 
 
+def _table_bytes(fam: ContourFamily, n: int) -> int:
+    """Bytes of the cross tables of level n, one complex (N_a, N_b) table per pair of
+    variables a < b, where N_a is n times the circle count of variable a."""
+    sizes = [n * len(circles) for circles in fam.per_variable]
+    return 16 * sum(sizes[a] * sizes[b]
+                    for a in range(len(sizes)) for b in range(a + 1, len(sizes)))
+
+
 def _three_level(fine: complex, coarse: complex, coarser: complex) -> float:
     """max(|I(n) - I(n/2)|^2 / |I(n/2) - I(n/4)|, 64 eps max|I|) for I(n) = ``fine``,
     I(n/2) = ``coarse`` and I(n/4) = ``coarser``; inf unless the levels contract."""
@@ -481,15 +495,18 @@ def _estimate(fine: complex, coarse: complex, coarser, turned, tol: float) -> fl
 
 def _adaptive(fam: ContourFamily, variant: str, q, evaluate, nodes_per_circle: int | None,
               tol: float, cap: int) -> dict:
-    """The adaptive loop: {key: MomentResult} for ``evaluate(grid) -> {key: value}``.
+    """The adaptive loop: {key: MomentResult} for ``evaluate(grid) -> {key: value}``;
+    ``evaluate(grid, keys)`` may return only the listed keys.
 
     Level n is priced against its stride-2 subset n/2 (an odd start count is
     first doubled, so the requested grid is that subset).  Where some key misses
     ``tol`` and ``_reads_quarter(n)``, I(n/4) is read too (at the first level it
-    is evaluated then), and where the three-level estimate of such a key meets
-    ``tol``, I~(n) on the turned grid is evaluated to confirm it (see
-    ``_estimate``).  Until every key's estimate is below ``tol``, or doubling
-    would pass ``cap``, n doubles and the old levels become the coarse ones.
+    is evaluated then, for the missed keys), and for the keys whose three-level
+    estimate meets ``tol``, I~(n) on the turned grid is evaluated to confirm it
+    (see ``_estimate``).  Until every key's estimate is below ``tol``, n doubles
+    and the old levels become the coarse ones; it stops unconverged where doubling
+    would pass ``cap`` or the doubled level's pair tables would pass
+    ``TABLE_BUDGET`` bytes (``_table_bytes``).
     """
     n = _start(fam, nodes_per_circle)
     fam.validate(n)
@@ -508,12 +525,14 @@ def _adaptive(fam: ContourFamily, variant: str, q, evaluate, nodes_per_circle: i
         turned = None
         if missed and _reads_quarter(n):
             if coarser is None:
-                coarser = evaluate(half.coarse())
-            if any(_three_level(fine[key], coarse[key], coarser[key]) < tol for key in missed):
-                turned = evaluate(_Grid.build(fam, n, variant, q, turn=0.5))
-        est = {key: _estimate(fine[key], coarse[key], coarser and coarser[key],
-                              turned and turned[key], tol) for key in fine}
-        if max(est.values()) < tol or 2 * n > cap:
+                coarser = evaluate(half.coarse(), missed)
+            sharp = [key for key in missed
+                     if _three_level(fine[key], coarse[key], coarser[key]) < tol]
+            if sharp:
+                turned = evaluate(_Grid.build(fam, n, variant, q, turn=0.5), sharp)
+        est = {key: _estimate(fine[key], coarse[key], coarser and coarser.get(key),
+                              turned and turned.get(key), tol) for key in fine}
+        if max(est.values()) < tol or 2 * n > cap or _table_bytes(fam, 2 * n) > TABLE_BUDGET:
             return {key: MomentResult(fine[key], est[key], n, bool(est[key] < tol))
                     for key in fine}
         n *= 2
@@ -527,8 +546,10 @@ def pairing_values(fam: ContourFamily, integrand: PairingIntegrand, q,
     """Adaptive evaluation; returns {pi images: MomentResult}, each pi's value
     carrying its ``pi_terms`` coefficient.  With no node count the loop starts at
     ``fam.start_count()``."""
-    return _adaptive(fam, integrand.variant, q, lambda g: _pairing_on_grid(g, integrand),
-                     nodes_per_circle, tol, cap)
+    def evaluate(grid, keys=None):
+        return _pairing_on_grid(grid, integrand, keys)
+
+    return _adaptive(fam, integrand.variant, q, evaluate, nodes_per_circle, tol, cap)
 
 
 def iterated_integral(f, contours: ContourFamily, nodes_per_circle: int | None = None,
@@ -545,10 +566,10 @@ def iterated_integral(f, contours: ContourFamily, nodes_per_circle: int | None =
     if isinstance(f, PairingIntegrand):
         variant = f.variant
 
-        def evaluate(grid):
+        def evaluate(grid, keys=None):
             return {None: sum(_pairing_on_grid(grid, f).values())}
     else:
-        def evaluate(grid):
+        def evaluate(grid, keys=None):
             return {None: _mesh_integral(grid, f)}
 
     return _adaptive(contours, variant, q, evaluate, nodes_per_circle, tol, cap)[None]

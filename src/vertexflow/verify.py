@@ -6,7 +6,6 @@ and enough seed/context detail to reproduce a failure exactly.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -18,7 +17,7 @@ from .hecke import Permutation, PointFunction, apply_T
 from .lattice import Cut, ModelParams, SkewDomain, UpLeftPath
 from .qmoments import MomentQuery, qmoment_skew
 from .sampler import enumerate_sc6v, sample_sc6v
-from .weights import _hs_transitions, _sc6v_transitions, lattice_sum, q_pochhammer
+from .weights import _hs_transitions, _sc6v_transitions, q_pochhammer, tensor_sweep, vertex_tensor
 
 
 @dataclass
@@ -368,19 +367,16 @@ def random_shift_pair(rng: random.Random, n_rows: int, m_cols: int, k: int,
 def _ybe_error(q, x, y, z, n: int) -> float:
     """Worst |LHS - RHS| of the Yang-Baxter equation over all (n+1)^6 boundary pairs.
 
-    Each side is the lattice sum of its three vertices from the incoming labels
-    (a1, a2, a3); a boundary pair absent from a side has weight 0 there.
+    Each side is one ``tensor_sweep`` of its three vertices over the identity on the
+    (n+1)^3 incoming labels (a1, a2, a3): axes 0-2 end at the outgoing labels, axes
+    3-5 keep the incoming ones, so one sweep sums every boundary pair at once.
     """
-    def side(*vertices):
-        return [(partial(_sc6v_transitions, spectral, q), slots, slots) for spectral, slots in vertices]
-
-    lhs = side((x / y, (1, 2)), (x / z, (0, 2)), (y / z, (0, 1)))
-    rhs = side((y / z, (0, 1)), (x / z, (0, 2)), (x / y, (1, 2)))
-    worst = 0.0
-    for a in itertools.product(range(n + 1), repeat=3):
-        left, right = lattice_sum(lhs, a), lattice_sum(rhs, a)
-        worst = max([worst] + [abs(left.get(b, 0) - right.get(b, 0)) for b in left.keys() | right.keys()])
-    return worst
+    t_xy, t_xz, t_yz = (vertex_tensor(partial(_sc6v_transitions, spectral, q), n + 1)
+                        for spectral in (x / y, x / z, y / z))
+    start = np.eye((n + 1) ** 3, dtype=complex).reshape((n + 1,) * 6)
+    lhs = tensor_sweep([(t_xy, (1, 2)), (t_xz, (0, 2)), (t_yz, (0, 1))], start)
+    rhs = tensor_sweep([(t_yz, (0, 1)), (t_xz, (0, 2)), (t_xy, (1, 2))], start)
+    return float(np.abs(lhs - rhs).max())
 
 
 def check_ybe(trials: int = 100, seed: int = 0, n: int = 2, tol: float = 1e-12) -> CheckReport:
@@ -405,9 +401,11 @@ def check_exchange(trials: int = 10, seed: int = 0, m_cols: int = 2, n: int = 2,
         x1 = complex(rng.uniform(0.6, 2.0), rng.uniform(-0.4, 0.4))
         x2 = complex(rng.uniform(0.6, 2.0), rng.uniform(-0.4, 0.4))
         k1, k2 = sorted(rng.sample(range(0, n + 1), 2))
-        lhs = row_operator(k1, x1, ys, q, n) @ row_operator(k2, x2, ys, q, n)
-        rhs = (x2 - q * x1) / (x2 - x1) * row_operator(k2, x2, ys, q, n) @ row_operator(k1, x1, ys, q, n)
-        rhs = rhs - x1 * (1 - q) / (x2 - x1) * row_operator(k2, x1, ys, q, n) @ row_operator(k1, x2, ys, q, n)
+        c11, c22 = row_operator(k1, x1, ys, q, n), row_operator(k2, x2, ys, q, n)
+        c21, c12 = row_operator(k2, x1, ys, q, n), row_operator(k1, x2, ys, q, n)
+        lhs = c11 @ c22
+        rhs = (x2 - q * x1) / (x2 - x1) * c22 @ c11
+        rhs = rhs - x1 * (1 - q) / (x2 - x1) * c21 @ c12
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return _report("exchange_relation", worst, trials, tol, f"seed={seed}")
 

@@ -7,11 +7,19 @@ Unlisted or conservation-violating edge configurations get weight 0 rather
 than raising.
 
 Each vertex model lists its outgoing states with their weights in one
-``transitions(state)`` (``_sc6v_transitions``, ``_hs_transitions``).  Every sum
-of weight products over a small lattice -- partition functions and row
-operators (``hecke``), fusion blocks (here), the Yang-Baxter and local-relation
-checks (``verify``) and the exhaustive enumerators (``sampler``) -- is one call
-of ``lattice_sum``, which walks those transitions over a front of edge labels.
+``transitions(state)`` (``_sc6v_transitions``, ``_hs_transitions``), and every
+sum of weight products over a small lattice reads it in one of two ways:
+
+* ``lattice_sum`` walks the transitions over a sparse front of edge labels from
+  one boundary state.  It keeps exact ``Fraction`` weights exact, so it serves
+  the one-boundary sums (the partition functions ``hecke.z_partition``, the
+  fusion blocks here) and the exhaustive enumerators (``sampler``).
+* ``tensor_sweep`` applies ``vertex_tensor``s, the transitions tabulated as dense
+  complex arrays over a fixed label alphabet, to a dense state with one axis per
+  edge.  It sums every boundary state at once, so it serves the checks that
+  need them all: the row operators (``hecke.row_operator``) and the
+  Yang-Baxter check (``verify``).  Its state has labels^slots entries per start,
+  which fits those checks and not an enumeration.
 """
 
 from __future__ import annotations
@@ -265,6 +273,27 @@ def lattice_sum(steps, state) -> dict:
                 new[nxt] = new[nxt] + acc * w if nxt in new else acc * w
         front = new
     return front
+
+
+def vertex_tensor(transitions, labels: int) -> np.ndarray:
+    """Complex T[k, l, i, j] = weight of (i, j) -> (k, l) under ``transitions``, for
+    incoming and outgoing labels 0..labels-1 (i, k bottom/top, j, l left/right)."""
+    t = np.zeros((labels,) * 4, dtype=complex)
+    for i, j in _it_product(range(labels), repeat=2):
+        for (k, l), w in zip(*transitions((i, j))):
+            t[k, l, i, j] += w
+    return t
+
+
+def tensor_sweep(steps, state: np.ndarray) -> np.ndarray:
+    """The dense counterpart of ``lattice_sum``: ``state`` has one axis per edge slot
+    (and may carry more, untouched), indexed by label, and each step
+    ``(tensor, (a, b))`` maps the labels at axes (a, b) through a ``vertex_tensor``.
+    Slot a reads the bottom and writes the top label, slot b the left and right ones.
+    """
+    for tensor, (a, b) in steps:
+        state = np.moveaxis(np.tensordot(tensor, state, axes=([2, 3], [a, b])), (0, 1), (a, b))
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,34 @@ def test_kappa_golden_value(capsys):
     assert abs(got - want) < 1e-12
 
 
+@pytest.mark.parametrize("flags, pointer", [
+    (["--pi", "2,1", "--rho", "1,2", "--w", "[1]"], "/w"),  # was an IndexError traceback
+    (["--pi", "2,1", "--rho", "1,2,3", "--w", "[1, 2]"], "/rho"),  # was 0 + 0j
+    (["--pi", "2,1", "--rho", "1,2", "--w", "[1, 2, 3]"], "/w"),  # was accepted
+    (["--pi", "2,x", "--rho", "1,2", "--w", "[1, 2]"], "/pi"),
+    (["--pi", "2,1", "--rho", "1,1", "--w", "[1, 2]"], "/rho"),
+    (["--pi", "2,1", "--rho", "1,2", "--w", "[1, 2"], "/w"),
+    (["--pi", "2,1", "--rho", "1,2", "--w", "[[1], 2]"], "/w"),
+    (["--pi", "2,1", "--rho", "1,2", "--w", "[1.5, 1.5]"], "/w"),  # coincident
+])
+def test_kappa_flag_error_exits_2_at_its_flag(capsys, flags, pointer):
+    assert run(["kappa", *flags]) == 2
+    assert f"at {pointer}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, pointer", [
+    (["--sigma", "6", "--rho", "1.5", "--m", "5", "--t", "3"], "/m"),
+    (["--sigma", "6", "--rho", "1.5", "--m", "0", "--t", "3"], "/m"),
+    (["--sigma", "6", "--rho", "1.5", "--m", "1", "--t", "3", "--delay", "5"], "/delay"),
+    (["--sigma", "6", "--rho", "1.5", "--m", "1", "--t", "0"], "/t"),
+    (["--sigma", "1", "--rho", "1.5", "--m", "1", "--t", "3"], "/sigma"),
+    (["--sigma", "6", "--rho", "-1", "--m", "1", "--t", "3"], "/rho"),
+])
+def test_polymer_flag_error_exits_2_at_its_flag(capsys, flags, pointer):
+    assert run(["polymer", *flags]) == 2
+    assert f"at {pointer}:" in capsys.readouterr().err
+
+
 def test_polymer_subcommand(tmp_path, capsys):
     out = tmp_path / "p.json"
     code = run(["polymer", "--sigma", "6.0", "--rho", "1.5", "--m", "1", "--t", "4",

@@ -3,8 +3,12 @@
 import itertools
 import random
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vertexflow.errors import SingularEvaluationError, ValidationError
 from vertexflow.hecke import (
@@ -17,6 +21,7 @@ from vertexflow.hecke import (
     row_operator,
     z_partition,
 )
+from vertexflow.weights import _sc6v_transitions, lattice_sum
 
 random.seed(19)
 
@@ -329,3 +334,43 @@ def test_exchange_relation_row_operators():
         rhs = (x2 - q * x1) / (x2 - x1) * row_operator(k2, x2, ys, q, 2) @ row_operator(k1, x1, ys, q, 2)
         rhs = rhs - x1 * (1 - q) / (x2 - x1) * row_operator(k2, x1, ys, q, 2) @ row_operator(k1, x2, ys, q, 2)
         assert np.abs(lhs - rhs).max() < 1e-11
+
+
+def test_kappa_rank_mismatch_names_its_argument():
+    pi = Permutation((2, 1))
+    with pytest.raises(ValidationError) as exc:
+        kappa_table(pi, [0.5], q=0.4)
+    assert exc.value.field == "w"
+    with pytest.raises(ValidationError) as exc:
+        kappa(pi, Permutation((1, 2, 3)), [0.5, 1.5], q=0.4)
+    assert exc.value.field == "rho"
+
+
+def row_operator_by_basis(k_color, x, ys, q, n_colors):
+    """Per-basis reference for ``row_operator``: one ``lattice_sum`` per column state."""
+    m = len(ys)
+    basis = list(itertools.product(range(n_colors + 1), repeat=m))
+    index = {b: i for i, b in enumerate(basis)}
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    steps = [(partial(_sc6v_transitions, x / y, q), (col, m), (col, m)) for col, y in enumerate(ys)]
+    for i_tup in basis:
+        for final, amp in lattice_sum(steps, i_tup + (k_color,)).items():
+            if final[m] == 0:
+                mat[index[final[:m]], index[i_tup]] += amp
+    return mat
+
+
+SPECTRAL = st.builds(complex, st.floats(0.5, 2.0), st.floats(-0.5, 0.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), data=st.data(), q=st.floats(0.15, 0.85),
+       x=SPECTRAL)
+def test_row_operator_sweep_matches_per_basis_sums(n, m, data, q, x):
+    ys = data.draw(st.lists(SPECTRAL, min_size=m, max_size=m))
+    assume(all(abs(x / y - q) > 1e-3 for y in ys))
+    k_color = data.draw(st.integers(0, n))
+    want = row_operator_by_basis(k_color, x, ys, q, n)
+    got = row_operator(k_color, x, ys, q, n)
+    assert got.shape == want.shape == ((n + 1) ** m,) * 2
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()

@@ -1,12 +1,14 @@
 """Contour-integral moment formulas against enumeration, MC, and each other."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vertexflow import qmoments
 from vertexflow.contours import build_contours
 from vertexflow.errors import UnsupportedRegimeError, ValidationError
 from vertexflow.hecke import Permutation, PointFunction, apply_T_pi
@@ -485,6 +487,49 @@ def test_error_estimate_is_in_returned_units():
     assert scaled.converged and scaled.nodes_per_circle == 32
     assert abs(scaled.error_estimate - 1e-3 * raw.error_estimate) < 1e-6 * scaled.error_estimate
     assert abs(scaled.value - 1e-3 * raw.value) < 1e-15
+
+
+def test_quarter_and_turned_levels_only_for_missed_keys_change_no_result():
+    # k = 3, all six pi: at 64 nodes three pi miss tol on |I(n) - I(n/2)|, so I(n/4)
+    # and the turned grid are evaluated for those keys only
+    qp = UpLeftPath.from_floats((3.5, 0.5), "HVHHVV")
+    pp = UpLeftPath.from_floats((3.5, 0.5), "VVHVHH")
+    dom = SkewDomain(qp, pp, (0, 1, 1, 2, 3, 3))
+    params = ModelParams(q=0.33, row_rapidities=(2.0, 2.1, 2.25), col_rapidities=(1.0, 1.05, 1.1))
+    pts, cols, pis = [(2.5, 2.5), (2.5, 2.5), (3.5, 1.5)], [0, 1, 3], Permutation.all(3)
+    pairing_on_grid, asked = qmoments._pairing_on_grid, []
+
+    def every_key(grid, integrand, keys=None):
+        asked.append(keys)
+        return pairing_on_grid(grid, integrand)
+
+    got = qmoment_skew_multi(dom, params, pts, cols, pis, nodes_per_circle=NODES)
+    with mock.patch.object(qmoments, "_pairing_on_grid", every_key):
+        want = qmoment_skew_multi(dom, params, pts, cols, pis, nodes_per_circle=NODES)
+    assert any(keys is not None and 0 < len(keys) < len(pis) for keys in asked)
+    for pi in pis:  # value, estimate, node count and converged, bit for bit
+        assert got[pi.images] == want[pi.images]
+
+
+def test_table_budget_stops_unconverged(monkeypatch):
+    params = ModelParams(q=0.3, row_rapidities=(1.9, 2.2), col_rapidities=(1.0, 1.12))
+    dom = rectangle_domain(2, 2, (0, 1, 1, 2))
+    query = MomentQuery([(1.5, 2.5), (2.5, 1.5)], [0, 1], Permutation((2, 1)))
+    adaptive, fams = qmoments._adaptive, []
+
+    def spy(fam, *args):
+        fams.append(fam)
+        return adaptive(fam, *args)
+
+    monkeypatch.setattr(qmoments, "_adaptive", spy)
+    first = qmoment_skew(dom, params, query, nodes_per_circle=NODES, tol=1e-17, cap=NODES)
+    second = qmoment_skew(dom, params, query, nodes_per_circle=2 * NODES, tol=1e-17, cap=2 * NODES)
+    monkeypatch.setattr(qmoments, "TABLE_BUDGET", qmoments._table_bytes(fams[0], 2 * NODES))
+    # tol 1e-17 is below roundoff: only the budget (or the cap, 4096) can stop the loop
+    res = qmoment_skew(dom, params, query, nodes_per_circle=NODES, tol=1e-17)
+    assert not res.converged and res.nodes_per_circle == 2 * NODES
+    assert abs(res.error_estimate - abs(second.value - first.value)) < 1e-15
+    assert res.value == second.value
 
 
 def test_summed_integrals_vouch_for_their_sum():

@@ -1,8 +1,12 @@
 """Verification-engine checks: local relation, shift invariance, identities, MC bridge."""
 
+import itertools
 import random
+from functools import partial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vertexflow.errors import ValidationError
 from vertexflow.hecke import Permutation
@@ -10,6 +14,7 @@ from vertexflow.lattice import Cut, ModelParams, SkewDomain, UpLeftPath, dbl
 from vertexflow.sampler import make_rng
 from vertexflow.verify import (
     CutCollection,
+    _ybe_error,
     check_identity_suite,
     check_local_relation,
     check_local_relation_fused,
@@ -22,6 +27,7 @@ from vertexflow.verify import (
     random_shift_pair,
     validate_shift_isomorphism,
 )
+from vertexflow.weights import _sc6v_transitions, lattice_sum
 
 
 def test_local_relation_r0_is_trivial():
@@ -65,6 +71,34 @@ def test_ybe_three_colors():
 
     rep = check_ybe(trials=20, seed=0, n=3)
     assert rep.passed and rep.max_abs_error < 1e-12
+
+
+def ybe_sides_by_boundary(q, x, y, z, n):
+    """Per-boundary reference: {incoming (a1, a2, a3): ({outgoing: weight} of the left
+    side, the same of the right side)}, one ``lattice_sum`` per start and side."""
+    def side(*vertices):
+        return [(partial(_sc6v_transitions, spectral, q), slots, slots) for spectral, slots in vertices]
+
+    lhs = side((x / y, (1, 2)), (x / z, (0, 2)), (y / z, (0, 1)))
+    rhs = side((y / z, (0, 1)), (x / z, (0, 2)), (x / y, (1, 2)))
+    return {a: (lattice_sum(lhs, a), lattice_sum(rhs, a))
+            for a in itertools.product(range(n + 1), repeat=3)}
+
+
+SPECTRAL = st.builds(complex, st.floats(0.5, 2.0), st.floats(-0.5, 0.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), q=st.floats(0.1, 0.9), x=SPECTRAL, y=SPECTRAL, z=SPECTRAL)
+def test_ybe_sweep_matches_per_boundary_sums(n, q, x, y, z):
+    assume(all(abs(s - q) > 1e-3 for s in (x / y, x / z, y / z)))
+    sides = ybe_sides_by_boundary(q, x, y, z, n).values()
+    want = max(abs(left.get(b, 0) - right.get(b, 0))
+               for left, right in sides for b in left.keys() | right.keys())
+    # both errors are roundoff of the boundary weights, so they agree to 1e-15 of the
+    # largest weight, not of 1
+    scale = max(abs(w) for left, _ in sides for w in left.values())
+    assert abs(_ybe_error(q, x, y, z, n) - want) <= 1e-15 * max(1.0, scale)
 
 
 def test_identity_suite_all_pass():
