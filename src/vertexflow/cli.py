@@ -82,8 +82,7 @@ def _semantic(doc, pointer: str, builder):
 
 def _at(exc: VertexflowError, default: str) -> str:
     """The JSON pointer of a library error: the field it names, else ``default``."""
-    field = getattr(exc, "field", None)
-    return f"/{field}" if field else default
+    return f"/{exc.field}" if exc.field else default
 
 
 def _field(doc, pointer: str):
@@ -120,38 +119,34 @@ def _cmd_sample(args) -> int:
         raise ConfigError(f"/samples: --samples must be a positive integer, got {count}")
     seed = args.seed
     workers = _workers(args)
-    lines = []
     if model == "sc6v":
         domain = _semantic(cfg, "/domain", lattice.domain_from_json)
         params = _semantic(cfg, "/params", lattice.params_from_json)
         batch = sampler.sample_sc6v(domain, params, seed, count, workers)
-        for i in range(count):
-            lines.append(lattice.dumps(lattice.config_to_json(batch.config(i))))
     elif model == "hs":
         params = _semantic(cfg, "/params", lattice.params_from_json)
         rect = _semantic(cfg, "/rect", lambda r: (int(r[0]), int(r[1])))
         batch = sampler.sample_higher_spin(params, rect, seed, count, workers)
-        for i in range(count):
-            lines.append(lattice.dumps(lattice.config_to_json(batch.config(i))))
     elif model == "qhahn":
         q, s, z, levels = (_field(cfg, f"/params/{key}")
                            for key in ("q", "s", "z", "boundary_levels"))
         rect = _semantic(cfg, "/rect", lambda r: (int(r[0]), int(r[1])))
         batch = sampler.sample_qhahn(q, s, z, rect, tuple(levels), seed, count, workers,
                                      keep_edges=True)
-        for i in range(count):
-            lines.append(lattice.dumps(lattice.config_to_json(batch.config(i))))
     elif model == "beta":
         sigma, rho, t_max, delays = (_field(cfg, f"/params/{key}")
                                      for key in ("sigma", "rho", "t_max", "delays"))
         keep = [tuple(pt) for pt in cfg.get("keep_points", [])] or None
-        batch = sampler.simulate_beta_polymer(sigma, rho, int(t_max), delays, seed, count,
+        batch = sampler.simulate_beta_polymer(sigma, rho, t_max, delays, seed, count,
                                               keep, workers)
-        for i in range(count):
-            row = {f"{k}:{m}:{t}": batch.values[(k, m, t)][i] for (k, m, t) in sorted(batch.values)}
-            lines.append(json.dumps({key: _fmt(v) for key, v in row.items()}, sort_keys=True))
     else:
         raise ConfigError(f"/model: unknown model {model}")
+    if model == "beta":
+        lines = [json.dumps({f"{k}:{m}:{t}": _fmt(batch.values[(k, m, t)][i])
+                             for (k, m, t) in sorted(batch.values)}, sort_keys=True)
+                 for i in range(count)]
+    else:
+        lines = [lattice.dumps(lattice.config_to_json(batch.config(i))) for i in range(count)]
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     print(f"sample: wrote {count} {model} configurations to {args.out}")

@@ -108,25 +108,21 @@ class ContourFamily:
             n *= 2
         return n
 
-    def validate(self, nodes_per_circle: int) -> dict:
-        """Check the inside/outside classification and nesting; return margins.
+    def validate(self, nodes_per_circle: int) -> None:
+        """Check the inside/outside classification and nesting.
 
         Inside poles must lie strictly inside exactly one circle of every
-        variable's union, outside poles strictly outside all of them, both
-        with margin >= 10x the quadrature resolution 2 pi r / nodes.
+        variable's union; outside poles strictly outside all of them, with a
+        gap >= 10x the quadrature resolution 2 pi r / nodes.
         """
-        margins = {"inside": np.inf, "outside": np.inf}
         for p, c, gap in self._outside_gaps():
             if _resolution_floor(c, gap) > nodes_per_circle:
                 raise ContourError(f"outside pole {p} within 10x quadrature resolution of {c}")
-            margins["outside"] = min(margins["outside"], gap)
         for circles in self.per_variable:
             for p in self.inside_poles:
                 containing = [c for c in circles if abs(p - c.center) < c.radius]
                 if len(containing) != 1:
                     raise ContourError(f"inside pole {p} contained in {len(containing)} circles")
-                c = containing[0]
-                margins["inside"] = min(margins["inside"], c.radius - abs(p - c.center))
             # disjointness within one union
             for i, c1 in enumerate(circles):
                 for c2 in circles[i + 1:]:
@@ -135,7 +131,6 @@ class ContourFamily:
         if self.q is not None:
             self._check_q_nesting()
             self._check_scaled_images()
-        return margins
 
     def _check_scaled_images(self):
         # no pole circle may encircle points of q^{+-1} times another pole circle
@@ -162,10 +157,10 @@ class ContourFamily:
                             raise ContourError("zero-circles are not q-nested")
 
 
-def build_contours(inside, outside, k: int, q: float, zero_scale: float = 0.25,
-                   pole_scale: float = 0.25) -> ContourFamily:
+def build_contours(inside, outside, k: int, q: float) -> ContourFamily:
     """Generic q-nested family: clustered circles around ``inside`` poles plus
-    the q^{2a}-scaled circle around 0 for variable a.
+    the q^{2a}-scaled circle around 0 for variable a, of radius 1/4 of the
+    nearest pole or excluded point.
 
     ``outside`` poles, 0, and q^{+-1} images of inside poles must stay outside
     the pole circles; violations raise ContourError naming the offenders.
@@ -181,7 +176,7 @@ def build_contours(inside, outside, k: int, q: float, zero_scale: float = 0.25,
 
     clusters = [[p] for p in inside]
     for _ in range(len(inside) + 1):
-        circles = [_cluster_circle(cl, excluded, pole_scale) for cl in clusters]
+        circles = [_cluster_circle(cl, excluded) for cl in clusters]
         merged = _merge_overlaps(clusters, circles)
         if merged is None:
             break
@@ -192,23 +187,26 @@ def build_contours(inside, outside, k: int, q: float, zero_scale: float = 0.25,
     r0_bound = min(abs(p) for p in inside + excluded)
     if r0_bound <= 0:
         raise ContourError("a pole coincides with 0")
-    r0 = zero_scale * r0_bound
+    r0 = 0.25 * r0_bound
     per_var = []
     for a in range(1, k + 1):
         per_var.append(list(circles) + [Circle(0j, r0 * q ** (2 * a))])
     return ContourFamily(per_var, inside, list(outside) + [e for e in excluded if e not in outside], q)
 
 
-def _dedupe(points, tol: float = 1e-11):
+def _dedupe(points):
+    """``points`` as complex numbers without repeats to 1e-11 relative."""
     out = []
     for p in points:
         p = complex(p)
-        if all(abs(p - o) > tol * max(1.0, abs(p)) for o in out):
+        if all(abs(p - o) > 1e-11 * max(1.0, abs(p)) for o in out):
             out.append(p)
     return out
 
 
-def _cluster_circle(cluster, excluded, pole_scale: float) -> Circle:
+def _cluster_circle(cluster, excluded) -> Circle:
+    """The circle around ``cluster``'s mean past its spread by 1/4 of the way to the
+    nearest excluded point or 0."""
     center = sum(cluster) / len(cluster)
     spread = max(abs(p - center) for p in cluster)
     blockers = excluded + [0j]
@@ -218,7 +216,7 @@ def _cluster_circle(cluster, excluded, pole_scale: float) -> Circle:
         raise ContourError(
             f"no valid circle around poles {cluster}: excluded point {worst} too close"
         )
-    return Circle(center, spread + pole_scale * (rexcl - spread))
+    return Circle(center, spread + 0.25 * (rexcl - spread))
 
 
 def _merge_overlaps(clusters, circles):
@@ -237,12 +235,13 @@ def build_contours_qhahn(s: float, z: float, q: float, k: int) -> ContourFamily:
     return build_contours([1 / s], [s, z * z / s], k, q)
 
 
-def build_contours_beta(sigma: float, rho: float, k: int, delta: float = 0.1) -> ContourFamily:
+def build_contours_beta(sigma: float, rho: float, k: int) -> ContourFamily:
     """Concentric circles around -sigma/2: radius r_1 + (a-1)(1+delta) for
-    variable a; each contains the (-1)-shift of the previous one and excludes
-    sigma/2 - rho and sigma/2."""
+    variable a, with the first delta of 0.1, 0.02, 0.005 that fits; each
+    contains the (-1)-shift of the previous one and excludes sigma/2 - rho and
+    sigma/2."""
     span = sigma - rho  # distance from -sigma/2 to the nearest excluded pole
-    for dlt in (delta, delta / 5, 0.005):
+    for dlt in (0.1, 0.02, 0.005):
         r1 = min(0.25, 0.05 * span)
         rk = r1 + (k - 1) * (1 + dlt)
         if rk < 0.85 * span:

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 
 class VertexflowError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class ValidationError(VertexflowError):
-    """Invalid user-supplied data (domains, configs, queries).
+    """Base class for all errors raised by this package.
 
     ``field``, when given, names the offending input by its argument and attribute
     names, such as ``points`` or ``params/row_rapidities``.  The CLI's JSON
@@ -18,6 +14,10 @@ class ValidationError(VertexflowError):
     def __init__(self, message: str = "", field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+class ValidationError(VertexflowError):
+    """Invalid user-supplied data (domains, configs, queries)."""
 
 
 class PathMismatchError(ValidationError):

@@ -96,14 +96,14 @@ class ModelParams:
         return 0
 
 
-def check_pole_separation(zetas, q, tol: float = 1e-9) -> None:
-    """Raise unless zeta_i != q zeta_j for all pairs in the rapidity list."""
+def check_pole_separation(zetas, q) -> None:
+    """Raise unless zeta_i != q zeta_j, to 1e-9 relative, for all pairs in the rapidity list."""
     zs = list(zetas)
     for i, zi in enumerate(zs):
         for j, zj in enumerate(zs):
-            if abs(zi - q * zj) <= tol * max(1.0, abs(zi)):
+            if abs(zi - q * zj) <= 1e-9 * max(1.0, abs(zi)):
                 raise ValidationError(
-                    f"pole separation fails: zeta_{i+1} = q * zeta_{j+1} within {tol}"
+                    f"pole separation fails: zeta_{i+1} = q * zeta_{j+1} within 1e-9"
                 )
 
 
@@ -128,6 +128,7 @@ class UpLeftPath:
         return len(self.steps)
 
     def points(self) -> list[Point]:
+        """The start and the point after each step; every walk along the path reads these."""
         pts = [self.start]
         a, b = self.start
         for s in self.steps:
@@ -145,27 +146,7 @@ class UpLeftPath:
 
     def column_cross_height(self) -> dict[int, int]:
         """Column x -> doubled height of the horizontal step crossing it."""
-        out = {}
-        a, b = self.start
-        for s in self.steps:
-            if s == "H":
-                out[(a - 1) // 2] = b
-                a -= 2
-            else:
-                b += 2
-        return out
-
-    def row_cross_column(self) -> dict[int, int]:
-        """Row y -> doubled column position of the vertical step crossing it."""
-        out = {}
-        a, b = self.start
-        for s in self.steps:
-            if s == "H":
-                a -= 2
-            else:
-                out[(b + 1) // 2] = a
-                b += 2
-        return out
+        return {(a - 1) // 2: b for s, (a, b) in zip(self.steps, self.points()) if s == "H"}
 
     def index_of(self, point: Point) -> int:
         for i, p in enumerate(self.points()):
@@ -266,32 +247,17 @@ class SkewDomain:
         'h' entries are horizontal primal edges (colors enter from the left),
         'v' entries vertical primal edges (colors enter from below).
         """
-        out = []
-        a, b = self.q_path.start
-        for i, s in enumerate(self.q_path.steps):
-            c = self.coloring[i]
-            if s == "H":
-                out.append(("v", ((a - 1) // 2, (b - 1) // 2), c))
-                a -= 2
-            else:
-                out.append(("h", ((a - 1) // 2, (b + 1) // 2), c))
-                b += 2
-        return out
+        q = self.q_path
+        return [("v", ((a - 1) // 2, (b - 1) // 2), c) if s == "H"
+                else ("h", ((a - 1) // 2, (b + 1) // 2), c)
+                for s, (a, b), c in zip(q.steps, q.points(), self.coloring)]
 
     def step_rapidities(self, params: ModelParams):
         """Rapidity zeta_i attached to each step of Q."""
         params.require("domain", row_rapidities=self.n_rows, col_rapidities=self.m_cols)
         x, y = params.row_rapidities, params.col_rapidities
-        out = []
-        a, b = self.q_path.start
-        for s in self.q_path.steps:
-            if s == "H":
-                out.append(y[(a - 1) // 2 - 1])
-                a -= 2
-            else:
-                out.append(x[(b + 1) // 2 - 1])
-                b += 2
-        return out
+        return [y[(a - 1) // 2 - 1] if s == "H" else x[(b + 1) // 2 - 1]
+                for s, (a, b) in zip(self.q_path.steps, self.q_path.points())]
 
     def threshold(self, c: int) -> Point:
         """The point q(c) of Q separating colors <= c from colors > c."""

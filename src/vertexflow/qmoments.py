@@ -54,6 +54,17 @@ next level's cross tables would pass ``TABLE_BUDGET`` bytes, stops where it is
 and returns ``converged=False`` with |I(n) - I(n/2)|; ``converged=True``
 always means ``error_estimate < tol``.  On a miss, I(n/4) and I~(n) are
 evaluated only for the keys (pi) that need them.
+
+The formula layer (theorems 6.1, 8.1 with its kappa route, 8.4, 8.5 and 9.2)
+turns a query into lattice indices in one place, ``_read_query``: it checks
+the ranks of colors and pi, passes every point through ``lattice.dbl`` and
+checks the order of points and colors, each error naming its query field, and
+returns the doubled points (a2, b2).  Every row and column count is read from
+them: (b2 - 1) // 2 rows lie below beta and (a2 - 1) // 2 columns left of
+alpha.  The Beta polymer maps its integer (m, t) to (m - 1/2, t - 1/2) first.
+Phi and Psi of the q-variant formulas are ``ratio_product`` zero and pole
+lists; the Beta polymer's factors are powers of ratios linear in w, kept as
+closures.
 """
 
 from __future__ import annotations
@@ -620,8 +631,34 @@ def ratio_product(zeros, poles):
     return f
 
 
-def _const_one(w):
-    return np.ones_like(np.asarray(w, dtype=complex))
+def _read_query(points, colors, pis=()) -> list:
+    """The doubled points (2 alpha, 2 beta) of a query, after its one check.
+
+    ``colors`` and every permutation in ``pis`` have one entry per point, each
+    point is a half-integer pair in the open quadrant (``lattice.dbl``), alphas
+    are nondecreasing, betas nonincreasing and colors nondecreasing; otherwise
+    ValidationError names the query field ``colors``, ``pi`` or ``points``.
+    """
+    k = len(points)
+    if len(colors) != k:
+        raise ValidationError(f"{len(colors)} colors for {k} points", field="colors")
+    for pi in pis:
+        if len(pi) != k:
+            raise ValidationError(f"permutation rank {len(pi)} for {k} points", field="pi")
+    try:
+        pts = [dbl(*p) for p in points]
+    except (TypeError, ValidationError):
+        raise ValidationError(f"points must be half-integer (alpha, beta) pairs, got {points}",
+                              field="points") from None
+    if any(a2 < 0 or b2 < 0 for a2, b2 in pts):
+        raise ValidationError("points must lie in the open quadrant", field="points")
+    if any(p[0] > r[0] for p, r in zip(pts, pts[1:])):
+        raise ValidationError("alphas must be nondecreasing", field="points")
+    if any(p[1] < r[1] for p, r in zip(pts, pts[1:])):
+        raise ValidationError("betas must be nonincreasing", field="points")
+    if any(c1 > c2 for c1, c2 in zip(colors, colors[1:])):
+        raise ValidationError("colors must be nondecreasing", field="colors")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -640,25 +677,12 @@ def _moment_terms(q, pis) -> list:
     return [(_moment_prefactor(q, pi), pi) for pi in pis]
 
 
-def _validate_query_order(points, colors):
-    alphas = [p[0] for p in points]
-    betas = [p[1] for p in points]
-    if any(a1 > a2 for a1, a2 in zip(alphas, alphas[1:])):
-        raise ValidationError("alphas must be nondecreasing", field="points")
-    if any(b1 < b2 for b1, b2 in zip(betas, betas[1:])):
-        raise ValidationError("betas must be nonincreasing", field="points")
-    if any(c1 > c2 for c1, c2 in zip(colors, colors[1:])):
-        raise ValidationError("colors must be nondecreasing", field="colors")
-
-
 def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, pis,
                        nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
                        cap: int = NODE_CAP, contour_scale: float = 1.0) -> dict:
     """E[q^{H_{pi.c}}] for every pi in ``pis``, sharing one quadrature grid."""
-    _validate_query_order(points, colors)
+    pts = _read_query(points, colors, pis)
     q = params.q
-    k = len(points)
-    pts = [dbl(*p) for p in points]
     p_points = set(domain.p_path.points())
     for p in pts:
         if p not in p_points:
@@ -668,21 +692,15 @@ def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, 
     xs = params.row_rapidities[: domain.n_rows]
     ys = params.col_rapidities[: domain.m_cols]
 
-    phi_factors = []
-    for c in colors:
-        g2, d2 = domain.threshold(c)
-        rows = [xs[i - 1] for i in range(1, (d2 - 1) // 2 + 1)]          # i < delta(c)
-        cols = [ys[j - 1] for j in range((g2 + 1) // 2, domain.m_cols + 1)]  # j > gamma(c)
-        zp = rows + cols
-        phi_factors.append(ratio_product(zp, [q * t for t in zp]))
-    psi_factors = []
-    for (a2, b2) in pts:
-        rows = [xs[i - 1] for i in range(1, (b2 - 1) // 2 + 1)]          # i < beta
-        cols = [ys[j - 1] for j in range((a2 + 1) // 2, domain.m_cols + 1)]  # j > alpha
-        zp = rows + cols
-        psi_factors.append(ratio_product([q * t for t in zp], zp))
+    def crossed(a2, b2):
+        """x_i for the rows i < beta, then y_j for the columns j > alpha."""
+        return list(xs[: (b2 - 1) // 2]) + list(ys[(a2 - 1) // 2:])
 
-    fam = build_contours([1 / t for t in zetas], [1 / (q * t) for t in zetas], k, q)
+    phi_factors = [ratio_product(zp, [q * t for t in zp])  # at (gamma(c), delta(c))
+                   for zp in (crossed(*domain.threshold(c)) for c in colors)]
+    psi_factors = [ratio_product([q * t for t in zp], zp) for zp in (crossed(*p) for p in pts)]
+
+    fam = build_contours([1 / t for t in zetas], [1 / (q * t) for t in zetas], len(pts), q)
     if contour_scale != 1.0:
         fam = fam.scaled(contour_scale)
     integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors, _moment_terms(q, pis), "q")
@@ -703,54 +721,48 @@ def qmoment_skew(domain: SkewDomain, params: ModelParams, query: MomentQuery,
 # ---------------------------------------------------------------------------
 
 
-def _hs_factors(params: ModelParams, points, colors):
-    q = params.q
-    us = params.row_rapidities
-    ys = params.col_rapidities
-    ss = params.col_spins
-    max_beta_row = max(int(p[1] - 0.5) for p in points)
-    max_alpha_col = max(int(p[0] - 0.5) for p in points)
-    levels = [params.level(c) for c in colors]
-    n_rows_needed = max([max_beta_row] + levels)
-    params.require("query", row_rapidities=n_rows_needed, col_rapidities=max_alpha_col,
-                   col_spins=max_alpha_col)
+def _level_factor(params: ModelParams, c: int):
+    """Phi factor of color c: prod over the rows i <= l_c of (1 - u_i w)/(1 - q u_i w)."""
+    us = params.row_rapidities[: params.level(c)]
+    return ratio_product(us, [params.q * u for u in us])
 
-    phi_factors = [ratio_product([us[i] for i in range(lc)], [q * us[i] for i in range(lc)])
-                   for lc in levels]
 
-    def psi_for(alpha, beta):
-        rows = [us[i] for i in range(int(beta - 0.5))]
+def _hs_factors(params: ModelParams, pts, colors):
+    """Phi and Psi factors and the inside and outside poles of the higher-spin formula
+    for the doubled points ``pts``.
 
-        def f(w, rows=rows, ja=int(alpha - 0.5)):
-            out = np.ones_like(np.asarray(w, dtype=complex))
-            for t in rows:
-                out = out * (1 - q * t * w) / (1 - t * w)
-            for j in range(ja):
-                sj, yj = ss[j], ys[j]
-                out = out * sj * (w * sj - 1 / yj) / (w - sj / yj)
-            return out
+    Phi of color c is ``_level_factor``.  Psi of (alpha, beta) has the zeros and
+    poles of (1 - q u_i w)/(1 - u_i w) for each row i < beta and of
+    (1 - s_j y_j w)/(1 - y_j w / s_j) = s_j (w s_j - 1/y_j)/(w - s_j/y_j) for each
+    column j < alpha.  The contours encircle 1/u_i and exclude 1/(q u_i) for the
+    rows up to the highest beta or level, and s_j/y_j for the columns up to the
+    rightmost alpha.
+    """
+    q, us, ys, ss = params.q, params.row_rapidities, params.col_rapidities, params.col_spins
+    n_cols = max((a2 - 1) // 2 for a2, _ in pts)
+    n_rows = max([(b2 - 1) // 2 for _, b2 in pts] + [params.level(c) for c in colors])
+    params.require("query", row_rapidities=n_rows, col_rapidities=n_cols, col_spins=n_cols)
+    cols = list(zip(ys, ss))[:n_cols]  # (y_j, s_j)
 
-        return f
-
-    psi_factors = [psi_for(a, b) for (a, b) in points]
-    inside = [1 / us[i] for i in range(n_rows_needed)]
-    outside = [1 / (q * us[i]) for i in range(n_rows_needed)]
-    outside += [ss[j] / ys[j] for j in range(max_alpha_col)]
-    return phi_factors, psi_factors, inside, outside
+    psi_factors = []
+    for a2, b2 in pts:
+        below, left = us[: (b2 - 1) // 2], cols[: (a2 - 1) // 2]
+        psi_factors.append(ratio_product([q * u for u in below] + [s * y for y, s in left],
+                                         list(below) + [y / s for y, s in left]))
+    inside = [1 / u for u in us[:n_rows]]
+    outside = [1 / (q * u) for u in us[:n_rows]] + [s / y for y, s in cols]
+    return [_level_factor(params, c) for c in colors], psi_factors, inside, outside
 
 
 def qmoment_higher_spin_multi(params: ModelParams, points, colors, pis,
                               nodes_per_circle: int | None = None,
                               tol: float = DEFAULT_TOL, cap: int = NODE_CAP,
                               contour_scale: float = 1.0) -> dict:
-    _validate_query_order(points, colors)
-    if any(p[0] <= 0 or p[1] <= 0 for p in points):
-        raise ValidationError("points must lie in the open quadrant", field="points")
+    pts = _read_query(points, colors, pis)
     q = params.q
-    k = len(points)
-    phi_factors, psi_factors, inside, outside = _hs_factors(params, points, colors)
+    phi_factors, psi_factors, inside, outside = _hs_factors(params, pts, colors)
     check_pole_separation(params.row_rapidities[: max(2, len(inside))], q)
-    fam = build_contours(inside, outside, k, q)
+    fam = build_contours(inside, outside, len(pts), q)
     if contour_scale != 1.0:
         fam = fam.scaled(contour_scale)
     integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors, _moment_terms(q, pis), "q")
@@ -774,10 +786,10 @@ def qmoment_higher_spin_kappa(params: ModelParams, query: MomentQuery,
     Evaluates T_pi pointwise on the mesh through the scalar kappa table instead
     of the factored engine; a cross-check of the same formula (k <= 3).
     """
-    _validate_query_order(query.points, query.colors)
+    pts = _read_query(query.points, query.colors, [query.pi])
     q = params.q
     k = query.k
-    phi_factors, psi_factors, inside, outside = _hs_factors(params, query.points, query.colors)
+    phi_factors, psi_factors, inside, outside = _hs_factors(params, pts, query.colors)
     fam = build_contours(inside, outside, k, q)
 
     pi = query.pi
@@ -836,38 +848,30 @@ def shifted_observable(params: ModelParams, points, base_colors, pi: Permutation
     the empirical mean from a higher-spin SampleBatch.
     """
     colors = list(base_colors)
-    if any(c1 > c2 for c1, c2 in zip(colors, colors[1:])) or (colors and colors[0] < 1):
+    pts = _read_query(points, colors, [pi])
+    if colors and colors[0] < 1:
         raise ValidationError("base colors must be nondecreasing and >= 1", field="colors")
-    k = len(points)
-    if len(colors) != k or len(pi) != k:
-        raise ValidationError("points, colors, pi must share one rank")
     n = max(colors) if colors else 0
     mults = [colors.count(c) for c in range(1, n + 1)]
     if exact:
-        return _shifted_exact(params, points, colors, pi, mults,
-                              nodes_per_circle, tol, cap)
+        return _shifted_exact(params, pts, pi, mults, nodes_per_circle, tol, cap)
     if batch is None:
         raise ValidationError("empirical evaluation needs a SampleBatch")
     return _shifted_empirical(batch, points, colors, pi)
 
 
-def _shifted_exact(params, points, colors, pi, mults, nodes_per_circle, tol, cap):
-    _validate_query_order(points, colors)
+def _shifted_exact(params, pts, pi, mults, nodes_per_circle, tol, cap):
     q = params.q
-    k = len(points)
+    k = len(pts)
     n = len(mults)
-    us = params.row_rapidities
-    _, psi_factors, inside, outside = _hs_factors(params, points, [n] * k)
-
-    def level_factor(lc):
-        return ratio_product([us[i] for i in range(lc)], [q * us[i] for i in range(lc)])
+    _, psi_factors, inside, outside = _hs_factors(params, pts, [n] * k)
 
     # expand prod_c (sum_{j_c=0}^{m_c} coef * slot assignment) into phi terms
     phi_terms = [(1.0, [])]
     for c in range(1, n + 1):
         m_c = mults[c - 1]
-        lower = level_factor(params.level(c - 1))
-        upper = level_factor(params.level(c))
+        lower = _level_factor(params, c - 1)
+        upper = _level_factor(params, c)
         new_terms = []
         for coef, factors in phi_terms:
             for j in range(m_c + 1):
@@ -913,33 +917,20 @@ def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQu
                   nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
                   cap: int = NODE_CAP, contour_scale: float = 1.0) -> MomentResult:
     """E[q^{sum h}] for the q-Hahn quadrant model via the fully fused formula."""
-    _validate_query_order(query.points, query.colors)
+    pts = _read_query(query.points, query.colors, [query.pi])
     params = ModelParams(q=q, boundary_levels=tuple(boundary_levels))
     levels = [params.level(c) for c in query.colors]
-    beta_k = query.points[-1][1]
-    if not beta_k > levels[-1]:
-        raise UnsupportedRegimeError(
-            "the implemented formula requires beta_k > l_{c_k}"
-        )
-    k = query.k
+    if not pts[-1][1] > 2 * levels[-1]:
+        raise UnsupportedRegimeError("the implemented formula requires beta_k > l_{c_k}",
+                                     field="points")
     zi2 = 1 / (z * z)
-
     phi_factors = [ratio_product([s] * lc, [zi2 * s] * lc) for lc in levels]
-
-    def psi_for(alpha, beta):
-        be = int(beta - 0.5)
-        al = int(alpha - 0.5)
-
-        def f(w):
-            w = np.asarray(w, dtype=complex)
-            out = ((1 - zi2 * s * w) / (1 - s * w)) ** be
-            out = out * (s * (w * s - 1) / (w - s)) ** al
-            return out * s / (s - w)  # measure factor s/(s - w)
-
-        return f
-
-    psi_factors = [psi_for(a, b) for (a, b) in query.points]
-    fam = build_contours_qhahn(s, z, q, k)
+    # Psi: (1 - s w/z^2)/(1 - s w) per row below beta, (1 - s w)/(1 - w/s) per column
+    # left of alpha, and the measure factor s/(s - w) = 1/(1 - w/s)
+    psi_factors = [ratio_product([zi2 * s] * ((b2 - 1) // 2) + [s] * ((a2 - 1) // 2),
+                                 [s] * ((b2 - 1) // 2) + [1 / s] * ((a2 + 1) // 2))
+                   for a2, b2 in pts]
+    fam = build_contours_qhahn(s, z, q, len(pts))
     if contour_scale != 1.0:
         fam = fam.scaled(contour_scale)
     integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors,
@@ -966,12 +957,17 @@ def beta_moment(sigma: float, rho: float, points, delays, pi: Permutation | None
     k = len(points)
     delays = list(delays)
     pi = pi or Permutation.identity(k)
-    ms = [int(p[0]) for p in points]
-    ts = [int(p[1]) for p in points]
-    if any(m1 > m2 for m1, m2 in zip(ms, ms[1:])) or any(t1 < t2 for t1, t2 in zip(ts, ts[1:])):
-        raise ValidationError("need m nondecreasing and t nonincreasing", field="points")
-    if any(c1 > c2 for c1, c2 in zip(delays, delays[1:])) or any(c < 0 for c in delays):
-        raise ValidationError("delays must be nonnegative and nondecreasing", field="colors")
+    try:
+        pts = _read_query([(m - 0.5, t - 0.5) for m, t in points], delays, [pi])
+    except ValidationError as exc:
+        if exc.field != "points":
+            raise
+        raise ValidationError(f"points must be integer (m, t) pairs with m >= 1 nondecreasing "
+                              f"and t nonincreasing, got {points}", field="points") from None
+    ms = [(a2 + 1) // 2 for a2, _ in pts]
+    ts = [(b2 + 1) // 2 for _, b2 in pts]
+    if delays and delays[0] < 0:
+        raise ValidationError("delays must be nonnegative", field="colors")
     if delays and delays[-1] >= ts[-1]:
         raise ValidationError("need c_k < beta_k", field="colors")
     for i in range(k):

@@ -441,9 +441,9 @@ def enumerate_higher_spin(params: ModelParams, rect: tuple[int, int], cap: int =
 # ---------------------------------------------------------------------------
 
 
-def qhahn_boundary_probs(q: float, s: float, z: float, tail: float = 1e-14,
-                         cap: int = 10000) -> np.ndarray:
-    """Per-row path-count distribution, truncated once the tail is < ``tail``.
+def qhahn_boundary_probs(q: float, s: float, z: float) -> np.ndarray:
+    """Per-row path-count distribution, truncated once the tail is < 1e-14 (at most
+    10^4 terms).
 
     Prob(k) = (s^2/z^2; q)_inf / (s^2; q)_inf * (z^2; q)_k / (q; q)_k * (s^2/z^2)^k.
     """
@@ -454,11 +454,11 @@ def qhahn_boundary_probs(q: float, s: float, z: float, tail: float = 1e-14,
     probs = []
     total = 0.0
     k = 0
-    while k < cap:
+    while k < 10000:
         p = pref * q_pochhammer(z * z, q, k) / q_pochhammer(q, q, k) * r**k
         probs.append(p)
         total += p
-        if 1 - total < tail:
+        if 1 - total < 1e-14:
             break
         k += 1
     probs = np.array(probs)
@@ -469,10 +469,11 @@ def qhahn_boundary_probs(q: float, s: float, z: float, tail: float = 1e-14,
     return probs
 
 
-def _poch_inf(x, q, eps: float = 1e-18):
+def _poch_inf(x, q):
+    """(x; q)_inf, to the first factor with q^i <= 1e-18."""
     out = 1.0
     p = 1.0
-    while p > eps:
+    while p > 1e-18:
         out *= 1 - p * x
         p *= q
     return out
@@ -552,6 +553,16 @@ class BetaPolymerBatch:
         return self.values[(delay, m, t)]
 
 
+def _whole(value, field: str) -> int:
+    """``value`` as an int; a value that is not a whole number raises at ``field``."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"expected an integer, got {value!r}", field=field)
+
+
 def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: int,
                           count: int, keep_points=None, workers: int = 1) -> BetaPolymerBatch:
     """Shared-noise simulation of delayed Beta-polymer partition functions.
@@ -560,15 +571,21 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
     all delays.  Z_{(k)}^{(m,t)} = eta Z_{(k)}^{(m,t-1)} + (1-eta) Z_{(k)}^{(m-1,t-1)}
     with Z_{(k)}^{(t-k,t)} = 1 and Z_{(k)}^{(1,t)} = prod_{i=k+2}^t eta_{1,i}.
     ``keep_points`` lists (delay, m, t) to record; default: all m at t = t_max.
+    ``t_max``, the delays and the keep points are whole numbers, each delay in
+    0 <= d < t_max; ValidationError names the CLI field at fault.
     """
     if not sigma > rho > 0:
         raise ParameterRangeError("need sigma > rho > 0")
-    delays = sorted(set(int(d) for d in delays))
-    if any(d < 0 for d in delays):
-        raise ValidationError("delays must be nonnegative")
+    t_max = _whole(t_max, "params/t_max")
+    if t_max < 1:
+        raise ValidationError(f"need t_max >= 1, got {t_max}", field="params/t_max")
+    delays = sorted({_whole(d, "params/delays") for d in delays})
+    if any(not 0 <= d < t_max for d in delays):
+        raise ValidationError(f"delays {delays} must lie in 0 <= d < t_max = {t_max}",
+                              field="params/delays")
     if keep_points is None:
         keep_points = [(d, m, t_max) for d in delays for m in range(1, t_max - d + 1)]
-    keep_points = [(int(d), int(m), int(t)) for d, m, t in keep_points]
+    keep_points = [tuple(_whole(v, "keep_points") for v in point) for point in keep_points]
     for d, m, t in keep_points:
         if d not in delays or not (1 <= m <= t - d) or t > t_max:
             raise ValidationError(f"point {(d, m, t)} outside the simulated region",

@@ -350,6 +350,44 @@ def test_moment_beta_query_error_exits_2_at_its_field(tmp_path, capsys, change, 
     assert f"at {pointer}:" in capsys.readouterr().err
 
 
+QHAHN_PARAMS = {"q": 0.4, "s": 0.4, "z": 0.7, "boundary_levels": [1, 2, 3, 4]}
+
+
+@pytest.mark.parametrize("theorem, doc", [
+    ("6.1", dict(MOMENT_QUERY, points=[[2.0, 2.5]], colors=[0])),
+    ("8.1", {"points": [[2.0, 2.5]], "colors": [0], "params": HS_PARAMS}),
+    ("8.4", {"points": [[2.0, 2.5]], "colors": [1], "params": HS_PARAMS}),
+    ("8.5", {"points": [[1.9, 3.5]], "colors": [0], "params": QHAHN_PARAMS}),
+    ("9.2", dict(BETA_QUERY, points=[[2.5, 5], [3, 5]])),  # (m, t) pairs are integers
+])
+def test_moment_malformed_point_exits_2_at_points(tmp_path, capsys, theorem, doc):
+    # no theorem may evaluate the query at the point truncated to the lattice
+    query = write(tmp_path, "q.json", doc)
+    code = run(["moment", "--theorem", theorem, "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "at /points:" in capsys.readouterr().err
+
+
+def test_moment_qhahn_unsupported_regime_exits_2_at_points(tmp_path, capsys):
+    query = write(tmp_path, "q.json", {"points": [[1.5, 1.5]], "colors": [3],
+                                       "params": QHAHN_PARAMS})
+    code = run(["moment", "--theorem", "8.5", "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "at /points: the implemented formula requires beta_k > l_{c_k}" in capsys.readouterr().err
+
+
+def test_sample_beta_delay_past_t_max_exits_2_at_delays(tmp_path, capsys):
+    # a delay with nothing to simulate is an error, not a batch of empty rows
+    cfg = write(tmp_path, "cfg.json", {"params": {"sigma": 6.0, "rho": 1.5, "t_max": 5,
+                                                  "delays": [9]}})
+    out = tmp_path / "x.jsonl"
+    code = run(["sample", "--model", "beta", "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "at /params/delays:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_moment_without_node_count_starts_at_the_family_count(tmp_path):
     # no nodes_per_circle: the loop starts at the least power of two >= 8 that the
     # contour family's margin rule accepts, and still meets the default tolerance

@@ -384,6 +384,82 @@ def test_beta_moment_constraint_validation():
 
 
 # ---------------------------------------------------------------------------
+# query reading: every formula checks its points, ranks and order alike
+# ---------------------------------------------------------------------------
+
+HS3 = ModelParams(q=0.5, row_rapidities=(5.0, 6.0, 7.0), col_rapidities=(1.0, 1.1, 1.2),
+                  col_spins=(4.0, 4.0, 4.0), boundary_levels=(1, 2, 3))
+SKEW_DOMAIN = rectangle_domain(2, 2, (0, 1, 1, 2))
+SKEW_PARAMS = ModelParams(q=0.3, row_rapidities=(1.9, 2.2), col_rapidities=(1.0, 1.12))
+QHAHN_LEVELS = (1, 2, 3, 4)
+ID1 = Permutation.identity(1)
+
+# formula -> call(points, colors, pi)
+FORMULAS = {
+    "6.1": lambda pts, cols, pi: qmoment_skew_multi(SKEW_DOMAIN, SKEW_PARAMS, pts, cols, [pi]),
+    "8.1": lambda pts, cols, pi: qmoment_higher_spin_multi(HS3, pts, cols, [pi]),
+    "8.1 kappa": lambda pts, cols, pi: qmoment_higher_spin_kappa(HS3, MomentQuery(pts, cols, pi)),
+    "8.4": lambda pts, cols, pi: shifted_observable(HS3, pts, cols, pi),
+    "8.5": lambda pts, cols, pi: qmoment_qhahn(0.4, 0.4, 0.7, QHAHN_LEVELS,
+                                               MomentQuery(pts, cols, pi)),
+    "9.2": lambda pts, cols, pi: beta_moment(6.0, 1.5, pts, cols, pi),
+}
+
+
+@pytest.mark.parametrize("formula, point, color", [
+    ("6.1", (2.0, 2.5), 0),
+    ("8.1", (2.0, 2.5), 0),
+    ("8.1", (1.9, 2.5), 0),
+    ("8.1 kappa", (2.0, 2.5), 0),
+    ("8.4", (2.0, 2.5), 1),
+    ("8.5", (1.9, 3.5), 0),
+    ("9.2", (2.5, 5), 0),  # (m, t) pairs are integers
+    ("9.2", (2.9, 5.7), 0),
+])
+def test_point_off_the_lattice_raises_at_points(formula, point, color):
+    # never the value at the truncated point, (1.5, 2.5), (1.5, 3.5) or (2, 5)
+    with pytest.raises(ValidationError) as info:
+        FORMULAS[formula]([point], [color], ID1)
+    assert info.value.field == "points"
+
+
+@pytest.mark.parametrize("formula, points, colors, pi, field", [
+    ("6.1", [(1.5, 2.5)], [0, 1], ID1, "colors"),
+    ("6.1", [(1.5, 2.5), (2.5, 1.5)], [0], Permutation.identity(2), "colors"),
+    ("8.1", [(1.5, 2.5), (2.5, 1.5)], [0, 1], ID1, "pi"),
+    ("8.1", [(1.5, 2.5), (2.5, 1.5)], [0], Permutation.identity(2), "colors"),
+    ("8.4", [(1.5, 2.5), (2.5, 1.5)], [1], Permutation.identity(2), "colors"),
+    ("8.4", [(1.5, 2.5)], [1], Permutation.identity(2), "pi"),
+    ("9.2", [(2, 5)], [0, 1], ID1, "colors"),
+    ("9.2", [(2, 5), (3, 5)], [0], Permutation.identity(2), "colors"),
+    ("9.2", [(2, 5), (3, 5)], [0, 1], ID1, "pi"),
+])
+def test_rank_mismatch_raises_at_its_field(formula, points, colors, pi, field):
+    # never a value for a query of another rank
+    with pytest.raises(ValidationError) as info:
+        FORMULAS[formula](points, colors, pi)
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("formula, points, colors", [
+    ("8.1", [(1.5, 1.5), (2.5, 2.5)], [0, 1]),  # betas increase
+    ("8.1 kappa", [(-0.5, 1.5)], [0]),  # outside the quadrant
+    ("8.5", [(2.5, 3.5), (1.5, 3.5)], [0, 1]),  # alphas decrease
+    ("9.2", [(0, 5)], [0]),  # m < 1
+])
+def test_point_order_raises_at_points(formula, points, colors):
+    with pytest.raises(ValidationError) as info:
+        FORMULAS[formula](points, colors, Permutation.identity(len(points)))
+    assert info.value.field == "points"
+
+
+def test_qhahn_unsupported_regime_names_points():
+    with pytest.raises(UnsupportedRegimeError) as info:
+        qmoment_qhahn(0.4, 0.4, 0.7, QHAHN_LEVELS, MomentQuery([(1.5, 1.5)], [3]))
+    assert info.value.field == "points"
+
+
+# ---------------------------------------------------------------------------
 # numerical robustness
 # ---------------------------------------------------------------------------
 

@@ -499,6 +499,28 @@ def test_beta_polymer_invalid_params():
         simulate_beta_polymer(1.0, 1.5, 4, {0}, seed=0, count=10)
 
 
+@pytest.mark.parametrize("t_max, delays, keep, field", [
+    (5, [0.5], [(0.5, 2.5, 5)], "params/delays"),  # not truncated to (0, 2, 5)
+    (5, [0], [(0, 2.5, 5)], "keep_points"),
+    (5.5, [0], None, "params/t_max"),
+    (5, [9], None, "params/delays"),  # d >= t_max
+    (5, [-1], None, "params/delays"),
+    (0, [], None, "params/t_max"),
+])
+def test_beta_polymer_inputs_raise_at_their_field(t_max, delays, keep, field):
+    with pytest.raises(ValidationError) as info:
+        simulate_beta_polymer(6.0, 1.5, t_max, delays, seed=0, count=4, keep_points=keep)
+    assert info.value.field == field
+
+
+def test_beta_polymer_accepts_whole_floats():
+    ints = simulate_beta_polymer(6.0, 1.5, 4, [0, 1], seed=3, count=50, keep_points=[(1, 2, 4)])
+    floats = simulate_beta_polymer(6.0, 1.5, 4.0, [0.0, 1.0], seed=3, count=50,
+                                   keep_points=[(1.0, 2.0, 4.0)])
+    assert list(floats.values) == [(1, 2, 4)]
+    assert np.array_equal(ints.value(1, 2, 4), floats.value(1, 2, 4))
+
+
 def test_empty_batches_and_no_workers_raise():
     for count, workers in ((0, 1), (10, 0)):
         with pytest.raises(ValidationError):
