@@ -38,6 +38,16 @@ def dbl(alpha, beta) -> Point:
     return a2, b2
 
 
+def whole(value, field: str) -> int:
+    """``value`` as an int; a value that is not a whole number raises at ``field``."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"expected an integer, got {value!r}", field=field)
+
+
 def undbl(p: Point) -> tuple[float, float]:
     return p[0] / 2, p[1] / 2
 

@@ -58,8 +58,9 @@ evaluated only for the keys (pi) that need them.
 The formula layer (theorems 6.1, 8.1 with its kappa route, 8.4, 8.5 and 9.2)
 turns a query into lattice indices in one place, ``_read_query``: it checks
 the ranks of colors and pi, passes every point through ``lattice.dbl`` and
-checks the order of points and colors, each error naming its query field, and
-returns the doubled points (a2, b2).  Every row and column count is read from
+every color through ``lattice.whole`` and checks the order of points and
+colors, each error naming its query field, and returns the doubled points
+(a2, b2) and the int colors.  Every row and column count is read from
 them: (b2 - 1) // 2 rows lie below beta and (a2 - 1) // 2 columns left of
 alpha.  The Beta polymer maps its integer (m, t) to (m - 1/2, t - 1/2) first.
 Phi and Psi of the q-variant formulas are ``ratio_product`` zero and pole
@@ -76,7 +77,7 @@ import numpy as np
 from .contours import ContourFamily, build_contours, build_contours_beta, build_contours_qhahn
 from .errors import ContourResolutionError, UnsupportedRegimeError, ValidationError
 from .hecke import Permutation, PointFunction, _coeffs, kappa_table
-from .lattice import ModelParams, SkewDomain, check_pole_separation, dbl
+from .lattice import ModelParams, SkewDomain, check_pole_separation, dbl, whole
 from .weights import q_pochhammer
 
 NODE_CAP = 4096
@@ -631,13 +632,15 @@ def ratio_product(zeros, poles):
     return f
 
 
-def _read_query(points, colors, pis=()) -> list:
-    """The doubled points (2 alpha, 2 beta) of a query, after its one check.
+def _read_query(points, colors, pis=()) -> tuple:
+    """The doubled points (2 alpha, 2 beta) and the int colors of a query, after its
+    one check.
 
     ``colors`` and every permutation in ``pis`` have one entry per point, each
-    point is a half-integer pair in the open quadrant (``lattice.dbl``), alphas
-    are nondecreasing, betas nonincreasing and colors nondecreasing; otherwise
-    ValidationError names the query field ``colors``, ``pi`` or ``points``.
+    point is a half-integer pair in the open quadrant (``lattice.dbl``), each color
+    is a whole number (``lattice.whole``), alphas are nondecreasing, betas
+    nonincreasing and colors nondecreasing; otherwise ValidationError names the
+    query field ``colors``, ``pi`` or ``points``.
     """
     k = len(points)
     if len(colors) != k:
@@ -656,9 +659,10 @@ def _read_query(points, colors, pis=()) -> list:
         raise ValidationError("alphas must be nondecreasing", field="points")
     if any(p[1] < r[1] for p, r in zip(pts, pts[1:])):
         raise ValidationError("betas must be nonincreasing", field="points")
+    colors = [whole(c, "colors") for c in colors]
     if any(c1 > c2 for c1, c2 in zip(colors, colors[1:])):
         raise ValidationError("colors must be nondecreasing", field="colors")
-    return pts
+    return pts, colors
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +685,7 @@ def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, 
                        nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
                        cap: int = NODE_CAP, contour_scale: float = 1.0) -> dict:
     """E[q^{H_{pi.c}}] for every pi in ``pis``, sharing one quadrature grid."""
-    pts = _read_query(points, colors, pis)
+    pts, colors = _read_query(points, colors, pis)
     q = params.q
     p_points = set(domain.p_path.points())
     for p in pts:
@@ -758,7 +762,7 @@ def qmoment_higher_spin_multi(params: ModelParams, points, colors, pis,
                               nodes_per_circle: int | None = None,
                               tol: float = DEFAULT_TOL, cap: int = NODE_CAP,
                               contour_scale: float = 1.0) -> dict:
-    pts = _read_query(points, colors, pis)
+    pts, colors = _read_query(points, colors, pis)
     q = params.q
     phi_factors, psi_factors, inside, outside = _hs_factors(params, pts, colors)
     check_pole_separation(params.row_rapidities[: max(2, len(inside))], q)
@@ -786,10 +790,10 @@ def qmoment_higher_spin_kappa(params: ModelParams, query: MomentQuery,
     Evaluates T_pi pointwise on the mesh through the scalar kappa table instead
     of the factored engine; a cross-check of the same formula (k <= 3).
     """
-    pts = _read_query(query.points, query.colors, [query.pi])
+    pts, colors = _read_query(query.points, query.colors, [query.pi])
     q = params.q
     k = query.k
-    phi_factors, psi_factors, inside, outside = _hs_factors(params, pts, query.colors)
+    phi_factors, psi_factors, inside, outside = _hs_factors(params, pts, colors)
     fam = build_contours(inside, outside, k, q)
 
     pi = query.pi
@@ -847,8 +851,7 @@ def shifted_observable(params: ModelParams, points, base_colors, pi: Permutation
     exact=True evaluates the coset/T-sum integral formula; exact=False computes
     the empirical mean from a higher-spin SampleBatch.
     """
-    colors = list(base_colors)
-    pts = _read_query(points, colors, [pi])
+    pts, colors = _read_query(points, base_colors, [pi])
     if colors and colors[0] < 1:
         raise ValidationError("base colors must be nondecreasing and >= 1", field="colors")
     n = max(colors) if colors else 0
@@ -899,13 +902,20 @@ def _shifted_empirical(batch, points, colors, pi):
     perm_colors = pi.act(colors)  # pi.c
     r_gt = [sum(1 for j in range(i + 1, k) if perm_colors[j] > perm_colors[i]) for i in range(k)]
     r_ge = [sum(1 for j in range(i + 1, k) if perm_colors[j] >= perm_colors[i]) for i in range(k)]
-    prod = np.ones(batch.count)
+    prod = np.ones(batch.count) if k == 0 else None  # the product is formed in place
     for i in range(k):
         c = perm_colors[i]
-        h_gt = batch.heights(points[i], c).astype(float)
-        h_ge = batch.heights(points[i], c - 1).astype(float)
-        prod = prod * (q ** (h_gt - r_gt[i]) - q ** (h_ge - r_ge[i]))
+        factor = _q_power(q, batch.heights(points[i], c), r_gt[i])
+        factor -= _q_power(q, batch.heights(points[i], c - 1), r_ge[i])
+        prod = factor if prod is None else np.multiply(prod, factor, out=prod)
     return prod.mean(), prod.std(ddof=1) / np.sqrt(batch.count)
+
+
+def _q_power(q, h, r):
+    """q ** (h - r) per sample, read from a table of the same float powers over the
+    heights present."""
+    lo = int(h.min())
+    return (q ** (np.arange(lo, int(h.max()) + 1, dtype=float) - r)).take(h - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -917,9 +927,9 @@ def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQu
                   nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
                   cap: int = NODE_CAP, contour_scale: float = 1.0) -> MomentResult:
     """E[q^{sum h}] for the q-Hahn quadrant model via the fully fused formula."""
-    pts = _read_query(query.points, query.colors, [query.pi])
+    pts, colors = _read_query(query.points, query.colors, [query.pi])
     params = ModelParams(q=q, boundary_levels=tuple(boundary_levels))
-    levels = [params.level(c) for c in query.colors]
+    levels = [params.level(c) for c in colors]
     if not pts[-1][1] > 2 * levels[-1]:
         raise UnsupportedRegimeError("the implemented formula requires beta_k > l_{c_k}",
                                      field="points")
@@ -955,10 +965,9 @@ def beta_moment(sigma: float, rho: float, points, delays, pi: Permutation | None
     if not sigma > rho > 0:
         raise ValidationError("need sigma > rho > 0", field="params")
     k = len(points)
-    delays = list(delays)
     pi = pi or Permutation.identity(k)
     try:
-        pts = _read_query([(m - 0.5, t - 0.5) for m, t in points], delays, [pi])
+        pts, delays = _read_query([(m - 0.5, t - 0.5) for m, t in points], delays, [pi])
     except ValidationError as exc:
         if exc.field != "points":
             raise

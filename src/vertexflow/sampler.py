@@ -7,8 +7,16 @@ spread over the first workers), each owning one slice of the sample axis.  Each
 sampler allocates its whole batch once; one runner, ``_run_streams``, runs the
 streams on threads (numpy releases the GIL in the kernels, RNG fills and
 ``take``) and each writes its own slice, so there is no merge step and results
-are bit-identical for fixed (seed, workers).  Beta variates come from two Gamma
-draws.
+are bit-identical for fixed (seed, workers).  In a vertex sweep, vertex i of a
+stream of ``size`` samples reads draws [i * size, (i + 1) * size) of that stream.
+Philox is counter-based, so ``_rng_at`` places a generator at any draw of a
+stream, and a sweep walks each stream's slice in blocks of ``BLOCK`` samples
+with one generator per vertex: its scratch is a few block-sized arrays per
+stream, whatever the batch size, and the batch does not depend on ``BLOCK``.
+q-Hahn boundary and vertex draws share one generator per stream.  Beta variates
+come from two Gamma draws; a Gamma draw by rejection takes a varying number of
+uniforms, so a Beta stream cannot be placed and is not blocked: its recursion
+runs in place instead, over a few stream-sized arrays per delay.
 
 Samplers sweep vertices in a fixed order (diagonals for skew domains, rows for
 quadrant windows) with all per-vertex draws vectorized across the batch.  Each
@@ -17,15 +25,15 @@ vertex model has one ``transitions(state)``: ``weights._sc6v_transitions``,
 ``qhahn_weight``).  All samplers draw through one kernel, ``_VertexLaw``: it
 groups the batch by a mixed-radix key of the incoming state built in place,
 builds and checks (the only stochasticity check) one row per state present, once
-for all streams, and makes one inverse-CDF draw per sample.  A row stores the
-least uniform that reaches each cumulative weight (``_thresholds``), so the draw
-is a binary search on u alone, in place on one index array, and one ``take``
-from an outcome table already in the edge dtype; it picks what a search for
-u times the row total picks, bit for bit.  The enumerators are the package's one
-lattice sum, ``weights.lattice_sum``, over the same transitions with a slot per
-edge, without the check, since complex weights are legal there; one ``_Model``
-record per model feeds both.  Every height is read where ``lattice.height_anchor``
-says.
+for all streams (q-Hahn: once for all calls with the same (q, s, z)), and makes
+one inverse-CDF draw per sample.  A row stores the least uniform that reaches
+each cumulative weight (``_thresholds``), so the draw is a binary search on u
+alone, in place on one index array, and one ``take`` from an outcome table
+already in the edge dtype; it picks what a search for u times the row total
+picks, bit for bit.  The enumerators are the package's one lattice sum,
+``weights.lattice_sum``, over the same transitions with a slot per edge, without
+the check, since complex weights are legal there; one ``_Model`` record per
+model feeds both.  Every height is read where ``lattice.height_anchor`` says.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -46,10 +54,12 @@ from .lattice import (
     dbl,
     height_anchor,
     quadrant_coloring,
+    whole,
 )
 from .weights import _hs_transitions, _sc6v_transitions, lattice_sum, q_pochhammer, qhahn_row
 
 PROB_TOL = 1e-10
+BLOCK = 1 << 16  # samples a stream carries through every vertex of a sweep at a time
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -58,19 +68,31 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _stream_slices(seed: int, count: int, workers: int) -> list:
-    """(Philox generator, slice of the sample axis) of each non-empty stream: stream
-    id = worker index, sizes count//workers with the remainder spread over the first
+def _rng_at(seed: int, stream: int, offset: int) -> np.random.Generator:
+    """``make_rng(seed, stream)`` moved to draw ``offset`` of its stream, bit for bit.
+
+    Philox is counter-based: its counter counts blocks of four 64-bit draws (one per
+    double of ``Generator.random``), so ``advance`` skips the whole blocks and the
+    rest of the last one is drawn and dropped."""
+    rng = make_rng(seed, stream)
+    rng.bit_generator.advance(offset // 4)
+    rng.bit_generator.random_raw(offset % 4)
+    return rng
+
+
+def _stream_slices(count: int, workers: int) -> list:
+    """(stream id, slice of the sample axis) of each non-empty stream: stream id =
+    worker index, sizes count//workers with the remainder spread over the first
     workers, slices in worker order."""
     if count < 1 or workers < 1:
         raise ValidationError(f"count and workers must be positive, got {count} and {workers}")
     base, rem = divmod(count, workers)
     starts = [w * base + min(w, rem) for w in range(min(workers, count) + 1)]
-    return [(make_rng(seed, w), slice(a, b)) for w, (a, b) in enumerate(zip(starts, starts[1:]))]
+    return [(w, slice(a, b)) for w, (a, b) in enumerate(zip(starts, starts[1:]))]
 
 
 def _run_streams(streams, draw) -> None:
-    """``draw(rng, sl)`` for each stream, writing the slice ``sl`` of arrays the caller
+    """``draw(stream, sl)`` for each stream, writing the slice ``sl`` of arrays the caller
     allocated for the whole batch.  Streams run on min(streams, CPUs) threads, a single
     one inline; an error raised in a stream reaches the caller in worker order."""
     if len(streams) == 1:
@@ -226,13 +248,16 @@ def _thresholds(cdf):
 
 class _VertexLaw:
     """Inverse-CDF draws from ``transitions``; each incoming state's row is built on
-    first use, checked (the samplers' one stochasticity check) and cached.  Streams on
-    different threads share the cache; a miss builds its row under a lock, so each row
-    is built once."""
+    first use, checked (the samplers' one stochasticity check) and cached.  The padded
+    table of the last set of states present is kept too: the blocks of a sweep meet
+    one vertex's law again and again, nearly always with the same states.  Streams on
+    different threads share the caches; a row miss builds the row under a lock, so
+    each row is built once."""
 
     def __init__(self, transitions):
         self.transitions = transitions
         self.rows = {}  # state -> (outgoing states (#out, length), _thresholds of the cdf)
+        self.last = None, None  # (dtype, states present), table() of them
         self.lock = threading.Lock()
 
     def row(self, state, vertex):
@@ -254,23 +279,34 @@ class _VertexLaw:
                                     _thresholds(np.cumsum(np.clip(p, 0, None))))
             return self.rows[state]
 
-    def draw(self, parts, u, vertex, dtype=np.int64):
-        """Outgoing states (length, samples) in ``dtype``: sample i takes the first
-        outcome whose cumulative weight exceeds u_i times its row total.
-
-        The rows of the states present are padded with their last threshold and
-        outcome to one power-of-two width.  A branchless binary search then moves each
-        sample's group index into the padded threshold table in place, and one
-        ``take`` from the outcome table, already in ``dtype``, reads the outcomes."""
-        group, states = _group(parts)
+    def table(self, states, vertex, dtype):
+        """The rows of ``states`` padded with their last threshold and outcome to one
+        power-of-two width: (outcomes (length, #states * width) in ``dtype``,
+        thresholds, width)."""
+        key = (np.dtype(dtype), tuple(states))
+        last_key, last = self.last
+        if last_key == key:
+            return last
         rows = [self.row(st, vertex) for st in states]
         lengths = np.array([len(thr) for _, thr in rows])
         width = 1 << int(lengths.max() - 1).bit_length()
         where = ((np.cumsum(lengths) - lengths)[:, None]
                  + np.minimum(np.arange(width), lengths[:, None] - 1)).ravel()
         outs = np.concatenate([o for o, _ in rows]).T.astype(dtype, order="C")[:, where]
+        thr = np.concatenate([thr for _, thr in rows])[where]
+        self.last = key, (outs, thr, width)
+        return outs, thr, width
+
+    def draw(self, parts, u, vertex, dtype=np.int64):
+        """Outgoing states (length, samples) in ``dtype``: sample i takes the first
+        outcome whose cumulative weight exceeds u_i times its row total.
+
+        A branchless binary search moves each sample's group index into the padded
+        threshold ``table`` in place, and one ``take`` from the outcome table, already
+        in ``dtype``, reads the outcomes."""
+        group, states = _group(parts)
+        outs, thr, width = self.table(states, vertex, dtype)
         if width > 1:
-            thr = np.concatenate([thr for _, thr in rows])[where]
             probe, hit = np.empty(len(u)), np.empty(len(u), dtype=bool)
             step = width >> 1
             while step:  # 2 * step * group is the first padded index not yet ruled out
@@ -300,8 +336,12 @@ class _Model:
 
 def _sweep(model: _Model, laws, seed: int, count: int, workers: int):
     """Sample-major (h_edges, v_edges) of a sweep of ``laws`` over ``model`` from its
-    boundary labels: views of arrays indexed [x, y, (color,) sample], so vertices read rows."""
-    streams = _stream_slices(seed, count, workers)
+    boundary labels: views of arrays indexed [x, y, (color,) sample], so vertices read rows.
+
+    Each stream walks its slice in blocks of ``BLOCK`` samples, every vertex in sweep
+    order within a block.  Vertex i of a stream of ``size`` samples reads draws
+    [i * size, (i + 1) * size) of that stream, from its own generator placed there
+    (``_rng_at``), so the batch does not depend on ``BLOCK``."""
 
     def edges(labels):
         first = next(iter(labels.values()))
@@ -315,15 +355,20 @@ def _sweep(model: _Model, laws, seed: int, count: int, workers: int):
 
     h, v = edges(model.h), edges(model.v)
 
-    def draw(rng, sl):
+    def draw(stream, sl):
         size = sl.stop - sl.start
-        for (x, y), law in laws.items():
-            out = law.draw([*v[x, y - 1, ..., sl].reshape(-1, size), h[x - 1, y, sl]], rng.random(size),
-                           (x, y), v.dtype)
-            v[x, y, ..., sl] = out[:-1]
-            h[x, y, sl] = out[-1]
+        rngs = [_rng_at(seed, stream, i * size) for i in range(len(laws))]
+        buf = np.empty(min(size, BLOCK))
+        for start in range(sl.start, sl.stop, BLOCK):
+            block = slice(start, min(start + BLOCK, sl.stop))
+            u = buf[:block.stop - start]
+            for rng, ((x, y), law) in zip(rngs, laws.items()):
+                out = law.draw([*v[x, y - 1, ..., block].reshape(-1, len(u)), h[x - 1, y, block]],
+                               rng.random(out=u), (x, y), v.dtype)
+                v[x, y, ..., block] = out[:-1]
+                h[x, y, block] = out[-1]
 
-    _run_streams(streams, draw)
+    _run_streams(_stream_slices(count, workers), draw)
     return np.moveaxis(h, -1, 0), np.moveaxis(v, -1, 0)
 
 
@@ -479,6 +524,13 @@ def _poch_inf(x, q):
     return out
 
 
+@lru_cache(maxsize=8)
+def _qhahn_law(q: float, s: float, z: float) -> _VertexLaw:
+    """The q-Hahn vertex law, one per (q, s, z) for every vertex and call: its row lock
+    lets calls on different threads share it."""
+    return _VertexLaw(partial(qhahn_row, s=s, z=z, q=q))
+
+
 def sample_qhahn(q: float, s: float, z: float, rect: tuple[int, int], boundary_levels,
                  seed: int, count: int, workers: int = 1, track=(),
                  keep_edges: bool | None = None) -> SampleBatch:
@@ -499,15 +551,14 @@ def sample_qhahn(q: float, s: float, z: float, rect: tuple[int, int], boundary_l
     batch = SampleBatch("qhahn_quadrant", seed, (q, s, z, tuple(boundary_levels)), count, n_rows,
                         m_cols, n_colors)
     spots = {(float(a), float(b), int(c)): height_anchor(batch, dbl(a, b), int(c)) for (a, b, c) in track}
-    law = _VertexLaw(partial(qhahn_row, s=s, z=z, q=q))  # every vertex has the same weights
-    streams = _stream_slices(seed, count, workers)
+    law = _qhahn_law(q, s, z)
     tracked = {key: np.full(count, base, dtype=np.int64) for key, (base, _, _) in spots.items()}
     if keep_edges:
         h_arr = np.zeros((m_cols + 1, n_rows + 1, n_colors, count), dtype=np.int16)
         v_arr = np.zeros_like(h_arr)
 
-    def draw(rng, sl):
-        size = sl.stop - sl.start
+    def draw(stream, sl):
+        rng, size = make_rng(seed, stream), sl.stop - sl.start
         left = np.zeros((n_rows + 1, n_colors, size), dtype=np.int64)
         for y in range(1, n_rows + 1):
             if params.row_color(y):
@@ -527,7 +578,7 @@ def sample_qhahn(q: float, s: float, z: float, rect: tuple[int, int], boundary_l
                     if col == x and y in rows:
                         tracked[key][sl] += D[key[2]:].sum(axis=0)
 
-    _run_streams(streams, draw)
+    _run_streams(_stream_slices(count, workers), draw)
     if keep_edges:
         batch.h_edges, batch.v_edges = np.moveaxis(h_arr, -1, 0), np.moveaxis(v_arr, -1, 0)
     batch.tracked_heights = tracked
@@ -553,16 +604,6 @@ class BetaPolymerBatch:
         return self.values[(delay, m, t)]
 
 
-def _whole(value, field: str) -> int:
-    """``value`` as an int; a value that is not a whole number raises at ``field``."""
-    try:
-        if value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"expected an integer, got {value!r}", field=field)
-
-
 def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: int,
                           count: int, keep_points=None, workers: int = 1) -> BetaPolymerBatch:
     """Shared-noise simulation of delayed Beta-polymer partition functions.
@@ -571,57 +612,66 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
     all delays.  Z_{(k)}^{(m,t)} = eta Z_{(k)}^{(m,t-1)} + (1-eta) Z_{(k)}^{(m-1,t-1)}
     with Z_{(k)}^{(t-k,t)} = 1 and Z_{(k)}^{(1,t)} = prod_{i=k+2}^t eta_{1,i}.
     ``keep_points`` lists (delay, m, t) to record; default: all m at t = t_max.
+    As each eta_{m,t} arrives, every delay's Z^{(m,t)} is updated in place, only up
+    to the largest m a keep point of that delay reads, since Z^{(m,t)} reads no
+    larger m; the boundary Z = 1 stays the scalar 1.0.
     ``t_max``, the delays and the keep points are whole numbers, each delay in
     0 <= d < t_max; ValidationError names the CLI field at fault.
     """
     if not sigma > rho > 0:
         raise ParameterRangeError("need sigma > rho > 0")
-    t_max = _whole(t_max, "params/t_max")
+    t_max = whole(t_max, "params/t_max")
     if t_max < 1:
         raise ValidationError(f"need t_max >= 1, got {t_max}", field="params/t_max")
-    delays = sorted({_whole(d, "params/delays") for d in delays})
+    delays = sorted({whole(d, "params/delays") for d in delays})
     if any(not 0 <= d < t_max for d in delays):
         raise ValidationError(f"delays {delays} must lie in 0 <= d < t_max = {t_max}",
                               field="params/delays")
     if keep_points is None:
         keep_points = [(d, m, t_max) for d in delays for m in range(1, t_max - d + 1)]
-    keep_points = [tuple(_whole(v, "keep_points") for v in point) for point in keep_points]
+    keep_points = [tuple(whole(v, "keep_points") for v in point) for point in keep_points]
     for d, m, t in keep_points:
         if d not in delays or not (1 <= m <= t - d) or t > t_max:
             raise ValidationError(f"point {(d, m, t)} outside the simulated region",
                                   field="keep_points")
-    streams = _stream_slices(seed, count, workers)
     values = {point: np.empty(count) for point in keep_points}
+    reach = {}  # delay -> the largest m its keep points read
+    for d, m, _ in keep_points:
+        reach[d] = max(m, reach.get(d, 0))
 
-    def draw(rng, sl):
-        size = sl.stop - sl.start
-        state = {}  # delay -> list Z[m], index m from 1
+    def draw(stream, sl):
+        rng, size = make_rng(seed, stream), sl.stop - sl.start
+        eta, rest, tmp = np.empty(size), np.empty(size), np.empty(size)
+        z = {d: [] for d in reach}  # z[d][m - 1] = Z_(d)^(m,t) for m < t - d, m <= reach[d]
+        saved = {d: np.empty(size) for d in reach}  # Z_(d)^(m-1,t-1) while m is updated
         for t in range(1, t_max + 1):
-            eta = {}
             for m in range(1, t):
-                ga = rng.gamma(sigma - rho, size=size)
-                gb = rng.gamma(rho, size=size)
-                eta[m] = ga / (ga + gb)
-            for d in delays:
-                if t == d + 1:
-                    state[d] = [np.ones(size)]
-                elif t > d + 1:
-                    old = state[d]
-                    width = t - d
-                    new = []
-                    for m in range(1, width + 1):
-                        if m == width:
-                            new.append(np.ones(size))
-                        elif m == 1:
-                            new.append(eta[1] * old[0])
-                        else:
-                            new.append(eta[m] * old[m - 1] + (1 - eta[m]) * old[m - 2])
-                    state[d] = new
+                rng.standard_gamma(sigma - rho, out=eta)
+                rng.standard_gamma(rho, out=rest)
+                live = [d for d in reach if m < t - d and m <= reach[d]]
+                if not live:
+                    continue
+                rest += eta
+                eta /= rest  # ga / (ga + gb)
+                np.subtract(1, eta, out=rest)
+                for d in live:  # Z^(m,t) = eta Z^(m,t-1) + (1 - eta) Z^(m-1,t-1)
+                    zs, new = z[d], saved[d]
+                    old = zs[m - 1] if m <= len(zs) else None  # None: Z^(t-1-d,t-1) = 1
+                    if m == 1:
+                        np.multiply(eta, 1.0 if old is None else old, out=new)
+                    else:  # new holds Z^(m-1,t-1)
+                        new *= rest
+                        new += eta if old is None else np.multiply(eta, old, out=tmp)
+                    if old is None:
+                        zs.append(new)
+                        saved[d] = np.empty(size)
+                    else:
+                        zs[m - 1], saved[d] = new, old
             for (d, m, tt) in keep_points:
                 if tt == t:
-                    values[d, m, tt][sl] = state[d][m - 1]
+                    values[d, m, tt][sl] = z[d][m - 1] if m < t - d else 1.0
 
-    _run_streams(streams, draw)
+    _run_streams(_stream_slices(count, workers), draw)
     return BetaPolymerBatch(sigma, rho, seed, count, values)
 
 

@@ -368,6 +368,29 @@ def test_moment_malformed_point_exits_2_at_points(tmp_path, capsys, theorem, doc
     assert "at /points:" in capsys.readouterr().err
 
 
+def test_moment_whole_float_color_reads_as_int(tmp_path):
+    # JSON Schema's "integer" admits 1.0: it is color 1, not a TypeError traceback
+    values = []
+    for colors in ([1], [1.0]):
+        query = write(tmp_path, "q.json", {"points": [[2.5, 2.5]], "colors": colors,
+                                           "params": HS_PARAMS})
+        code = run(["moment", "--theorem", "8.1", "--query", query, "--out", str(tmp_path / "r.json")])
+        assert code == 0
+        values.append(json.loads((tmp_path / "r.json").read_text())["value_re"])
+    assert values[0] == values[1]
+
+
+@pytest.mark.parametrize("theorem, doc", [
+    ("8.1", {"points": [[2.5, 2.5]], "colors": [1.5], "params": HS_PARAMS}),
+    ("9.2", dict(BETA_QUERY, colors=[0, 0.5])),
+])
+def test_moment_non_integer_color_exits_2_at_colors(tmp_path, capsys, theorem, doc):
+    query = write(tmp_path, "q.json", doc)
+    code = run(["moment", "--theorem", theorem, "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "at /colors" in capsys.readouterr().err
+
+
 def test_moment_qhahn_unsupported_regime_exits_2_at_points(tmp_path, capsys):
     query = write(tmp_path, "q.json", {"points": [[1.5, 1.5]], "colors": [3],
                                        "params": QHAHN_PARAMS})

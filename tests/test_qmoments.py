@@ -300,6 +300,26 @@ def test_shifted_observable_empirical_matches_exact():
         assert abs(emp - exact.value.real) <= 4 * se + 2e-4
 
 
+def test_shifted_empirical_matches_the_float_power_formula():
+    # the q ** (h - r) table read with take and the product formed in place give the
+    # bits of one float power per sample and a fresh product per factor
+    batch = sample_higher_spin(HS3, (3, 3), seed=19, count=20000)
+    pts, q = [(2.5, 3.5), (3.5, 2.5)], HS3.q
+    for colors, pi in (([1, 2], Permutation((2, 1))), ([1, 2], Permutation.identity(2)),
+                       ([2, 3], Permutation((2, 1)))):
+        pc = pi.act(colors)
+        prod = np.ones(batch.count)
+        for i in range(2):
+            r_gt = sum(pc[j] > pc[i] for j in range(i + 1, 2))
+            r_ge = sum(pc[j] >= pc[i] for j in range(i + 1, 2))
+            h_gt = batch.heights(pts[i], pc[i]).astype(float)
+            h_ge = batch.heights(pts[i], pc[i] - 1).astype(float)
+            prod = prod * (q ** (h_gt - r_gt) - q ** (h_ge - r_ge))
+        assert prod.std() > 0
+        emp, se = shifted_observable(HS3, pts, colors, pi, exact=False, batch=batch)
+        assert (emp, se) == (prod.mean(), prod.std(ddof=1) / np.sqrt(batch.count))
+
+
 # ---------------------------------------------------------------------------
 # q-Hahn moments
 # ---------------------------------------------------------------------------
@@ -451,6 +471,34 @@ def test_point_order_raises_at_points(formula, points, colors):
     with pytest.raises(ValidationError) as info:
         FORMULAS[formula](points, colors, Permutation.identity(len(points)))
     assert info.value.field == "points"
+
+
+@pytest.mark.parametrize("formula, point, color", [
+    ("6.1", (1.5, 2.5), 0.5),
+    ("8.1", (1.5, 2.5), 0.5),
+    ("8.1 kappa", (1.5, 2.5), 1.5),
+    ("8.4", (1.5, 2.5), 1.5),
+    ("8.5", (1.5, 3.5), 0.5),
+    ("9.2", (2, 5), 0.5),  # a delay: never a value between delays 0 and 1
+    ("9.2", (2, 5), "1"),
+])
+def test_non_integer_color_raises_at_colors(formula, point, color):
+    with pytest.raises(ValidationError) as info:
+        FORMULAS[formula]([point], [color], ID1)
+    assert info.value.field == "colors"
+
+
+@pytest.mark.parametrize("formula, point, color", [
+    ("8.1", (2.5, 2.5), 1),
+    ("8.5", (1.5, 3.5), 1),
+    ("9.2", (2, 5), 1),
+])
+def test_whole_float_colors_read_as_ints(formula, point, color):
+    want = FORMULAS[formula]([point], [color], ID1)
+    got = FORMULAS[formula]([point], [float(color)], ID1)
+    if isinstance(want, dict):
+        want, got = want[ID1.images], got[ID1.images]
+    assert got.value == want.value
 
 
 def test_qhahn_unsupported_regime_names_points():

@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vertexflow import sampler
 from vertexflow.errors import EnumerationCapError, ParameterRangeError, ValidationError
 from vertexflow.lattice import ModelParams, dbl, height_d, rectangle_domain
 from vertexflow.sampler import (
@@ -423,6 +425,25 @@ def test_qhahn_worker_determinism():
     assert not (np.array_equal(b1.h_edges, b3.h_edges) and np.array_equal(b1.v_edges, b3.v_edges))
 
 
+def test_qhahn_law_is_shared_across_calls(monkeypatch):
+    # one law per (q, s, z): a second call builds none of the rows the first one built
+    calls = Counter()
+    row = sampler.qhahn_row
+
+    def counted(state, **kwargs):
+        calls[state] += 1
+        return row(state, **kwargs)
+
+    monkeypatch.setattr(sampler, "qhahn_row", counted)
+    sampler._qhahn_law.cache_clear()
+    try:
+        for seed in (1, 2):
+            sample_qhahn(0.4, 0.4, 0.7, (3, 3), (1, 2, 3), seed=seed, count=2000, workers=2)
+    finally:
+        sampler._qhahn_law.cache_clear()  # drop the law that holds the counting rows
+    assert calls and set(calls.values()) == {1}
+
+
 def test_qhahn_forty_colors_two_entering():
     # 40 colors, of which only 39 and 40 enter; grouping must not span all colors
     levels = (0,) * 38 + (1, 2)
@@ -626,3 +647,74 @@ def test_golden_digests(model, count, workers):
     finally:
         sys.setswitchinterval(interval)
     assert digest == GOLDEN[model][GOLDEN_CASES.index((count, workers))]
+
+
+# ---------------------------------------------------------------------------
+# bounded scratch: blocked sweeps and the Beta recursion in place
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count, workers", GOLDEN_CASES)
+@pytest.mark.parametrize("model", ["sc6v", "hs"])
+def test_golden_digests_do_not_depend_on_the_block(monkeypatch, model, count, workers):
+    # vertex i of a stream reads draws [i * size, (i + 1) * size) of it however the
+    # sweep is cut into blocks; 777 leaves a short last block in every stream
+    monkeypatch.setattr(sampler, "BLOCK", 777)
+    test_golden_digests(model, count, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("model", ["sc6v", "hs"])
+def test_one_sample_blocks_give_the_same_batch(monkeypatch, model, workers):
+    # every sample its own block: each vertex generator is placed at every offset
+    draw = globals()[f"_golden_{model}"]
+    want = draw(200, workers)
+    monkeypatch.setattr(sampler, "BLOCK", 1)
+    assert draw(200, workers) == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_beta_polymer_keep_points_do_not_change_values(workers):
+    # Z is carried only up to the largest m a keep point reads: fewer points, same bits
+    region = [(d, m, t) for d in (0, 1) for t in range(d + 1, 6) for m in range(1, t - d + 1)]
+    full = simulate_beta_polymer(4.0, 1.0, 5, {0, 1}, seed=44, count=3000, keep_points=region,
+                                 workers=workers)
+    for keep in (None, [(0, 2, 5), (1, 1, 5)], [(0, 1, 3), (1, 2, 4), (0, 5, 5)]):
+        part = simulate_beta_polymer(4.0, 1.0, 5, {0, 1}, seed=44, count=3000, keep_points=keep,
+                                     workers=workers)
+        for point, values in part.values.items():
+            assert np.array_equal(values, full.value(*point)), (keep, point)
+
+
+def _traced_peak(run):
+    """Peak bytes that numpy and Python allocate during ``run()``, after one warm-up
+    call has made its imports."""
+    run(10)
+    tracemalloc.start()
+    try:
+        out = run(None)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_beta_polymer_scratch_is_bounded(workers):
+    # per stream: eta, 1 - eta and one product, and per delay its Z up to the largest m
+    # a keep point reads plus one saved Z; never every m of a time step, old and new
+    n, keep = 50000, [(0, 2, 8), (1, 1, 8), (2, 3, 8)]
+    peak, _ = _traced_peak(lambda count: simulate_beta_polymer(
+        4.0, 1.0, 8, {0, 1, 2}, seed=44, count=count or n, keep_points=keep, workers=workers))
+    arrays = len(keep) + 3 + (2 + 1) + (1 + 1) + (3 + 1)
+    assert peak <= (arrays + 1) * 8 * n  # one more array's worth for Python objects
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_scratch_is_bounded_by_the_block(workers):
+    # beyond the batch, a few block-sized arrays per stream, however large the batch
+    params = ModelParams(q=0.4, row_rapidities=(2.0, 2.1, 2.2), col_rapidities=(1.0, 1.05, 1.1))
+    dom = rectangle_domain(3, 3, (1, 2, 3, 4, 5, 6))
+    peak, batch = _traced_peak(lambda count: sample_sc6v(dom, params, seed=41,
+                                                         count=count or 4 * sampler.BLOCK,
+                                                         workers=workers))
+    assert peak - batch.h_edges.nbytes - batch.v_edges.nbytes <= 48 * sampler.BLOCK * workers
