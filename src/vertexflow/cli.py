@@ -359,16 +359,14 @@ def _polymer_flags(args) -> None:
 def _cmd_polymer(args) -> int:
     _polymer_flags(args)
     res = qmoments.beta_moment(args.sigma, args.rho, [(args.m, args.t)], [args.delay])
-    exact1 = None
     out = {
         "value_re": res.value.real,
         "value_im": res.value.imag,
         "error_estimate": res.error_estimate,
         "converged": res.converged,
     }
-    if args.m == 1:
-        exact1 = ((args.sigma - args.rho) / args.sigma) ** (args.t - 1)
-        out["analytic"] = exact1
+    if args.m == 1:  # E[Z_(c)^(1,t)] = mu^(t-1-c), mu = (sigma - rho)/sigma
+        out["analytic"] = ((args.sigma - args.rho) / args.sigma) ** (args.t - 1 - args.delay)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(out, fh, indent=2, sort_keys=True)

@@ -9,6 +9,8 @@ Writing T_i = a_i(w) + b_i(w) t_i, the expansion T_pi = sum_rho kappa_pi^rho t_r
 obeys the push rule: a source kappa^rho contributes to target rho with factor
 a_i evaluated at (w_{rho(i)}, w_{rho(i+1)}) and to target rho*sigma_i with the
 b_i factor at the same pair.  Everything evaluates pointwise; no symbolic algebra.
+``_push`` walks that rule once, for the scalar ``kappa_table`` and for the DL terms
+that ``qmoments`` contracts as lists of pair tables.
 
 The lattice partition functions Z_pi^rho and the row operators C_k are sums of
 R-weight products over the SC6V transitions: Z_pi^rho, one boundary state, is one
@@ -271,16 +273,29 @@ def kappa_table(pi: Permutation, w, variant: str = "q", q=None) -> dict:
     k = len(pi)
     if len(w) != k:
         raise ValidationError(f"w has {len(w)} entries, pi has rank {k}", field="w")
-    table = {tuple(range(1, k + 1)): 1}
+
+    def a_step(val, u, v):
+        _check_coincidence(w[u - 1], w[v - 1])
+        return val * a_fn(w[u - 1], w[v - 1])
+
+    return _push(pi, 1, a_step, lambda val, u, v: val * b_fn(w[u - 1], w[v - 1]))
+
+
+def _push(pi: Permutation, start, a_step, b_step) -> dict:
+    """The push rule along the canonical reduced word of pi, as {rho images: value}.
+
+    The table starts as {identity: start}.  Letter i sends the value x at rho to
+    ``a_step(x, u, v)`` at rho and ``b_step(x, u, v)`` at rho * sigma_i, where
+    (u, v) = (rho(i), rho(i+1)) are the 1-based variables of the pair; values that
+    meet at one rho are added with ``+`` in the order they arrive.
+    """
+    table = {tuple(range(1, len(pi) + 1)): start}
     for i in pi.reduced_word():
         new = {}
         for rho, val in table.items():
-            wu, wv = w[rho[i - 1] - 1], w[rho[i] - 1]
-            _check_coincidence(wu, wv)
-            _accum(new, rho, val * a_fn(wu, wv))
-            rho_s = list(rho)
-            rho_s[i - 1], rho_s[i] = rho_s[i], rho_s[i - 1]
-            _accum(new, tuple(rho_s), val * b_fn(wu, wv))
+            u, v = rho[i - 1], rho[i]
+            _accum(new, rho, a_step(val, u, v))
+            _accum(new, rho[: i - 1] + (v, u) + rho[i + 1:], b_step(val, u, v))
         table = new
     return table
 

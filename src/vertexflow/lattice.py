@@ -107,14 +107,15 @@ class ModelParams:
 
 
 def check_pole_separation(zetas, q) -> None:
-    """Raise unless zeta_i != q zeta_j, to 1e-9 relative, for all pairs in the rapidity list."""
+    """Raise unless zeta_i != q zeta_j, to 1e-9 relative, for all pairs in the rapidity list;
+    the ValidationError names ``params``, where the rapidities come from."""
     zs = list(zetas)
     for i, zi in enumerate(zs):
         for j, zj in enumerate(zs):
             if abs(zi - q * zj) <= 1e-9 * max(1.0, abs(zi)):
                 raise ValidationError(
-                    f"pole separation fails: zeta_{i+1} = q * zeta_{j+1} within 1e-9"
-                )
+                    f"pole separation fails: zeta_{i+1} = q * zeta_{j+1} within 1e-9",
+                    field="params")
 
 
 @dataclass(frozen=True)

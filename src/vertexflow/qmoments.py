@@ -56,27 +56,34 @@ always means ``error_estimate < tol``.  On a miss, I(n/4) and I~(n) are
 evaluated only for the keys (pi) that need them.
 
 The formula layer (theorems 6.1, 8.1 with its kappa route, 8.4, 8.5 and 9.2)
-turns a query into lattice indices in one place, ``_read_query``: it checks
-the ranks of colors and pi, passes every point through ``lattice.dbl`` and
-every color through ``lattice.whole`` and checks the order of points and
-colors, each error naming its query field, and returns the doubled points
-(a2, b2) and the int colors.  Every row and column count is read from
-them: (b2 - 1) // 2 rows lie below beta and (a2 - 1) // 2 columns left of
-alpha.  The Beta polymer maps its integer (m, t) to (m - 1/2, t - 1/2) first.
-Phi and Psi of the q-variant formulas are ``ratio_product`` zero and pole
-lists; the Beta polymer's factors are powers of ratios linear in w, kept as
-closures.
+turns a query into lattice indices in one place, ``_read_query``: the ranks of
+colors and pi, every color through ``lattice.whole`` and their order are checked
+by ``_read_colors``, which ``MomentQuery`` runs when it is built; every point
+passes through ``lattice.dbl`` and the order of the points is checked, each error
+naming its query field.  It returns the doubled points (a2, b2) and the int
+colors.  Every row and column count is read from them: (b2 - 1) // 2 rows lie
+below beta and (a2 - 1) // 2 columns left of alpha.  The Beta polymer maps its
+integer (m, t) to (m - 1/2, t - 1/2) first.  Phi and Psi of the q-variant formulas
+are lists of one (zeros, poles) pair of ``ratio_product`` per point, and one
+runner, ``_q_formula``, takes them with the inside and outside poles to the
+contours, the moment prefactors and the adaptive loop for 6.1, 8.1 and 8.5.  The
+rapidities a formula reads pass ``lattice.check_pole_separation`` once: the step
+rapidities for 6.1, the rows the query reads in ``_hs_factors`` for 8.1, its
+kappa route and 8.4.  The DL terms of T_pi expand by ``hecke._push``, the push
+rule that ``kappa_table`` runs on scalars.  The Beta polymer's factors are powers
+of ratios linear in w, kept as closures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, permutations, product
 
 import numpy as np
 
-from .contours import ContourFamily, build_contours, build_contours_beta, build_contours_qhahn
+from .contours import ContourFamily, build_contours, build_contours_beta
 from .errors import ContourResolutionError, UnsupportedRegimeError, ValidationError
-from .hecke import Permutation, PointFunction, _coeffs, kappa_table
+from .hecke import Permutation, PointFunction, _coeffs, _push, apply_T_pi
 from .lattice import ModelParams, SkewDomain, check_pole_separation, dbl, whole
 from .weights import q_pochhammer
 
@@ -88,22 +95,17 @@ ROUNDOFF = 64 * np.finfo(float).eps  # relative floor of the three-level estimat
 
 @dataclass
 class MomentQuery:
-    """Points, colors, and permutation of a joint q-moment observable."""
+    """Points, colors, and permutation of a joint q-moment observable; the colors and
+    pi pass ``_read_colors`` when it is built."""
 
     points: list  # (alpha, beta) half-integer pairs
     colors: list
     pi: Permutation | None = None
 
     def __post_init__(self):
-        k = len(self.points)
-        if len(self.colors) != k:
-            raise ValidationError("points and colors must have equal length", field="colors")
-        if any(a > b for a, b in zip(self.colors, self.colors[1:])):
-            raise ValidationError("colors must be nondecreasing", field="colors")
         if self.pi is None:
-            self.pi = Permutation.identity(k)
-        if len(self.pi) != k:
-            raise ValidationError("permutation rank must equal the number of points", field="pi")
+            self.pi = Permutation.identity(len(self.points))
+        _read_colors(len(self.points), self.colors, [self.pi])
 
     @property
     def k(self) -> int:
@@ -144,10 +146,6 @@ class PairingIntegrand:
     psi_factors: list
     pi_terms: list
     variant: str = "q"
-
-    @property
-    def k(self) -> int:
-        return len(self.psi_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -418,30 +416,25 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand, keys=None) -> dic
     def edge_factors(key, mat):
         return grid.cross_factors(*key) if mat is cross[key] else _ranked(mat)
 
+    def a_step(tlist, u, v):
+        key, a_mat = grid.pair_matrix("a", u - 1, v - 1)
+        return [_mat_mult(mats, key, a_mat) for mats in tlist]
+
+    def b_step(tlist, u, v):
+        key, terms = (min(u, v) - 1, max(u, v) - 1), []
+        for mats in tlist:
+            if u < v and mats.get(key) is cross[key]:
+                terms.append({edge: m for edge, m in mats.items() if edge != key})
+            else:  # the b-table is built only here, where it is read
+                terms.append(_mat_mult(mats, key, grid.pair_matrix("b", u - 1, v - 1)[1]))
+        return terms
+
     out = {}
     for picoef, pi in integrand.pi_terms:
         if keys is not None and pi.images not in keys:
             continue
-        terms = {tuple(range(1, k + 1)): [cross]}
-        for i in pi.reduced_word():
-            new = {}
-            for rho, tlist in terms.items():
-                u_var, v_var = rho[i - 1] - 1, rho[i] - 1
-                key, a_mat = grid.pair_matrix("a", u_var, v_var)
-                rho_s = list(rho)
-                rho_s[i - 1], rho_s[i] = rho_s[i], rho_s[i - 1]
-                rho_s = tuple(rho_s)
-                for mats in tlist:
-                    new.setdefault(rho, []).append(_mat_mult(mats, key, a_mat))
-                    if u_var < v_var and mats.get(key) is cross[key]:
-                        new.setdefault(rho_s, []).append(
-                            {edge: m for edge, m in mats.items() if edge != key})
-                    else:  # the b-table is built only here, where it is read
-                        b_mat = grid.pair_matrix("b", u_var, v_var)[1]
-                        new.setdefault(rho_s, []).append(_mat_mult(mats, key, b_mat))
-            terms = new
         total = 0j
-        for rho, tlist in terms.items():
+        for rho, tlist in _push(pi, [cross], a_step, b_step).items():
             rho_inv = [0] * k
             for s, b in enumerate(rho):
                 rho_inv[b - 1] = s  # slot feeding variable b (0-based slot)
@@ -565,15 +558,14 @@ def pairing_values(fam: ContourFamily, integrand: PairingIntegrand, q,
 
 
 def iterated_integral(f, contours: ContourFamily, nodes_per_circle: int | None = None,
-                      q=None, variant: str = "q", tol: float = DEFAULT_TOL,
-                      cap: int = NODE_CAP) -> MomentResult:
+                      q=None, tol: float = DEFAULT_TOL, cap: int = NODE_CAP) -> MomentResult:
     """The pairing integral of ``f`` over the contour family.
 
     Includes the cross factor prod_{a<b}(w_b - w_a)/(w_b - q w_a) (or its
     polymer analogue) and the measure dw_a/(2 pi i w_a).  Structured
     ``PairingIntegrand`` inputs use the factored fast path and return the sum
     over their ``pi_terms``, with the error estimate of that sum; plain
-    PointFunctions are evaluated on the dense node mesh.
+    PointFunctions are evaluated on the dense node mesh with the q cross factor.
     """
     if isinstance(f, PairingIntegrand):
         variant = f.variant
@@ -581,6 +573,8 @@ def iterated_integral(f, contours: ContourFamily, nodes_per_circle: int | None =
         def evaluate(grid, keys=None):
             return {None: sum(_pairing_on_grid(grid, f).values())}
     else:
+        variant = "q"
+
         def evaluate(grid, keys=None):
             return {None: _mesh_integral(grid, f)}
 
@@ -632,22 +626,31 @@ def ratio_product(zeros, poles):
     return f
 
 
-def _read_query(points, colors, pis=()) -> tuple:
-    """The doubled points (2 alpha, 2 beta) and the int colors of a query, after its
-    one check.
-
-    ``colors`` and every permutation in ``pis`` have one entry per point, each
-    point is a half-integer pair in the open quadrant (``lattice.dbl``), each color
-    is a whole number (``lattice.whole``), alphas are nondecreasing, betas
-    nonincreasing and colors nondecreasing; otherwise ValidationError names the
-    query field ``colors``, ``pi`` or ``points``.
+def _read_colors(k: int, colors, pis=()) -> list:
+    """The int colors of a k-point query: ``colors`` and every permutation in ``pis``
+    have k entries and each color is a whole number (``lattice.whole``), the colors
+    nondecreasing; otherwise ValidationError names the query field ``colors`` or ``pi``.
     """
-    k = len(points)
     if len(colors) != k:
         raise ValidationError(f"{len(colors)} colors for {k} points", field="colors")
     for pi in pis:
         if len(pi) != k:
             raise ValidationError(f"permutation rank {len(pi)} for {k} points", field="pi")
+    colors = [whole(c, "colors") for c in colors]
+    if any(c1 > c2 for c1, c2 in zip(colors, colors[1:])):
+        raise ValidationError("colors must be nondecreasing", field="colors")
+    return colors
+
+
+def _read_query(points, colors, pis=()) -> tuple:
+    """The doubled points (2 alpha, 2 beta) and the int colors of a query, after its
+    one check.
+
+    The colors and ``pis`` pass ``_read_colors``; each point is a half-integer pair
+    in the open quadrant (``lattice.dbl``), alphas are nondecreasing and betas
+    nonincreasing; otherwise ValidationError names the query field ``points``.
+    """
+    colors = _read_colors(len(points), colors, pis)
     try:
         pts = [dbl(*p) for p in points]
     except (TypeError, ValidationError):
@@ -659,9 +662,6 @@ def _read_query(points, colors, pis=()) -> tuple:
         raise ValidationError("alphas must be nondecreasing", field="points")
     if any(p[1] < r[1] for p, r in zip(pts, pts[1:])):
         raise ValidationError("betas must be nonincreasing", field="points")
-    colors = [whole(c, "colors") for c in colors]
-    if any(c1 > c2 for c1, c2 in zip(colors, colors[1:])):
-        raise ValidationError("colors must be nondecreasing", field="colors")
     return pts, colors
 
 
@@ -679,6 +679,23 @@ def _moment_prefactor(q, pi: Permutation) -> float:
 def _moment_terms(q, pis) -> list:
     """``pi_terms`` that carry the moment prefactor into the adaptive loop."""
     return [(_moment_prefactor(q, pi), pi) for pi in pis]
+
+
+def _q_formula(phi, psi, inside, outside, q, pis, nodes_per_circle: int | None, tol: float,
+               cap: int, contour_scale: float) -> dict:
+    """{pi images: MomentResult} of a q-variant formula for every pi in ``pis``.
+
+    ``phi`` and ``psi`` hold one (zeros, poles) pair of ``ratio_product`` per point,
+    the factors of Phi and Psi.  The contours encircle the ``inside`` poles and
+    exclude the ``outside`` ones (``build_contours``), every radius times
+    ``contour_scale``; each pairing carries its moment prefactor.
+    """
+    fam = build_contours(inside, outside, len(psi), q)
+    if contour_scale != 1.0:
+        fam = fam.scaled(contour_scale)
+    integrand = PairingIntegrand([(1.0, [ratio_product(*f) for f in phi])],
+                                 [ratio_product(*f) for f in psi], _moment_terms(q, pis))
+    return pairing_values(fam, integrand, q, _start(fam, nodes_per_circle), tol, cap)
 
 
 def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, pis,
@@ -700,15 +717,11 @@ def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, 
         """x_i for the rows i < beta, then y_j for the columns j > alpha."""
         return list(xs[: (b2 - 1) // 2]) + list(ys[(a2 - 1) // 2:])
 
-    phi_factors = [ratio_product(zp, [q * t for t in zp])  # at (gamma(c), delta(c))
-                   for zp in (crossed(*domain.threshold(c)) for c in colors)]
-    psi_factors = [ratio_product([q * t for t in zp], zp) for zp in (crossed(*p) for p in pts)]
-
-    fam = build_contours([1 / t for t in zetas], [1 / (q * t) for t in zetas], len(pts), q)
-    if contour_scale != 1.0:
-        fam = fam.scaled(contour_scale)
-    integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors, _moment_terms(q, pis), "q")
-    return pairing_values(fam, integrand, q, _start(fam, nodes_per_circle), tol, cap)
+    phi = [(zp, [q * t for t in zp])  # at (gamma(c), delta(c))
+           for zp in (crossed(*domain.threshold(c)) for c in colors)]
+    psi = [([q * t for t in zp], zp) for zp in (crossed(*p) for p in pts)]
+    return _q_formula(phi, psi, [1 / t for t in zetas], [1 / (q * t) for t in zetas], q, pis,
+                      nodes_per_circle, tol, cap, contour_scale)
 
 
 def qmoment_skew(domain: SkewDomain, params: ModelParams, query: MomentQuery,
@@ -725,37 +738,39 @@ def qmoment_skew(domain: SkewDomain, params: ModelParams, query: MomentQuery,
 # ---------------------------------------------------------------------------
 
 
-def _level_factor(params: ModelParams, c: int):
-    """Phi factor of color c: prod over the rows i <= l_c of (1 - u_i w)/(1 - q u_i w)."""
+def _level_factor(params: ModelParams, c: int) -> tuple:
+    """Phi factor of color c, prod over the rows i <= l_c of (1 - u_i w)/(1 - q u_i w),
+    as its (zeros, poles)."""
     us = params.row_rapidities[: params.level(c)]
-    return ratio_product(us, [params.q * u for u in us])
+    return us, [params.q * u for u in us]
 
 
 def _hs_factors(params: ModelParams, pts, colors):
-    """Phi and Psi factors and the inside and outside poles of the higher-spin formula
-    for the doubled points ``pts``.
+    """Phi and Psi (zeros, poles) lists and the inside and outside poles of the
+    higher-spin formula for the doubled points ``pts``.
 
     Phi of color c is ``_level_factor``.  Psi of (alpha, beta) has the zeros and
     poles of (1 - q u_i w)/(1 - u_i w) for each row i < beta and of
     (1 - s_j y_j w)/(1 - y_j w / s_j) = s_j (w s_j - 1/y_j)/(w - s_j/y_j) for each
     column j < alpha.  The contours encircle 1/u_i and exclude 1/(q u_i) for the
     rows up to the highest beta or level, and s_j/y_j for the columns up to the
-    rightmost alpha.
+    rightmost alpha; those rows must pass ``check_pole_separation``.
     """
     q, us, ys, ss = params.q, params.row_rapidities, params.col_rapidities, params.col_spins
     n_cols = max((a2 - 1) // 2 for a2, _ in pts)
     n_rows = max([(b2 - 1) // 2 for _, b2 in pts] + [params.level(c) for c in colors])
     params.require("query", row_rapidities=n_rows, col_rapidities=n_cols, col_spins=n_cols)
+    check_pole_separation(us[:n_rows], q)
     cols = list(zip(ys, ss))[:n_cols]  # (y_j, s_j)
 
-    psi_factors = []
+    psi = []
     for a2, b2 in pts:
         below, left = us[: (b2 - 1) // 2], cols[: (a2 - 1) // 2]
-        psi_factors.append(ratio_product([q * u for u in below] + [s * y for y, s in left],
-                                         list(below) + [y / s for y, s in left]))
+        psi.append(([q * u for u in below] + [s * y for y, s in left],
+                    list(below) + [y / s for y, s in left]))
     inside = [1 / u for u in us[:n_rows]]
     outside = [1 / (q * u) for u in us[:n_rows]] + [s / y for y, s in cols]
-    return [_level_factor(params, c) for c in colors], psi_factors, inside, outside
+    return [_level_factor(params, c) for c in colors], psi, inside, outside
 
 
 def qmoment_higher_spin_multi(params: ModelParams, points, colors, pis,
@@ -763,14 +778,8 @@ def qmoment_higher_spin_multi(params: ModelParams, points, colors, pis,
                               tol: float = DEFAULT_TOL, cap: int = NODE_CAP,
                               contour_scale: float = 1.0) -> dict:
     pts, colors = _read_query(points, colors, pis)
-    q = params.q
-    phi_factors, psi_factors, inside, outside = _hs_factors(params, pts, colors)
-    check_pole_separation(params.row_rapidities[: max(2, len(inside))], q)
-    fam = build_contours(inside, outside, len(pts), q)
-    if contour_scale != 1.0:
-        fam = fam.scaled(contour_scale)
-    integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors, _moment_terms(q, pis), "q")
-    return pairing_values(fam, integrand, q, _start(fam, nodes_per_circle), tol, cap)
+    return _q_formula(*_hs_factors(params, pts, colors), params.q, pis, nodes_per_circle, tol,
+                      cap, contour_scale)
 
 
 def qmoment_higher_spin(params: ModelParams, query: MomentQuery,
@@ -787,32 +796,17 @@ def qmoment_higher_spin_kappa(params: ModelParams, query: MomentQuery,
                               tol: float = DEFAULT_TOL, cap: int = NODE_CAP) -> MomentResult:
     """Alternative kappa-expansion route: sum over rho of kappa-weighted integrals.
 
-    Evaluates T_pi pointwise on the mesh through the scalar kappa table instead
-    of the factored engine; a cross-check of the same formula (k <= 3).
+    Evaluates pref * (T_pi Phi) * Psi pointwise on the mesh through ``apply_T_pi``
+    instead of the factored engine; a cross-check of the same formula (k <= 3).
     """
     pts, colors = _read_query(query.points, query.colors, [query.pi])
-    q = params.q
-    k = query.k
-    phi_factors, psi_factors, inside, outside = _hs_factors(params, pts, colors)
-    fam = build_contours(inside, outside, k, q)
-
-    pi = query.pi
-    pref = _moment_prefactor(q, pi)
-
-    def f(w):
-        table = kappa_table(pi, w, variant="q", q=q)
-        psi = np.ones_like(np.asarray(w[0], dtype=complex))
-        for a in range(k):
-            psi = psi * psi_factors[a](w[a])
-        tot = 0j
-        for rho, coef in table.items():
-            phi = np.ones_like(psi)
-            for slot in range(k):
-                phi = phi * phi_factors[slot](w[rho[slot] - 1])
-            tot = tot + coef * phi
-        return pref * tot * psi
-
-    return iterated_integral(PointFunction(k, f), fam, nodes_per_circle, q, "q", tol, cap)
+    q, pi, k = params.q, query.pi, query.k
+    phi, psi, inside, outside = _hs_factors(params, pts, colors)
+    phi_fn, psi_fn = (PointFunction.from_per_variable([ratio_product(*f) for f in factors])
+                      for factors in (phi, psi))
+    f = PointFunction.constant(k, _moment_prefactor(q, pi)) * apply_T_pi(pi, phi_fn, q=q) * psi_fn
+    return iterated_integral(f, build_contours(inside, outside, k, q), nodes_per_circle, q,
+                             tol, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -821,24 +815,11 @@ def qmoment_higher_spin_kappa(params: ModelParams, query: MomentQuery,
 
 
 def _coset(pi: Permutation, mults):
-    """[pi]_c = pi * S_c for color blocks of sizes mults."""
-    k = len(pi)
-    blocks = []
-    pos = 0
-    for m in mults:
-        blocks.append(list(range(pos + 1, pos + m + 1)))
-        pos += m
-    members = {pi.images}
-    frontier = [pi]
-    while frontier:
-        cur = frontier.pop()
-        for block in blocks:
-            for i in block[:-1]:
-                nxt = cur * Permutation.transposition(k, i)
-                if nxt.images not in members:
-                    members.add(nxt.images)
-                    frontier.append(nxt)
-    return [Permutation(im) for im in sorted(members)]
+    """[pi]_c = pi * S_c for color blocks of sizes mults, sorted by images: pi * sigma
+    permutes pi's images within each block."""
+    ends = list(accumulate(mults, initial=0))
+    blocks = [permutations(pi.images[a:b]) for a, b in zip(ends, ends[1:])]
+    return [Permutation(sum(parts, ())) for parts in sorted(product(*blocks))]
 
 
 def shifted_observable(params: ModelParams, points, base_colors, pi: Permutation,
@@ -867,14 +848,14 @@ def _shifted_exact(params, pts, pi, mults, nodes_per_circle, tol, cap):
     q = params.q
     k = len(pts)
     n = len(mults)
-    _, psi_factors, inside, outside = _hs_factors(params, pts, [n] * k)
+    _, psi, inside, outside = _hs_factors(params, pts, [n] * k)
 
     # expand prod_c (sum_{j_c=0}^{m_c} coef * slot assignment) into phi terms
     phi_terms = [(1.0, [])]
     for c in range(1, n + 1):
         m_c = mults[c - 1]
-        lower = _level_factor(params, c - 1)
-        upper = _level_factor(params, c)
+        lower = ratio_product(*_level_factor(params, c - 1))
+        upper = ratio_product(*_level_factor(params, c))
         new_terms = []
         for coef, factors in phi_terms:
             for j in range(m_c + 1):
@@ -886,8 +867,8 @@ def _shifted_exact(params, pts, pi, mults, nodes_per_circle, tol, cap):
         phi_terms = new_terms
     fam = build_contours(inside, outside, k, q)
     pref = (1 - q) ** k
-    integrand = PairingIntegrand(phi_terms, psi_factors,
-                                 [(pref, tau) for tau in _coset(pi, mults)], "q")
+    integrand = PairingIntegrand(phi_terms, [ratio_product(*f) for f in psi],
+                                 [(pref, tau) for tau in _coset(pi, mults)])
     return iterated_integral(integrand, fam, nodes_per_circle, q, tol=tol, cap=cap)
 
 
@@ -934,19 +915,14 @@ def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQu
         raise UnsupportedRegimeError("the implemented formula requires beta_k > l_{c_k}",
                                      field="points")
     zi2 = 1 / (z * z)
-    phi_factors = [ratio_product([s] * lc, [zi2 * s] * lc) for lc in levels]
+    phi = [([s] * lc, [zi2 * s] * lc) for lc in levels]
     # Psi: (1 - s w/z^2)/(1 - s w) per row below beta, (1 - s w)/(1 - w/s) per column
     # left of alpha, and the measure factor s/(s - w) = 1/(1 - w/s)
-    psi_factors = [ratio_product([zi2 * s] * ((b2 - 1) // 2) + [s] * ((a2 - 1) // 2),
-                                 [s] * ((b2 - 1) // 2) + [1 / s] * ((a2 + 1) // 2))
-                   for a2, b2 in pts]
-    fam = build_contours_qhahn(s, z, q, len(pts))
-    if contour_scale != 1.0:
-        fam = fam.scaled(contour_scale)
-    integrand = PairingIntegrand([(1.0, phi_factors)], psi_factors,
-                                 _moment_terms(q, [query.pi]), "q")
-    return pairing_values(fam, integrand, q, _start(fam, nodes_per_circle), tol,
-                          cap)[query.pi.images]
+    psi = [([zi2 * s] * ((b2 - 1) // 2) + [s] * ((a2 - 1) // 2),
+            [s] * ((b2 - 1) // 2) + [1 / s] * ((a2 + 1) // 2)) for a2, b2 in pts]
+    # the contours encircle 0 and 1/s and exclude s and z^2/s
+    return _q_formula(phi, psi, [1 / s], [s, z * z / s], q, [query.pi], nodes_per_circle, tol,
+                      cap, contour_scale)[query.pi.images]
 
 
 # ---------------------------------------------------------------------------

@@ -187,15 +187,15 @@ def find_shift_isomorphism(col_a: CutCollection, col_b: CutCollection):
         return None
     if len(col_a.cuts) != len(col_b.cuts):
         return None
-    for i, ca in enumerate(col_a.cuts):
-        for j, cb in enumerate(col_a.cuts):
-            if cut_greater(ca, cb) != cut_greater(col_b.cuts[i], col_b.cuts[j]):
-                return None
     phi = _interval_bijection([c.rows() for c in col_a.cuts],
                               [c.rows() for c in col_b.cuts], n)
     psi = _interval_bijection([c.cols() for c in col_a.cuts],
                               [c.cols() for c in col_b.cuts], m)
     if phi is None or psi is None:
+        return None
+    try:
+        validate_shift_isomorphism(col_a, col_b, phi, psi)
+    except ValidationError:
         return None
     return phi, psi
 
@@ -224,21 +224,12 @@ def _cut_moment_query(col: CutCollection, powers):
         for _ in range(int(a)):
             pts.append(cut.p_point)
             cols.append(color)
+    # both sorts are stable: pi(i) is the point of the i-th smallest color, ties in point order
     order = sorted(range(len(pts)), key=lambda t: (pts[t][0], -pts[t][1]))
-    pts_sorted = [pts[t] for t in order]
     cols_at_point = [cols[t] for t in order]
-    cols_sorted = sorted(cols)
-    used = [False] * len(cols_sorted)
-    pinv = [0] * len(pts)
-    for a, c in enumerate(cols_at_point):
-        for idx, cs in enumerate(cols_sorted):
-            if not used[idx] and cs == c:
-                used[idx] = True
-                pinv[a] = idx + 1
-                break
-    pi = Permutation(tuple(pinv)).inverse()
-    points_f = [(p[0] / 2, p[1] / 2) for p in pts_sorted]
-    return points_f, cols_sorted, pi
+    by_color = sorted(range(len(pts)), key=cols_at_point.__getitem__)
+    points_f = [(pts[t][0] / 2, pts[t][1] / 2) for t in order]
+    return points_f, sorted(cols), Permutation(tuple(a + 1 for a in by_color))
 
 
 def _shifted_params(params: ModelParams, phi: Permutation, psi: Permutation) -> ModelParams:

@@ -122,24 +122,6 @@ def phi_factor(a_comp, b_comp, x, y, q):
     return val
 
 
-def q_special(kind: str, *args):
-    """Dispatch to the q-special functions by name.
-
-    kind in {"pochhammer", "binom", "Zq", "inv", "tinv", "Phi"}.
-    """
-    table = {
-        "pochhammer": q_pochhammer,
-        "binom": q_binom,
-        "Zq": z_q,
-        "inv": inv,
-        "tinv": tinv,
-        "Phi": phi_factor,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown q-special function {kind!r}")
-    return table[kind](*args)
-
-
 def _one_like(q):
     # Fraction(1) if q is a Fraction, else plain 1; keeps exact mode exact.
     return q**0

@@ -154,6 +154,53 @@ def test_polymer_subcommand(tmp_path, capsys):
     assert abs(doc["value_re"] - doc["analytic"]) < 1e-8
 
 
+def test_polymer_analytic_with_delay(tmp_path):
+    # E[Z_(1)^(1,4)] = mu^(t - 1 - delay) = 0.75^2, not mu^(t - 1)
+    from vertexflow.sampler import beta_first_moment
+
+    out = tmp_path / "p.json"
+    assert run(["polymer", "--sigma", "6", "--rho", "1.5", "--m", "1", "--t", "4",
+                "--delay", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert abs(doc["analytic"] - beta_first_moment(6.0, 1.5, 1, 1, 4)) < 1e-15
+    assert abs(doc["value_re"] - doc["analytic"]) < 1e-10
+
+
+def test_verify_all_suites_pass(tmp_path):
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--suite", "all", "--seed", "1", "--out", str(out)]) == 0
+    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+    assert len(names) == 20
+    assert {"shift_invariance_exact", "moment_vs_enumeration_pi(2, 1)"} <= set(names)
+
+
+def test_sample_beta_writes_the_simulated_values(tmp_path):
+    from vertexflow.sampler import simulate_beta_polymer
+
+    cfg = write(tmp_path, "cfg.json", {"params": {"sigma": 6.0, "rho": 1.5, "t_max": 4,
+                                                  "delays": [0, 1]}})
+    out = tmp_path / "z.jsonl"
+    assert run(["sample", "--model", "beta", "--config", cfg, "--samples", "5",
+                "--seed", "2", "--out", str(out)]) == 0
+    batch = simulate_beta_polymer(6.0, 1.5, 4, [0, 1], 2, 5)
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(lines) == 5
+    for i, doc in enumerate(lines):
+        assert set(doc) == {f"{d}:{m}:{t}" for d, m, t in batch.values}
+        for (d, m, t), values in batch.values.items():
+            assert float(doc[f"{d}:{m}:{t}"]) == values[i]
+
+
+def test_moment_hs_pole_separation_exits_2_at_params(tmp_path, capsys):
+    # row 2 = q * row 1 and the query reads rows 1-3
+    params = dict(HS_PARAMS, row_rapidities=[5.0, 2.5, 7.0], col_rapidities=[1.0, 1.1, 1.2],
+                  col_spins=[4.0, 4.0, 4.0], boundary_levels=[1, 2, 3])
+    query = write(tmp_path, "q.json", {"points": [[1.5, 3.5]], "colors": [0], "params": params})
+    code = run(["moment", "--theorem", "8.1", "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "at /params: pole separation fails" in capsys.readouterr().err
+
+
 def test_config_round_trip(tmp_path):
     from vertexflow import lattice
 

@@ -501,6 +501,45 @@ def test_whole_float_colors_read_as_ints(formula, point, color):
     assert got.value == want.value
 
 
+# a query of k = 2 on the lattice of each formula
+K2_POINTS = {"6.1": [(1.5, 2.5), (2.5, 1.5)], "8.1": [(1.5, 2.5), (2.5, 1.5)],
+             "8.1 kappa": [(1.5, 2.5), (2.5, 1.5)], "8.4": [(1.5, 2.5), (2.5, 1.5)],
+             "8.5": [(1.5, 3.5), (2.5, 3.5)], "9.2": [(2, 5), (3, 5)]}
+
+
+@pytest.mark.parametrize("formula", sorted(FORMULAS))
+def test_decreasing_colors_raise_at_colors(formula):
+    with pytest.raises(ValidationError) as info:
+        FORMULAS[formula](K2_POINTS[formula], [1, 0], Permutation.identity(2))
+    assert info.value.field == "colors"
+
+
+# HS3 with u_2 = q u_1: the poles 1/u_2 and 1/(q u_1) meet once a query reads row 2
+HS3_COINCIDENT_ROWS = ModelParams(q=0.5, row_rapidities=(5.0, 2.5, 7.0),
+                                  col_rapidities=(1.0, 1.1, 1.2), col_spins=(4.0, 4.0, 4.0),
+                                  boundary_levels=(1, 2, 3))
+
+
+def test_higher_spin_pole_check_reads_only_the_rows_the_query_uses():
+    # the query reads row 1 only: the formula is the one at a separated row 2
+    query = MomentQuery([(1.5, 1.5)], [0])
+    got = qmoment_higher_spin(HS3_COINCIDENT_ROWS, query)
+    assert abs(got.value - qmoment_higher_spin_kappa(HS3_COINCIDENT_ROWS, query).value) < 1e-14
+    assert abs(got.value - qmoment_higher_spin(HS3, query).value) < 1e-14
+
+
+@pytest.mark.parametrize("route", [
+    lambda params, pts: qmoment_higher_spin(params, MomentQuery(pts, [0])),
+    lambda params, pts: qmoment_higher_spin_kappa(params, MomentQuery(pts, [0])),
+    lambda params, pts: shifted_observable(params, pts, [1], ID1),
+], ids=["8.1", "8.1 kappa", "8.4"])
+def test_higher_spin_pole_separation_raises_at_params(route):
+    # (1.5, 3.5) reads rows 1-3; every route reports the rows, never a contour failure
+    with pytest.raises(ValidationError) as info:
+        route(HS3_COINCIDENT_ROWS, [(1.5, 3.5)])
+    assert info.value.field == "params"
+
+
 def test_qhahn_unsupported_regime_names_points():
     with pytest.raises(UnsupportedRegimeError) as info:
         qmoment_qhahn(0.4, 0.4, 0.7, QHAHN_LEVELS, MomentQuery([(1.5, 1.5)], [3]))

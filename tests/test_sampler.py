@@ -411,6 +411,18 @@ def test_qhahn_tracked_heights_match_edges():
         assert np.array_equal(batch.tracked_heights[key], batch.heights((a, b), c))
 
 
+def test_qhahn_heights_from_fused_edges_match_tracked():
+    # heights() returns a tracked key as it is; without track= it sums the fused edges
+    track = [(1.5, 2.5, 0), (1.5, 3.5, 0), (1.5, 3.5, 1), (2.5, 3.5, 0)]
+    edges = sample_qhahn(0.4, 0.4, 0.7, (3, 3), (1, 2, 3), seed=3, count=2000, keep_edges=True)
+    tracked = sample_qhahn(0.4, 0.4, 0.7, (3, 3), (1, 2, 3), seed=3, count=2000, track=track,
+                           keep_edges=False)
+    assert not edges.tracked_heights and edges.h_edges.ndim == 4
+    for a, b, c in track:
+        want = tracked.tracked_heights[(a, b, c)]
+        assert want.any() and np.array_equal(edges.heights((a, b), c), want)
+
+
 def test_qhahn_worker_determinism():
     track = [(1.5, 2.5, 0), (2.5, 2.5, 1)]
 

@@ -16,7 +16,6 @@ from vertexflow.weights import (
     phi_factor,
     q_binom,
     q_pochhammer,
-    q_special,
     qhahn_row,
     qhahn_weight,
     r_weight,
@@ -71,15 +70,6 @@ def test_zq_matches_inversion_generating_function():
             by_inv = sum(q ** inv(w) for w in words)
             by_tinv = sum(q ** tinv(w) for w in words)
             assert by_inv == by_tinv == z_q(n_slots, comp, q)
-
-
-def test_q_special_dispatch():
-    assert q_special("pochhammer", 0.2, 0.5, 1) == q_pochhammer(0.2, 0.5, 1)
-    assert q_special("binom", 4, 2, 0.5) == q_binom(4, 2, 0.5)
-    assert q_special("inv", (2, 1, 0)) == 3
-    assert q_special("tinv", (2, 1, 3)) == 2
-    with pytest.raises(ValueError):
-        q_special("nope", 1)
 
 
 # ---------------------------------------------------------------------------
