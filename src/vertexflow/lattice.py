@@ -296,7 +296,13 @@ def rectangle_domain(n_rows: int, m_cols: int, coloring) -> SkewDomain:
 
 def quadrant_coloring(n_rows: int, m_cols: int, params: ModelParams) -> tuple:
     """Rectangle boundary coloring for the quadrant model: empty bottom,
-    color c entering at rows l_{c-1}+1 .. l_c on the left."""
+    color c entering at rows l_{c-1}+1 .. l_c on the left.  Colors are nondecreasing
+    along Q, so an empty row above a colored one, a rectangle taller than a positive
+    l_n, raises at ``params/boundary_levels``."""
+    last = params.level(len(params.boundary_levels))
+    if 0 < last < n_rows:
+        raise ValidationError(f"boundary_levels end at row {last}, below the top row {n_rows}: "
+                              f"the rows above would enter empty", field="params/boundary_levels")
     return tuple([0] * m_cols + [params.row_color(r) for r in range(1, n_rows + 1)])
 
 
@@ -316,27 +322,19 @@ def _as_comp(label, n_colors: int) -> tuple:
 
 @dataclass
 class Configuration:
-    """Assignment of labels to the edges of a domain.
+    """Assignment of labels to the edges of a skew domain, whose shape it has.
 
-    ``domain`` is a SkewDomain or None (plain N x M quadrant window).  Edge
-    labels are ints (unfused) or tuples (compositions).  ``n_colors`` is the
+    Edge labels are ints (unfused) or tuples (compositions).  ``n_colors`` is the
     composition length used when fused labels appear.
     """
 
-    n_rows: int
-    m_cols: int
     h_edges: dict
     v_edges: dict
-    domain: SkewDomain | None = None
+    domain: SkewDomain
     n_colors: int = 1
 
     def check_conservation(self) -> None:
-        verts = (
-            self.domain.vertices()
-            if self.domain is not None
-            else [(x, y) for x in range(1, self.m_cols + 1) for y in range(1, self.n_rows + 1)]
-        )
-        for (x, y) in verts:
+        for (x, y) in self.domain.vertices():
             inc = _sum_comps(
                 _as_comp(self.h_edges[(x - 1, y)], self.n_colors),
                 _as_comp(self.v_edges[(x, y - 1)], self.n_colors),
@@ -363,38 +361,31 @@ def _tail_count(label, c: int, n_colors: int) -> int:
 def height(config: Configuration, point, c: int) -> int:
     """Colored height h_{>c} at a dual point (alpha, beta), half-integers.
 
-    Skew domains anchor h at the start of Q; quadrant windows anchor h = 0
-    on the bottom dual row.  Counts paths of color > c crossing the vertical
-    dual line of the point from below, per the local height relations.
+    Heights are anchored on Q by the boundary ramp (``SkewDomain.boundary_height``).
+    Counts paths of color > c crossing the vertical dual line of the point from
+    below, per the local height relations.
     """
     return height_d(config, dbl(*point), c)
 
 
 def height_d(config: Configuration, p: Point, c: int) -> int:
     """Same as ``height`` but taking a doubled-integer dual point."""
-    return _read_height(config, height_anchor(config, p, c), c)
+    return _read_height(config, height_anchor(config.domain, p, c), c)
 
 
-def height_anchor(region, p: Point, c: int) -> tuple[int, int, range]:
-    """(base, x, rows): h_{>c} at the doubled dual point ``p`` is ``base`` plus the
-    paths of color > c on the h-edges (x, y), y in ``rows``.  ``region`` has
-    ``domain``, ``n_rows`` and ``m_cols`` (a Configuration or a SampleBatch); a
-    point outside its domain or window, or a color c < 0, raises ValidationError."""
+def height_anchor(domain: SkewDomain, p: Point, c: int) -> tuple[int, int, range]:
+    """(base, x, rows): h_{>c} at the doubled dual point ``p`` of ``domain`` is ``base``,
+    the boundary height where Q crosses the point's dual column, plus the paths of
+    color > c on the h-edges (x, y), y in ``rows``.  A point outside the domain, or a
+    color c < 0, raises ValidationError."""
     if c < 0:
         raise ValidationError(f"height color must be >= 0, got {c}")
+    if not domain.contains_face(p):
+        raise ValidationError(f"point {undbl(p)} lies outside the domain")
     a2, b2 = p
-    dom = region.domain
-    if dom is not None:
-        if not dom.contains_face(p):
-            raise ValidationError(f"point {undbl(p)} lies outside the domain")
-        lo, _ = dom.face_range(a2)
-        base, y_from = dom.boundary_height((a2, lo), c), lo // 2 + 1
-    else:
-        if not (1 <= a2 <= 2 * region.m_cols + 1) or not (1 <= b2 <= 2 * region.n_rows + 1):
-            raise ValidationError(f"point {undbl(p)} lies outside the window")
-        base, y_from = 0, 1
+    lo, _ = domain.face_range(a2)
     # h-edges crossing line alpha sit at x = alpha - 1/2
-    return base, (a2 - 1) // 2, range(y_from, b2 // 2 + 1)
+    return domain.boundary_height((a2, lo), c), (a2 - 1) // 2, range(lo // 2 + 1, b2 // 2 + 1)
 
 
 def _read_height(config: Configuration, anchor, c: int) -> int:
@@ -418,22 +409,13 @@ def merge_colors(config: Configuration, theta) -> Configuration:
             return tuple(merge_composition(label, th, m_colors))
         return th[label - 1] if label > 0 else 0
 
-    new = Configuration(
-        config.n_rows,
-        config.m_cols,
+    dom = config.domain
+    return Configuration(
         {e: map_label(v) for e, v in config.h_edges.items()},
         {e: map_label(v) for e, v in config.v_edges.items()},
-        _merge_domain(config.domain, th),
+        SkewDomain(dom.q_path, dom.p_path, tuple((th[c - 1] if c > 0 else 0) for c in dom.coloring)),
         max(m_colors, 1),
     )
-    return new
-
-
-def _merge_domain(domain: SkewDomain | None, theta: tuple) -> SkewDomain | None:
-    if domain is None:
-        return None
-    new_colors = tuple((theta[c - 1] if c > 0 else 0) for c in domain.coloring)
-    return SkewDomain(domain.q_path, domain.p_path, new_colors)
 
 
 # ---------------------------------------------------------------------------
@@ -482,22 +464,23 @@ def config_to_json(config: Configuration) -> dict:
         return [[x, y, list(v) if isinstance(v, tuple) else v] for (x, y), v in sorted(edges.items())]
 
     return {
-        "n_rows": config.n_rows,
-        "m_cols": config.m_cols,
+        "n_rows": config.domain.n_rows,
+        "m_cols": config.domain.m_cols,
         "n_colors": config.n_colors,
         "h_edges": enc(config.h_edges),
         "v_edges": enc(config.v_edges),
     }
 
 
-def config_from_json(doc: dict, domain: SkewDomain | None = None) -> Configuration:
+def config_from_json(doc: dict, domain: SkewDomain) -> Configuration:
+    """The configuration ``doc`` on ``domain``, whose shape its n_rows and m_cols must match."""
     def dec(rows):
         return {(x, y): tuple(v) if isinstance(v, list) else v for x, y, v in rows}
 
-    return Configuration(
-        doc["n_rows"], doc["m_cols"], dec(doc["h_edges"]), dec(doc["v_edges"]),
-        domain, doc.get("n_colors", 1),
-    )
+    if (doc["n_rows"], doc["m_cols"]) != (domain.n_rows, domain.m_cols):
+        raise ValidationError(f"a {doc['n_rows']}x{doc['m_cols']} configuration on a "
+                              f"{domain.n_rows}x{domain.m_cols} domain")
+    return Configuration(dec(doc["h_edges"]), dec(doc["v_edges"]), domain, doc.get("n_colors", 1))
 
 
 def dumps(doc: dict) -> str:

@@ -65,8 +65,10 @@ colors.  Every row and column count is read from them: (b2 - 1) // 2 rows lie
 below beta and (a2 - 1) // 2 columns left of alpha.  The Beta polymer maps its
 integer (m, t) to (m - 1/2, t - 1/2) first.  Phi and Psi of the q-variant formulas
 are lists of one (zeros, poles) pair of ``ratio_product`` per point, and one
-runner, ``_q_formula``, takes them with the inside and outside poles to the
-contours, the moment prefactors and the adaptive loop for 6.1, 8.1 and 8.5.  The
+runner, ``_q_formula``, takes them with the model's contour family to the moment
+prefactors and the adaptive loop for 6.1, 8.1 and 8.5.  Each model builds its
+family in one place: 6.1 in ``qmoment_skew_multi``, the higher-spin formulas 8.1,
+its kappa route and 8.4 in ``_hs_factors``, 8.5 in ``build_contours_qhahn``.  The
 rapidities a formula reads pass ``lattice.check_pole_separation`` once: the step
 rapidities for 6.1, the rows the query reads in ``_hs_factors`` for 8.1, its
 kappa route and 8.4.  The DL terms of T_pi expand by ``hecke._push``, the push
@@ -81,7 +83,7 @@ from itertools import accumulate, permutations, product
 
 import numpy as np
 
-from .contours import ContourFamily, build_contours, build_contours_beta
+from .contours import ContourFamily, build_contours, build_contours_beta, build_contours_qhahn
 from .errors import ContourResolutionError, UnsupportedRegimeError, ValidationError
 from .hecke import Permutation, PointFunction, _coeffs, _push, apply_T_pi
 from .lattice import ModelParams, SkewDomain, check_pole_separation, dbl, whole
@@ -557,34 +559,22 @@ def pairing_values(fam: ContourFamily, integrand: PairingIntegrand, q,
     return _adaptive(fam, integrand.variant, q, evaluate, nodes_per_circle, tol, cap)
 
 
-def iterated_integral(f, contours: ContourFamily, nodes_per_circle: int | None = None,
+def iterated_integral(f: PointFunction, contours: ContourFamily, nodes_per_circle: int | None = None,
                       q=None, tol: float = DEFAULT_TOL, cap: int = NODE_CAP) -> MomentResult:
-    """The pairing integral of ``f`` over the contour family.
+    """The pairing integral of the PointFunction ``f`` over the contour family,
+    evaluated on the dense node mesh (k <= 3) with the cross factor
+    prod_{a<b}(w_b - w_a)/(w_b - q w_a) and the measure dw_a/(2 pi i w_a).
+    Factored integrands go through ``pairing_values``."""
+    def evaluate(grid, keys=None):
+        return {None: _mesh_integral(grid, f)}
 
-    Includes the cross factor prod_{a<b}(w_b - w_a)/(w_b - q w_a) (or its
-    polymer analogue) and the measure dw_a/(2 pi i w_a).  Structured
-    ``PairingIntegrand`` inputs use the factored fast path and return the sum
-    over their ``pi_terms``, with the error estimate of that sum; plain
-    PointFunctions are evaluated on the dense node mesh with the q cross factor.
-    """
-    if isinstance(f, PairingIntegrand):
-        variant = f.variant
-
-        def evaluate(grid, keys=None):
-            return {None: sum(_pairing_on_grid(grid, f).values())}
-    else:
-        variant = "q"
-
-        def evaluate(grid, keys=None):
-            return {None: _mesh_integral(grid, f)}
-
-    return _adaptive(contours, variant, q, evaluate, nodes_per_circle, tol, cap)[None]
+    return _adaptive(contours, "q", q, evaluate, nodes_per_circle, tol, cap)[None]
 
 
 def _mesh_integral(grid: _Grid, f: PointFunction) -> complex:
     k = grid.k
     if k > 3:
-        raise ValidationError("mesh evaluation supports k <= 3; use a PairingIntegrand")
+        raise ValidationError("mesh evaluation supports k <= 3; use pairing_values")
     base = [grid.dws[a] / grid.nodes[a] for a in range(k)]
     if k == 1:
         vals = f([grid.nodes[0]])
@@ -681,16 +671,15 @@ def _moment_terms(q, pis) -> list:
     return [(_moment_prefactor(q, pi), pi) for pi in pis]
 
 
-def _q_formula(phi, psi, inside, outside, q, pis, nodes_per_circle: int | None, tol: float,
+def _q_formula(phi, psi, fam: ContourFamily, q, pis, nodes_per_circle: int | None, tol: float,
                cap: int, contour_scale: float) -> dict:
     """{pi images: MomentResult} of a q-variant formula for every pi in ``pis``.
 
     ``phi`` and ``psi`` hold one (zeros, poles) pair of ``ratio_product`` per point,
-    the factors of Phi and Psi.  The contours encircle the ``inside`` poles and
-    exclude the ``outside`` ones (``build_contours``), every radius times
-    ``contour_scale``; each pairing carries its moment prefactor.
+    the factors of Phi and Psi.  ``fam`` is the model's contour family, built where
+    its poles are known; every radius is taken times ``contour_scale``.  Each pairing
+    carries its moment prefactor.
     """
-    fam = build_contours(inside, outside, len(psi), q)
     if contour_scale != 1.0:
         fam = fam.scaled(contour_scale)
     integrand = PairingIntegrand([(1.0, [ratio_product(*f) for f in phi])],
@@ -720,8 +709,8 @@ def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, 
     phi = [(zp, [q * t for t in zp])  # at (gamma(c), delta(c))
            for zp in (crossed(*domain.threshold(c)) for c in colors)]
     psi = [([q * t for t in zp], zp) for zp in (crossed(*p) for p in pts)]
-    return _q_formula(phi, psi, [1 / t for t in zetas], [1 / (q * t) for t in zetas], q, pis,
-                      nodes_per_circle, tol, cap, contour_scale)
+    fam = build_contours([1 / t for t in zetas], [1 / (q * t) for t in zetas], len(pts), q)
+    return _q_formula(phi, psi, fam, q, pis, nodes_per_circle, tol, cap, contour_scale)
 
 
 def qmoment_skew(domain: SkewDomain, params: ModelParams, query: MomentQuery,
@@ -746,15 +735,15 @@ def _level_factor(params: ModelParams, c: int) -> tuple:
 
 
 def _hs_factors(params: ModelParams, pts, colors):
-    """Phi and Psi (zeros, poles) lists and the inside and outside poles of the
-    higher-spin formula for the doubled points ``pts``.
+    """Phi and Psi (zeros, poles) lists and the contour family of the higher-spin
+    formula for the doubled points ``pts``.
 
     Phi of color c is ``_level_factor``.  Psi of (alpha, beta) has the zeros and
     poles of (1 - q u_i w)/(1 - u_i w) for each row i < beta and of
     (1 - s_j y_j w)/(1 - y_j w / s_j) = s_j (w s_j - 1/y_j)/(w - s_j/y_j) for each
-    column j < alpha.  The contours encircle 1/u_i and exclude 1/(q u_i) for the
-    rows up to the highest beta or level, and s_j/y_j for the columns up to the
-    rightmost alpha; those rows must pass ``check_pole_separation``.
+    column j < alpha.  The contours (``build_contours``) encircle 1/u_i and exclude
+    1/(q u_i) for the rows up to the highest beta or level, and s_j/y_j for the
+    columns up to the rightmost alpha; those rows must pass ``check_pole_separation``.
     """
     q, us, ys, ss = params.q, params.row_rapidities, params.col_rapidities, params.col_spins
     n_cols = max((a2 - 1) // 2 for a2, _ in pts)
@@ -768,9 +757,9 @@ def _hs_factors(params: ModelParams, pts, colors):
         below, left = us[: (b2 - 1) // 2], cols[: (a2 - 1) // 2]
         psi.append(([q * u for u in below] + [s * y for y, s in left],
                     list(below) + [y / s for y, s in left]))
-    inside = [1 / u for u in us[:n_rows]]
-    outside = [1 / (q * u) for u in us[:n_rows]] + [s / y for y, s in cols]
-    return [_level_factor(params, c) for c in colors], psi, inside, outside
+    fam = build_contours([1 / u for u in us[:n_rows]],
+                         [1 / (q * u) for u in us[:n_rows]] + [s / y for y, s in cols], len(pts), q)
+    return [_level_factor(params, c) for c in colors], psi, fam
 
 
 def qmoment_higher_spin_multi(params: ModelParams, points, colors, pis,
@@ -801,12 +790,11 @@ def qmoment_higher_spin_kappa(params: ModelParams, query: MomentQuery,
     """
     pts, colors = _read_query(query.points, query.colors, [query.pi])
     q, pi, k = params.q, query.pi, query.k
-    phi, psi, inside, outside = _hs_factors(params, pts, colors)
+    phi, psi, fam = _hs_factors(params, pts, colors)
     phi_fn, psi_fn = (PointFunction.from_per_variable([ratio_product(*f) for f in factors])
                       for factors in (phi, psi))
     f = PointFunction.constant(k, _moment_prefactor(q, pi)) * apply_T_pi(pi, phi_fn, q=q) * psi_fn
-    return iterated_integral(f, build_contours(inside, outside, k, q), nodes_per_circle, q,
-                             tol, cap)
+    return iterated_integral(f, fam, nodes_per_circle, q, tol, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +836,7 @@ def _shifted_exact(params, pts, pi, mults, nodes_per_circle, tol, cap):
     q = params.q
     k = len(pts)
     n = len(mults)
-    _, psi, inside, outside = _hs_factors(params, pts, [n] * k)
+    _, psi, fam = _hs_factors(params, pts, [n] * k)
 
     # expand prod_c (sum_{j_c=0}^{m_c} coef * slot assignment) into phi terms
     phi_terms = [(1.0, [])]
@@ -865,11 +853,14 @@ def _shifted_exact(params, pts, pi, mults, nodes_per_circle, tol, cap):
                 slot_factors = [lower] * j + [upper] * (m_c - j)
                 new_terms.append((coef * cj, factors + slot_factors))
         phi_terms = new_terms
-    fam = build_contours(inside, outside, k, q)
     pref = (1 - q) ** k
     integrand = PairingIntegrand(phi_terms, [ratio_product(*f) for f in psi],
                                  [(pref, tau) for tau in _coset(pi, mults)])
-    return iterated_integral(integrand, fam, nodes_per_circle, q, tol=tol, cap=cap)
+
+    def evaluate(grid, keys=None):  # one value: the sum over the coset, priced as a sum
+        return {None: sum(_pairing_on_grid(grid, integrand).values())}
+
+    return _adaptive(fam, integrand.variant, q, evaluate, nodes_per_circle, tol, cap)[None]
 
 
 def _binom2(m: int) -> int:
@@ -920,9 +911,8 @@ def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQu
     # left of alpha, and the measure factor s/(s - w) = 1/(1 - w/s)
     psi = [([zi2 * s] * ((b2 - 1) // 2) + [s] * ((a2 - 1) // 2),
             [s] * ((b2 - 1) // 2) + [1 / s] * ((a2 + 1) // 2)) for a2, b2 in pts]
-    # the contours encircle 0 and 1/s and exclude s and z^2/s
-    return _q_formula(phi, psi, [1 / s], [s, z * z / s], q, [query.pi], nodes_per_circle, tol,
-                      cap, contour_scale)[query.pi.images]
+    return _q_formula(phi, psi, build_contours_qhahn(s, z, q, len(pts)), q, [query.pi],
+                      nodes_per_circle, tol, cap, contour_scale)[query.pi.images]
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,19 @@ come from two Gamma draws; a Gamma draw by rejection takes a varying number of
 uniforms, so a Beta stream cannot be placed and is not blocked: its recursion
 runs in place instead, over a few stream-sized arrays per delay.
 
-Samplers sweep vertices in a fixed order (diagonals for skew domains, rows for
-quadrant windows) with all per-vertex draws vectorized across the batch.  Each
-vertex model has one ``transitions(state)``: ``weights._sc6v_transitions``,
+Every model lives on a ``SkewDomain``: SC6V on any, the higher-spin and q-Hahn
+models, fusions of SC6V on the quadrant, on ``sc6v_quadrant_domain`` (a rectangle
+with an empty bottom and the colors entering on the left).  Samplers sweep
+vertices in a fixed order (diagonals for SC6V, rows for the rectangles) with all
+per-vertex draws vectorized across the batch.  Each vertex model has one
+``transitions(state)``: ``weights._sc6v_transitions``,
 ``weights._hs_transitions`` or ``weights.qhahn_row`` (a whole row of
 ``qhahn_weight``).  All samplers draw through one kernel, ``_VertexLaw``: it
 groups the batch by a mixed-radix key of the incoming state built in place,
-builds and checks (the only stochasticity check) one row per state present, once
-for all streams (q-Hahn: once for all calls with the same (q, s, z)), and makes
-one inverse-CDF draw per sample.  A row stores the least uniform that reaches
+builds and checks one row per state present, once for all streams (q-Hahn: once
+for all calls with the same (q, s, z)), and makes one inverse-CDF draw per
+sample.  ``_probabilities`` is the only stochasticity check, of every vertex row
+and of the q-Hahn boundary law.  A row stores the least uniform that reaches
 each cumulative weight (``_thresholds``), so the draw is a binary search on u
 alone, in place on one index array, and one ``take`` from an outcome table
 already in the edge dtype; it picks what a search for u times the row total
@@ -54,6 +58,7 @@ from .lattice import (
     dbl,
     height_anchor,
     quadrant_coloring,
+    rectangle_domain,
     whole,
 )
 from .weights import _hs_transitions, _sc6v_transitions, lattice_sum, q_pochhammer, qhahn_row
@@ -118,17 +123,14 @@ class SampleBatch:
     axis.  In memory they are ``np.moveaxis`` views of arrays indexed
     [x, y, (color,) sample], so one edge across the batch is a contiguous row.
     ``tracked_heights`` maps (alpha, beta, c) to per-sample heights for
-    observables requested at sampling time.
+    observables requested at sampling time.  The shape is the domain's.
     """
 
-    model_kind: str
     seed: int
     params: object
     count: int
-    n_rows: int
-    m_cols: int
     n_colors: int
-    domain: SkewDomain | None = None
+    domain: SkewDomain
     h_edges: np.ndarray | None = None
     v_edges: np.ndarray | None = None
     tracked_heights: dict = field(default_factory=dict)
@@ -140,13 +142,13 @@ class SampleBatch:
         v = {}
         fused_h = self.h_edges.ndim == 4
         fused_v = self.v_edges.ndim == 4
-        for x in range(self.m_cols + 1):
-            for y in range(self.n_rows + 1):
+        for x in range(self.domain.m_cols + 1):
+            for y in range(self.domain.n_rows + 1):
                 hv = self.h_edges[i, x, y]
                 vv = self.v_edges[i, x, y]
                 h[(x, y)] = tuple(int(t) for t in hv) if fused_h else int(hv)
                 v[(x, y)] = tuple(int(t) for t in vv) if fused_v else int(vv)
-        return Configuration(self.n_rows, self.m_cols, h, v, self.domain, self.n_colors)
+        return Configuration(h, v, self.domain, self.n_colors)
 
     def heights(self, point, c: int) -> np.ndarray:
         """Per-sample h_{>c} at a dual point, from tracked or stored edges."""
@@ -155,7 +157,7 @@ class SampleBatch:
             return self.tracked_heights[key]
         if self.h_edges is None:
             raise ValidationError("request this height via track= at sampling time")
-        base, x, rows = height_anchor(self, dbl(*point), c)
+        base, x, rows = height_anchor(self.domain, dbl(*point), c)
         out = np.full(self.count, base, dtype=np.int64)
         for y in rows:
             lab = self.h_edges[:, x, y]
@@ -177,8 +179,8 @@ class WeightedEnsemble:
 
     def moment(self, points, colors, q) -> complex:
         """sum_config weight * q^{sum_a h_{>c_a}(p_a)} over the ensemble."""
-        region = self.entries[0][1]  # every entry has the same domain or window
-        anchors = [(height_anchor(region, dbl(*p), c), c) for p, c in zip(points, colors)]
+        domain = self.entries[0][1].domain  # every entry has the same domain
+        anchors = [(height_anchor(domain, dbl(*p), c), c) for p, c in zip(points, colors)]
         out = 0
         for w, cfg in self.entries:
             expo = sum(_read_height(cfg, anchor, c) for anchor, c in anchors)
@@ -246,9 +248,23 @@ def _thresholds(cdf):
         thr[down] = np.nextafter(thr[down], -np.inf)
 
 
+def _probabilities(weights, what: str) -> np.ndarray:
+    """The real parts of ``weights``, once they pass the samplers' one stochasticity
+    check: finite, real and in [0, 1] to 1e-12, with a sum within PROB_TOL of 1;
+    otherwise ParameterRangeError says that ``what`` are not a probability distribution."""
+    w = np.asarray(weights, dtype=complex)
+    p = w.real
+    if (not np.isfinite(w).all() or np.abs(w.imag).max() > 1e-12 or p.min() < -1e-12
+            or p.max() > 1 + 1e-12 or abs(p.sum() - 1) > PROB_TOL):
+        raise ParameterRangeError(
+            f"{what} are not a probability distribution (min {p.min():.3g}, "
+            f"sum {p.sum():.15g}, max |imag| {np.abs(w.imag).max():.3g})")
+    return p
+
+
 class _VertexLaw:
     """Inverse-CDF draws from ``transitions``; each incoming state's row is built on
-    first use, checked (the samplers' one stochasticity check) and cached.  The padded
+    first use, checked (``_probabilities``) and cached.  The padded
     table of the last set of states present is kept too: the blocks of a sweep meet
     one vertex's law again and again, nearly always with the same states.  Streams on
     different threads share the caches; a row miss builds the row under a lock, so
@@ -267,14 +283,7 @@ class _VertexLaw:
         with self.lock:
             if state not in self.rows:
                 outs, ws = self.transitions(state)
-                w = np.asarray(ws, dtype=complex)
-                p = w.real
-                if (not np.isfinite(w).all() or np.abs(w.imag).max() > 1e-12 or p.min() < -1e-12
-                        or p.max() > 1 + 1e-12 or abs(p.sum() - 1) > PROB_TOL):
-                    raise ParameterRangeError(
-                        f"vertex {vertex}: weights out of state {state} are not a probability "
-                        f"distribution (min {p.min():.3g}, sum {p.sum():.15g}, "
-                        f"max |imag| {np.abs(w.imag).max():.3g})")
+                p = _probabilities(ws, f"vertex {vertex}: weights out of state {state}")
                 self.rows[state] = (np.array(outs, dtype=np.int64),
                                     _thresholds(np.cumsum(np.clip(p, 0, None))))
             return self.rows[state]
@@ -320,18 +329,16 @@ class _VertexLaw:
 
 @dataclass(frozen=True)
 class _Model:
-    """A vertex model on one region, read by both ``_sweep`` and ``_enumerate``: each
+    """A vertex model on a skew domain, read by both ``_sweep`` and ``_enumerate``: each
     vertex's transitions in sweep order, the label of every edge before the sweep
     (``h``/``v`` keyed by edge in x-major order; boundary colors, else empty; a
-    fused label is a color composition), and the region's shape."""
+    fused label is a color composition), the color count and the domain."""
 
     transitions: dict
     h: dict
     v: dict
-    n_rows: int
-    m_cols: int
     n_colors: int
-    domain: SkewDomain | None = None
+    domain: SkewDomain
 
 
 def _sweep(model: _Model, laws, seed: int, count: int, workers: int):
@@ -346,7 +353,8 @@ def _sweep(model: _Model, laws, seed: int, count: int, workers: int):
     def edges(labels):
         first = next(iter(labels.values()))
         dtype = np.int16 if isinstance(first, tuple) else _label_dtype(model.n_colors)
-        arr = np.zeros((model.m_cols + 1, model.n_rows + 1, *np.shape(first), count), dtype=dtype)
+        shape = (model.domain.m_cols + 1, model.domain.n_rows + 1, *np.shape(first), count)
+        arr = np.zeros(shape, dtype=dtype)
         samples_first = np.moveaxis(arr, -1, 0)
         for (x, y), label in labels.items():
             if np.any(label):  # pages of zeros the sweep never writes stay unallocated
@@ -390,13 +398,12 @@ def _enumerate(model: _Model) -> WeightedEnsemble:
     state = (*h.values(), *(c for label in v_labels for c in label))
     steps = [(t, v_slots[x, y - 1] + (h_slot[x - 1, y],), v_slots[x, y] + (h_slot[x, y],))
              for (x, y), t in model.transitions.items()]
-    shape = dict(n_rows=model.n_rows, m_cols=model.m_cols, domain=model.domain, n_colors=model.n_colors)
 
     def config(final):
         labels = final[len(h):]
         if fused:
             labels = [labels[t:t + width] for t in range(0, len(labels), width)]
-        return Configuration(h_edges=dict(zip(h, final)), v_edges=dict(zip(v, labels)), **shape)
+        return Configuration(dict(zip(h, final)), dict(zip(v, labels)), model.domain, model.n_colors)
 
     return WeightedEnsemble([(w, config(final)) for final, w in lattice_sum(steps, state).items()])
 
@@ -406,18 +413,24 @@ def _enumerate(model: _Model) -> WeightedEnsemble:
 # ---------------------------------------------------------------------------
 
 
+def _boundary(domain: SkewDomain) -> tuple:
+    """(h, v, n_colors): the label of every edge of ``domain`` before a sweep, keyed in
+    x-major order (the boundary color where Q crosses the edge, else 0), and the
+    number of colors, at least 1."""
+    h = {(x, y): 0 for x in range(domain.m_cols + 1) for y in range(domain.n_rows + 1)}
+    v = dict(h)
+    for kind, edge, color in domain.incoming_edges():
+        (h if kind == "h" else v)[edge] = color
+    return h, v, max(domain.coloring, default=1) or 1
+
+
 def _sc6v_model(domain: SkewDomain, params: ModelParams) -> _Model:
     vertices = list(domain.vertices())
     params.require("domain", row_rapidities=max((y for _, y in vertices), default=0),
                    col_rapidities=max((x for x, _ in vertices), default=0))
     xr, yc = params.row_rapidities, params.col_rapidities
-    h = {(x, y): 0 for x in range(domain.m_cols + 1) for y in range(domain.n_rows + 1)}
-    v = dict(h)
-    for kind, edge, color in domain.incoming_edges():
-        (h if kind == "h" else v)[edge] = color
     return _Model({(x, y): partial(_sc6v_transitions, xr[y - 1] / yc[x - 1], params.q)
-                   for (x, y) in vertices},
-                  h, v, domain.n_rows, domain.m_cols, max(domain.coloring, default=1) or 1, domain)
+                   for (x, y) in vertices}, *_boundary(domain), domain)
 
 
 def sample_sc6v(domain: SkewDomain, params: ModelParams, seed: int, count: int,
@@ -428,8 +441,8 @@ def sample_sc6v(domain: SkewDomain, params: ModelParams, seed: int, count: int,
     for vertex, law in laws.items():  # R depends on sign(i - j) only: check all before drawing
         law.row((0, 1), vertex)
         law.row((1, 0), vertex)
-    return SampleBatch("sc6v_skew", seed, params, count, domain.n_rows, domain.m_cols, model.n_colors,
-                       domain, *_sweep(model, laws, seed, count, workers))
+    return SampleBatch(seed, params, count, model.n_colors, domain,
+                       *_sweep(model, laws, seed, count, workers))
 
 
 def enumerate_sc6v(domain: SkewDomain, params: ModelParams, cap: int = 16) -> WeightedEnsemble:
@@ -445,36 +458,42 @@ def enumerate_sc6v(domain: SkewDomain, params: ModelParams, cap: int = 16) -> We
 # ---------------------------------------------------------------------------
 
 
+def sc6v_quadrant_domain(n_rows: int, m_cols: int, params: ModelParams) -> SkewDomain:
+    """Rectangle with the quadrant boundary coloring induced by boundary_levels: the
+    domain of the higher-spin and q-Hahn models, which fuse SC6V on it."""
+    return rectangle_domain(n_rows, m_cols, quadrant_coloring(n_rows, m_cols, params))
+
+
 def _hs_model(params: ModelParams, rect: tuple[int, int]) -> _Model:
-    """The window's vertices in row-sweep order: color c enters at rows l_{c-1}+1 .. l_c
-    from the left, the bottom is empty and vertical labels are compositions."""
+    """The model on ``sc6v_quadrant_domain(*rect, params)``, vertices in row-sweep order:
+    color c enters at rows l_{c-1}+1 .. l_c from the left, the bottom is empty and
+    vertical labels are compositions."""
     n_rows, m_cols = rect
-    params.require("window", row_rapidities=n_rows, col_rapidities=m_cols, col_spins=m_cols)
+    params.require("domain", row_rapidities=n_rows, col_rapidities=m_cols, col_spins=m_cols)
     u, ys, ss = params.row_rapidities, params.col_rapidities, params.col_spins
-    n_colors = max((params.row_color(r) for r in range(1, n_rows + 1)), default=1) or 1
-    h = {(x, y): 0 for x in range(m_cols + 1) for y in range(n_rows + 1)}
-    for y in range(1, n_rows + 1):
-        h[0, y] = params.row_color(y)
+    domain = sc6v_quadrant_domain(n_rows, m_cols, params)
+    h, v, n_colors = _boundary(domain)
     return _Model({(x, y): partial(_hs_transitions, u[y - 1] / ys[x - 1], ss[x - 1], params.q)
                    for y in range(1, n_rows + 1) for x in range(1, m_cols + 1)},
-                  h, {edge: (0,) * n_colors for edge in h}, n_rows, m_cols, n_colors)
+                  h, {edge: (0,) * n_colors for edge in v}, n_colors, domain)
 
 
 def sample_higher_spin(params: ModelParams, rect: tuple[int, int], seed: int, count: int,
                        workers: int = 1) -> SampleBatch:
-    """Row-sweep sampler for the colored higher-spin quadrant model.
+    """Row-sweep sampler for the colored higher-spin quadrant model on
+    ``sc6v_quadrant_domain(*rect, params)``.
 
     Boundary: color c enters at rows l_{c-1}+1 .. l_c, empty bottom; vertex
     (x, y) uses spectral parameter u_x / y_y and spin s_y of its column.
     """
     model = _hs_model(params, rect)
     laws = {vertex: _VertexLaw(t) for vertex, t in model.transitions.items()}
-    return SampleBatch("higher_spin_quadrant", seed, params, count, model.n_rows, model.m_cols,
-                       model.n_colors, None, *_sweep(model, laws, seed, count, workers))
+    return SampleBatch(seed, params, count, model.n_colors, model.domain,
+                       *_sweep(model, laws, seed, count, workers))
 
 
 def enumerate_higher_spin(params: ModelParams, rect: tuple[int, int], cap: int = 4) -> WeightedEnsemble:
-    """Exact ensemble of the higher-spin quadrant window (small rect only)."""
+    """Exact ensemble of the higher-spin quadrant model (small rect only)."""
     n_rows, m_cols = rect
     if n_rows * m_cols > cap:
         raise EnumerationCapError(f"{n_rows * m_cols} vertices exceeds the cap {cap}")
@@ -506,12 +525,8 @@ def qhahn_boundary_probs(q: float, s: float, z: float) -> np.ndarray:
         if 1 - total < 1e-14:
             break
         k += 1
-    probs = np.array(probs)
-    if probs.min() < -PROB_TOL or abs(probs.sum() - 1) > 1e-10:
-        raise ParameterRangeError(
-            f"boundary distribution failed to normalize (sum {probs.sum():.15g})"
-        )
-    return probs
+    _probabilities(probs, f"q-Hahn boundary weights for (q, s, z) = {(q, s, z)}")
+    return np.array(probs)
 
 
 def _poch_inf(x, q):
@@ -534,7 +549,7 @@ def _qhahn_law(q: float, s: float, z: float) -> _VertexLaw:
 def sample_qhahn(q: float, s: float, z: float, rect: tuple[int, int], boundary_levels,
                  seed: int, count: int, workers: int = 1, track=(),
                  keep_edges: bool | None = None) -> SampleBatch:
-    """Sampler for the fully fused q-Hahn quadrant model.
+    """Sampler for the fully fused q-Hahn quadrant model on ``sc6v_quadrant_domain``.
 
     Interior vertices draw D <= A from the q-Hahn weights (left-entering paths
     forced upward); per-row entering multiplicities are i.i.d. from the
@@ -544,13 +559,13 @@ def sample_qhahn(q: float, s: float, z: float, rect: tuple[int, int], boundary_l
     """
     n_rows, m_cols = rect
     params = ModelParams(q=q, boundary_levels=tuple(boundary_levels))
-    n_colors = max((params.row_color(r) for r in range(1, n_rows + 1)), default=1) or 1
+    domain = sc6v_quadrant_domain(n_rows, m_cols, params)
+    n_colors = _boundary(domain)[2]
     bcdf = np.cumsum(qhahn_boundary_probs(q, s, z))
     if keep_edges is None:
         keep_edges = count * (m_cols + 1) * (n_rows + 1) * n_colors <= 4_000_000
-    batch = SampleBatch("qhahn_quadrant", seed, (q, s, z, tuple(boundary_levels)), count, n_rows,
-                        m_cols, n_colors)
-    spots = {(float(a), float(b), int(c)): height_anchor(batch, dbl(a, b), int(c)) for (a, b, c) in track}
+    batch = SampleBatch(seed, (q, s, z, tuple(boundary_levels)), count, n_colors, domain)
+    spots = {(float(a), float(b), int(c)): height_anchor(domain, dbl(a, b), int(c)) for (a, b, c) in track}
     law = _qhahn_law(q, s, z)
     tracked = {key: np.full(count, base, dtype=np.int64) for key, (base, _, _) in spots.items()}
     if keep_edges:
@@ -693,14 +708,3 @@ def beta_first_moment(sigma: float, rho: float, delay: int, m: int, t: int) -> f
         raise ValidationError("point outside the polymer region")
     return rec(m, t)
 
-
-# ---------------------------------------------------------------------------
-# convenience: quadrant window of the SC6V model as a skew domain
-# ---------------------------------------------------------------------------
-
-
-def sc6v_quadrant_domain(n_rows: int, m_cols: int, params: ModelParams) -> SkewDomain:
-    """Rectangle with the quadrant boundary coloring induced by boundary_levels."""
-    from .lattice import rectangle_domain
-
-    return rectangle_domain(n_rows, m_cols, quadrant_coloring(n_rows, m_cols, params))

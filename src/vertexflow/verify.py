@@ -19,6 +19,13 @@ from .qmoments import MomentQuery, qmoment_skew
 from .sampler import enumerate_sc6v, sample_sc6v
 from .weights import _hs_transitions, _sc6v_transitions, q_pochhammer, tensor_sweep, vertex_tensor
 
+Z_FACTOR = 4.0  # Monte Carlo checks pass within this many standard errors
+
+
+def _within(err, sigma, z_factor: float = Z_FACTOR) -> bool:
+    """The one Monte Carlo rule: |mean - target| = ``err`` is within ``z_factor`` sigma."""
+    return err <= z_factor * sigma + 1e-12
+
 
 @dataclass
 class CheckReport:
@@ -246,21 +253,22 @@ def check_shift_invariance(col_a: CutCollection, col_b: CutCollection,
                            phi: Permutation, psi: Permutation, powers,
                            params: ModelParams, method: str = "enumerate",
                            samples: int = 10**6, seed: int = 0,
-                           nodes_per_circle: int = 96, tol: float = 1e-10,
-                           z_factor: float = 4.0) -> CheckReport:
+                           nodes_per_circle: int = 96, tol: float = 1e-10) -> CheckReport:
     """E[q^{sum a_i h[C_i]}] equality between shift-isomorphic collections.
 
     method "enumerate": exact oracles on both models plus the integral route,
-    reporting both discrepancies.  method "mc": Monte Carlo on both models.
+    reporting both discrepancies.  method "mc": Monte Carlo on both models, equal
+    within ``Z_FACTOR`` sigma.  Both read the heights at the (point, color) pairs of
+    ``_cut_moment_query``.
     """
     validate_shift_isomorphism(col_a, col_b, phi, psi)
     params_b = _shifted_params(params, phi, psi)
     q = params.q
+    pts_a, cols_a2, pi_a = _cut_moment_query(col_a, powers)
+    pts_b, cols_b2, pi_b = _cut_moment_query(col_b, powers)
     if method == "enumerate":
         ens_a = enumerate_sc6v(col_a.domain, params)
         ens_b = enumerate_sc6v(col_b.domain, params_b)
-        pts_a, cols_a2, pi_a = _cut_moment_query(col_a, powers)
-        pts_b, cols_b2, pi_b = _cut_moment_query(col_b, powers)
         ma = ens_a.moment(pts_a, pi_a.act(cols_a2), q)
         mb = ens_b.moment(pts_b, pi_b.act(cols_b2), q)
         err_enum = abs(ma - mb)
@@ -275,18 +283,18 @@ def check_shift_invariance(col_a: CutCollection, col_b: CutCollection,
     if method != "mc":
         raise ValidationError("method must be 'enumerate' or 'mc'")
     vals = []
-    for col, par, stream in ((col_a, params, 0), (col_b, params_b, 1)):
+    for col, par, stream, pts, colors in ((col_a, params, 0, pts_a, pi_a.act(cols_a2)),
+                                          (col_b, params_b, 1, pts_b, pi_b.act(cols_b2))):
         batch = sample_sc6v(col.domain, par, seed + stream, samples)
         expo = np.zeros(samples, dtype=np.int64)
-        for cut, a in zip(col.cuts, powers):
-            color = col.domain.q_path.index_of(cut.q_point)
-            expo += int(a) * batch.heights((cut.p_point[0] / 2, cut.p_point[1] / 2), color)
+        for p, c in zip(pts, colors):
+            expo += batch.heights(p, c)
         obs = q ** expo.astype(float)
         vals.append((obs.mean(), obs.std(ddof=1) / np.sqrt(samples)))
     (ma, sa), (mb, sb) = vals
     sigma = np.hypot(sa, sb)
     err = abs(ma - mb)
-    status = "pass" if err <= z_factor * sigma + 1e-12 else "fail"
+    status = "pass" if _within(err, sigma) else "fail"
     return CheckReport("shift_invariance_mc", status, float(err), samples,
                        f"seed={seed}, sigma={sigma:.3e}, z={err / max(sigma, 1e-300):.2f}")
 
@@ -327,14 +335,14 @@ def random_cuts(rng: random.Random, domain: SkewDomain, k: int) -> list:
     return cuts
 
 
-def random_shift_pair(rng: random.Random, n_rows: int, m_cols: int, k: int,
-                      attempts: int = 4000):
+def random_shift_pair(rng: random.Random, n_rows: int, m_cols: int, k: int):
     """A random shift-isomorphic pair of cut collections on random domains.
 
-    Rejection sampling: draw both sides independently and keep geometry pairs
-    admitting a shift-isomorphism (nontrivial pairs dominate at these sizes).
+    Rejection sampling over at most 4000 draws: draw both sides independently and
+    keep geometry pairs admitting a shift-isomorphism (nontrivial pairs dominate at
+    these sizes).
     """
-    for _ in range(attempts):
+    for _ in range(4000):
         dom_a = random_skew_domain(rng, n_rows, m_cols)
         dom_b = random_skew_domain(rng, n_rows, m_cols)
         try:
@@ -428,11 +436,11 @@ def check_lemma44(trials: int = 25, seed: int = 0, t_max: int = 4, tol: float = 
     return _report("lemma_4_4", worst, trials, tol, f"seed={seed}")
 
 
-def check_qidentity(trials: int = 50, seed: int = 0, m_max: int = 3, tol: float = 1e-12) -> CheckReport:
+def check_qidentity(trials: int = 50, seed: int = 0, tol: float = 1e-12) -> CheckReport:
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(trials):
-        m = rng.randint(1, m_max)
+        m = rng.randint(1, 3)
         q = rng.uniform(0.1, 0.9)
         xs = [complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) for _ in range(m)]
         ys = [complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) for _ in range(m)]
@@ -500,7 +508,7 @@ def check_identity_suite(which=None, seed: int = 0) -> list[CheckReport]:
 
 
 def mc_vs_exact(observable_values: np.ndarray, exact: float, name: str,
-                z_factor: float = 4.0, n_batches: int = 20,
+                z_factor: float = Z_FACTOR, n_batches: int = 20,
                 rerun=None) -> CheckReport:
     """Compare an empirical sample of an observable against an exact value.
 
@@ -513,7 +521,7 @@ def mc_vs_exact(observable_values: np.ndarray, exact: float, name: str,
         means = np.array([b.mean() for b in np.array_split(vals, n_batches)])
         sigma = means.std(ddof=1) / np.sqrt(len(means))
         err = abs(vals.mean() - exact)
-        return vals, sigma, err, err <= z_factor * sigma + 1e-12
+        return vals, sigma, err, _within(err, sigma, z_factor)
 
     vals, sigma, err, ok = compare(observable_values)
     n = len(vals)

@@ -47,7 +47,7 @@ def figure_config():
         for y in range(5):
             h_edges.setdefault((x, y), 0)
             v_edges.setdefault((x, y), 0)
-    return Configuration(4, 4, h_edges, v_edges, dom, 5)
+    return Configuration(h_edges, v_edges, dom, 5)
 
 
 def test_domain_validation_errors():
@@ -103,7 +103,7 @@ def test_quadrant_heights_from_intro_figure():
         for y in range(6):
             h.setdefault((x, y), 0)
             v.setdefault((x, y), (0, 0, 0))
-    cfg = Configuration(5, 4, h, v, None, 3)
+    cfg = Configuration(h, v, rectangle_domain(5, 4, (0, 0, 0, 0, 1, 1, 2, 2, 3)), 3)
     assert height(cfg, (1.5, 0.5), 0) == 0
     assert height(cfg, (2.5, 3.5), 1) == 1
     assert height(cfg, (1.5, 4.5), 0) == 3
@@ -181,6 +181,8 @@ def test_json_round_trips():
     cfg = figure_config()
     back = config_from_json(config_to_json(cfg), dom)
     assert back.h_edges == cfg.h_edges and back.v_edges == cfg.v_edges
+    with pytest.raises(ValidationError):  # a configuration reads only on a domain of its shape
+        config_from_json(config_to_json(cfg), rectangle_domain(4, 3, (0,) * 7))
 
 
 def test_params_validation():

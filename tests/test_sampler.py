@@ -1,5 +1,6 @@
 """Samplers against exact oracles, seed determinism, and parameter validation."""
 
+import dataclasses
 import hashlib
 import sys
 import time
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from vertexflow import sampler
 from vertexflow.errors import EnumerationCapError, ParameterRangeError, ValidationError
-from vertexflow.lattice import ModelParams, dbl, height_d, rectangle_domain
+from vertexflow.lattice import Configuration, ModelParams, dbl, height, height_d, rectangle_domain
 from vertexflow.sampler import (
     _thresholds,
     _VertexLaw,
@@ -24,6 +25,7 @@ from vertexflow.sampler import (
     sample_higher_spin,
     sample_qhahn,
     sample_sc6v,
+    SampleBatch,
     sc6v_quadrant_domain,
     simulate_beta_polymer,
 )
@@ -730,3 +732,77 @@ def test_sweep_scratch_is_bounded_by_the_block(workers):
                                                          count=count or 4 * sampler.BLOCK,
                                                          workers=workers))
     assert peak - batch.h_edges.nbytes - batch.v_edges.nbytes <= 48 * sampler.BLOCK * workers
+
+
+HS3 = ModelParams(q=0.5, row_rapidities=(5.0, 6.0, 7.0), col_rapidities=(1.0, 1.1, 1.2),
+                  col_spins=(4.0,) * 3, boundary_levels=(1, 2, 3))
+
+
+def test_fused_models_live_on_the_quadrant_domain():
+    # the higher-spin and q-Hahn models fuse SC6V on the quadrant: one region type for all
+    for record in (Configuration, SampleBatch):
+        names = {f.name for f in dataclasses.fields(record)}
+        assert "domain" in names and not names & {"n_rows", "m_cols"}
+    hs = sample_higher_spin(HS_PARAMS, (2, 2), seed=2, count=20)
+    ens = enumerate_higher_spin(HS_PARAMS, (2, 2))
+    want = sc6v_quadrant_domain(2, 2, HS_PARAMS)
+    assert hs.domain == want
+    assert all(hs.config(i).domain == want for i in range(hs.count))
+    assert all(cfg.domain == want for _, cfg in ens.entries)
+    qhahn = sample_qhahn(0.4, 0.4, 0.7, (3, 2), (1, 1, 3), seed=2, count=20, keep_edges=True)
+    want = sc6v_quadrant_domain(3, 2, ModelParams(q=0.4, boundary_levels=(1, 1, 3)))
+    assert qhahn.domain == want
+    assert all(qhahn.config(i).domain == want for i in range(qhahn.count))
+
+
+def _edge_count(h_edges, a, b, c):
+    """h_{>c} at the face (a + 1/2, b + 1/2) of a quadrant batch, counted on the
+    h-edges (a, 1..b) straight from the edge array."""
+    labels = h_edges[:, a, 1:b + 1]
+    if h_edges.ndim == 4:
+        return labels[..., c:].sum(axis=(1, 2))
+    return (labels > c).sum(axis=1)
+
+
+@pytest.mark.parametrize("model", ["hs", "qhahn"])
+def test_fused_heights_through_the_domain_match_edge_counts(model):
+    if model == "hs":
+        batch = sample_higher_spin(HS3, (3, 3), seed=4, count=400)
+    else:
+        batch = sample_qhahn(0.4, 0.4, 0.7, (3, 3), (1, 2, 3), seed=4, count=400, keep_edges=True)
+    configs = [batch.config(i) for i in range(5)]
+    for a in range(4):
+        for b in range(4):
+            for c in range(batch.n_colors + 1):
+                want = _edge_count(batch.h_edges, a, b, c)
+                assert np.array_equal(batch.heights((a + 0.5, b + 0.5), c), want), (a, b, c)
+                assert [height(cfg, (a + 0.5, b + 0.5), c) for cfg in configs] == list(want[:5])
+    assert _edge_count(batch.h_edges, 0, 3, 0).any()
+
+
+def test_qhahn_boundary_law_fails_the_vertex_row_check(monkeypatch):
+    # one stochasticity check: a boundary law that does not sum to 1 is reported as a
+    # non-stochastic vertex row is
+    monkeypatch.setattr(sampler, "_poch_inf", lambda x, q: x)  # prefactor 1/z^2: the sum passes 1
+    wording = "are not a probability distribution"
+    with pytest.raises(ParameterRangeError, match=wording):
+        qhahn_boundary_probs(0.4, 0.4, 0.7)
+    with pytest.raises(ParameterRangeError, match=wording):
+        sample_qhahn(0.4, 0.4, 0.7, (2, 2), (1, 2), seed=0, count=10)
+    params = ModelParams(q=0.4, row_rapidities=(0.5,), col_rapidities=(1.0,))  # z < 1
+    with pytest.raises(ParameterRangeError, match=wording):
+        sample_sc6v(rectangle_domain(1, 1, (0, 1)), params, seed=0, count=10)
+
+
+def test_rows_above_the_last_level_raise_at_boundary_levels():
+    # the quadrant coloring is nondecreasing along Q: no empty row above a colored one.
+    # Theorem 8.1 reads such rows as carrying a larger color, not as empty.
+    params = ModelParams(q=0.5, row_rapidities=(5.0, 6.0), col_rapidities=(1.0, 1.1),
+                         col_spins=(4.0, 4.0), boundary_levels=(1,))
+    for draw in (lambda: sample_higher_spin(params, (2, 2), seed=0, count=10),
+                 lambda: enumerate_higher_spin(params, (2, 2)),
+                 lambda: sample_qhahn(0.4, 0.4, 0.7, (2, 2), (1,), seed=0, count=10)):
+        with pytest.raises(ValidationError) as info:
+            draw()
+        assert info.value.field == "params/boundary_levels"
+    assert sc6v_quadrant_domain(2, 2, ModelParams(q=0.5)).coloring == (0,) * 4  # no colors at all

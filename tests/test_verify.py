@@ -4,6 +4,7 @@ import itertools
 import random
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -210,6 +211,23 @@ def test_mc_vs_exact_rerun_logic():
     rep = mc_vs_exact(vals, 1.0, "biased", rerun=rerun)
     assert calls and calls[0] == 8000
     assert "rerun" in rep.details
+
+
+def test_mc_vs_exact_reads_its_fourth_positional_argument_as_the_sigma_factor():
+    # bench/harness.py passes the sigma factor positionally: mc_vs_exact(vals, exact, name, 4.0, ...)
+    vals = make_rng(9).normal(0.0, 1.0, size=20000)
+    means = np.array([b.mean() for b in np.array_split(vals, 20)])
+    exact = vals.mean() + 3 * means.std(ddof=1) / np.sqrt(20)  # 3 sigma off
+    calls = []
+
+    def rerun(n):
+        calls.append(n)
+        return vals
+
+    rep = mc_vs_exact(vals, exact, "3 sigma", 4.0, rerun=rerun)
+    assert rep.passed and not calls and "z=3.00" in rep.details
+    rep = mc_vs_exact(vals, exact, "3 sigma", 2.0, rerun=rerun)
+    assert not rep.passed and calls == [4 * len(vals)]
 
 
 def test_checkreport_reproducibility():
