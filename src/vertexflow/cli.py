@@ -3,8 +3,9 @@
 Configs and queries are JSON documents validated against the schemas shipped
 in the package (src/vertexflow/schemas/) before any computation.  Every
 configuration error exits with code 2 and a JSON pointer: the offending field
-(also for errors the library raises with a ``field``), ``/params`` for
-parameters a model rejects, ``/`` otherwise.  A bad flag of ``kappa`` or
+(also for errors the library raises with a ``field``, such as a node count that
+a contour family's resolution rule rejects), ``/params`` for parameters a model
+rejects or no contour family fits, ``/`` otherwise.  A bad flag of ``kappa`` or
 ``polymer`` is reported at ``/`` + the flag name.  Numeric output uses 17
 significant digits so doubles round-trip.
 """
@@ -19,8 +20,8 @@ import sys
 from pathlib import Path
 
 from . import lattice, qmoments, sampler, verify
-from .errors import (ParameterRangeError, ParameterSingularityError, SingularEvaluationError,
-                     ValidationError, VertexflowError)
+from .errors import (ContourError, ParameterRangeError, ParameterSingularityError,
+                     SingularEvaluationError, ValidationError, VertexflowError)
 from .hecke import Permutation, kappa
 
 SCHEMA_DIR = Path(__file__).resolve().parent / "schemas"
@@ -131,8 +132,7 @@ def _cmd_sample(args) -> int:
         q, s, z, levels = (_field(cfg, f"/params/{key}")
                            for key in ("q", "s", "z", "boundary_levels"))
         rect = _semantic(cfg, "/rect", lambda r: (int(r[0]), int(r[1])))
-        batch = sampler.sample_qhahn(q, s, z, rect, tuple(levels), seed, count, workers,
-                                     keep_edges=True)
+        batch = sampler.sample_qhahn(q, s, z, rect, tuple(levels), seed, count, workers)
     elif model == "beta":
         sigma, rho, t_max, delays = (_field(cfg, f"/params/{key}")
                                      for key in ("sigma", "rho", "t_max", "delays"))
@@ -436,7 +436,8 @@ def run(argv=None) -> int:
         print(f"configuration error at {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except VertexflowError as exc:
-        at = "/params" if isinstance(exc, (ParameterRangeError, ParameterSingularityError)) else "/"
+        at = "/params" if isinstance(exc, (ParameterRangeError, ParameterSingularityError,
+                                          ContourError)) else "/"
         print(f"configuration error at {_at(exc, at)}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

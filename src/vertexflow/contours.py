@@ -117,7 +117,8 @@ class ContourFamily:
         """
         for p, c, gap in self._outside_gaps():
             if _resolution_floor(c, gap) > nodes_per_circle:
-                raise ContourError(f"outside pole {p} within 10x quadrature resolution of {c}")
+                raise ContourError(f"outside pole {p} within 10x quadrature resolution of {c}",
+                                   field="nodes_per_circle")
         for circles in self.per_variable:
             for p in self.inside_poles:
                 containing = [c for c in circles if abs(p - c.center) < c.radius]

@@ -1,43 +1,44 @@
 """Monte Carlo samplers for every model variant plus exhaustive-enumeration oracles.
 
 RNG contract: Philox-4x64-10 counter-based generators, keyed (seed, stream).
-``_stream_slices`` splits a batch of ``count`` samples across ``workers``
-streams (stream id = worker index, sizes count//workers with the remainder
-spread over the first workers), each owning one slice of the sample axis.  Each
-sampler allocates its whole batch once; one runner, ``_run_streams``, runs the
-streams on threads (numpy releases the GIL in the kernels, RNG fills and
-``take``) and each writes its own slice, so there is no merge step and results
-are bit-identical for fixed (seed, workers).  In a vertex sweep, vertex i of a
-stream of ``size`` samples reads draws [i * size, (i + 1) * size) of that stream.
-Philox is counter-based, so ``_rng_at`` places a generator at any draw of a
-stream, and a sweep walks each stream's slice in blocks of ``BLOCK`` samples
-with one generator per vertex: its scratch is a few block-sized arrays per
-stream, whatever the batch size, and the batch does not depend on ``BLOCK``.
-q-Hahn boundary and vertex draws share one generator per stream.  Beta variates
-come from two Gamma draws; a Gamma draw by rejection takes a varying number of
-uniforms, so a Beta stream cannot be placed and is not blocked: its recursion
-runs in place instead, over a few stream-sized arrays per delay.
+``_stream_slices`` splits a batch of ``count`` samples across ``workers`` streams
+(stream id = worker index, sizes count//workers with the remainder spread over the
+first workers), each owning one slice of the sample axis.  Each sampler allocates
+its whole batch once; one runner, ``_run_streams``, runs the streams on threads
+(numpy releases the GIL in the kernels, RNG fills and ``take``) and each writes its
+own slice, so there is no merge step and results are bit-identical for fixed (seed,
+workers).  Every lattice sampler is one vertex sweep, ``_sweep``, in a fixed order
+(diagonals for SC6V, rows for the rectangles), each step vectorized across the
+batch; q-Hahn's first steps draw its left-boundary edges, one per colored row in
+row order.  Step i of a stream of ``size`` samples reads draws
+[i * size, (i + 1) * size) of it: Philox is counter-based, so ``_rng_at`` places a
+generator at any draw, and a sweep walks each stream's slice in blocks of ``BLOCK``
+samples with one generator per step.  Its scratch is a few block-sized arrays per
+stream, whatever the batch size, and the batch does not depend on ``BLOCK``.  Beta
+variates come from two Gamma draws; a Gamma draw by rejection takes a varying
+number of uniforms, so a Beta stream cannot be placed and is not blocked: its
+recursion runs in place over a few stream-sized arrays per delay, allocated for all
+streams on the calling thread, since a stream thread's own arrays stay resident in
+its glibc arena after the call.
 
 Every model lives on a ``SkewDomain``: SC6V on any, the higher-spin and q-Hahn
 models, fusions of SC6V on the quadrant, on ``sc6v_quadrant_domain`` (a rectangle
-with an empty bottom and the colors entering on the left).  Samplers sweep
-vertices in a fixed order (diagonals for SC6V, rows for the rectangles) with all
-per-vertex draws vectorized across the batch.  Each vertex model has one
-``transitions(state)``: ``weights._sc6v_transitions``,
-``weights._hs_transitions`` or ``weights.qhahn_row`` (a whole row of
-``qhahn_weight``).  All samplers draw through one kernel, ``_VertexLaw``: it
-groups the batch by a mixed-radix key of the incoming state built in place,
-builds and checks one row per state present, once for all streams (q-Hahn: once
-for all calls with the same (q, s, z)), and makes one inverse-CDF draw per
-sample.  ``_probabilities`` is the only stochasticity check, of every vertex row
-and of the q-Hahn boundary law.  A row stores the least uniform that reaches
-each cumulative weight (``_thresholds``), so the draw is a binary search on u
-alone, in place on one index array, and one ``take`` from an outcome table
-already in the edge dtype; it picks what a search for u times the row total
-picks, bit for bit.  The enumerators are the package's one lattice sum,
+with an empty bottom and the colors entering on the left).  Each vertex model has
+one ``transitions(state)``: ``weights._sc6v_transitions``,
+``weights._hs_transitions`` or, for q-Hahn, (*A, *B) -> (*(A + B - D), *D) with the
+weights of ``weights.qhahn_row(A)``.  Every vertex draws through one kernel,
+``_VertexLaw``: it groups the batch by a mixed-radix key of the incoming state
+built in place, builds and checks one row per state present, once for all streams
+(q-Hahn: once for all calls with the same (q, s, z)), and makes one inverse-CDF
+draw per sample.  ``_probabilities`` is the only stochasticity check, of every
+vertex row and of the q-Hahn boundary law.  A row stores the least uniform that
+reaches each cumulative weight (``_thresholds``), so the draw is a binary search on
+u alone, in place on one index array, and one ``take`` from an outcome table
+already in the edge dtype; it picks what a search for u times the row total picks,
+bit for bit.  The enumerators are the package's one lattice sum,
 ``weights.lattice_sum``, over the same transitions with a slot per edge, without
-the check, since complex weights are legal there; one ``_Model`` record per
-model feeds both.  Every height is read where ``lattice.height_anchor`` says.
+the check, since complex weights are legal there; one ``_Model`` record per model
+feeds both.  Every height is read where ``lattice.height_anchor`` says.
 """
 
 from __future__ import annotations
@@ -341,18 +342,21 @@ class _Model:
     domain: SkewDomain
 
 
-def _sweep(model: _Model, laws, seed: int, count: int, workers: int):
+def _sweep(model: _Model, laws, seed: int, count: int, workers: int, fused=np.int16):
     """Sample-major (h_edges, v_edges) of a sweep of ``laws`` over ``model`` from its
-    boundary labels: views of arrays indexed [x, y, (color,) sample], so vertices read rows.
+    boundary labels: views of arrays indexed [x, y, (color,) sample], so vertices read
+    rows; fused labels are stored as ``fused``.
 
-    Each stream walks its slice in blocks of ``BLOCK`` samples, every vertex in sweep
-    order within a block.  Vertex i of a stream of ``size`` samples reads draws
+    Each stream walks its slice in blocks of ``BLOCK`` samples, every step in ``laws``
+    order within a block.  Step i of a stream of ``size`` samples reads draws
     [i * size, (i + 1) * size) of that stream, from its own generator placed there
-    (``_rng_at``), so the batch does not depend on ``BLOCK``."""
+    (``_rng_at``), so the batch does not depend on ``BLOCK``.  Step (x, y) draws the
+    (top..., right...) labels of vertex (x, y) from its (bottom..., left...) ones; at
+    x = 0 it draws only the left-boundary edge h[0, y] and reads no labels."""
 
     def edges(labels):
         first = next(iter(labels.values()))
-        dtype = np.int16 if isinstance(first, tuple) else _label_dtype(model.n_colors)
+        dtype = fused if isinstance(first, tuple) else _label_dtype(model.n_colors)
         shape = (model.domain.m_cols + 1, model.domain.n_rows + 1, *np.shape(first), count)
         arr = np.zeros(shape, dtype=dtype)
         samples_first = np.moveaxis(arr, -1, 0)
@@ -362,6 +366,7 @@ def _sweep(model: _Model, laws, seed: int, count: int, workers: int):
         return arr
 
     h, v = edges(model.h), edges(model.v)
+    width = h.shape[2] if h.ndim == 4 else 1  # the last rows of a drawn state are h's
 
     def draw(stream, sl):
         size = sl.stop - sl.start
@@ -371,10 +376,12 @@ def _sweep(model: _Model, laws, seed: int, count: int, workers: int):
             block = slice(start, min(start + BLOCK, sl.stop))
             u = buf[:block.stop - start]
             for rng, ((x, y), law) in zip(rngs, laws.items()):
-                out = law.draw([*v[x, y - 1, ..., block].reshape(-1, len(u)), h[x - 1, y, block]],
+                out = law.draw([*v[x, y - 1, ..., block].reshape(-1, len(u)),
+                                *h[x - 1, y, ..., block].reshape(-1, len(u))],
                                rng.random(out=u), (x, y), v.dtype)
-                v[x, y, ..., block] = out[:-1]
-                h[x, y, block] = out[-1]
+                if x:  # v[0, y] is no edge: its pages stay unallocated
+                    v[x, y, ..., block] = out[:-width]
+                h[x, y, ..., block] = out[-width:]
 
     _run_streams(_stream_slices(count, workers), draw)
     return np.moveaxis(h, -1, 0), np.moveaxis(v, -1, 0)
@@ -480,12 +487,8 @@ def _hs_model(params: ModelParams, rect: tuple[int, int]) -> _Model:
 
 def sample_higher_spin(params: ModelParams, rect: tuple[int, int], seed: int, count: int,
                        workers: int = 1) -> SampleBatch:
-    """Row-sweep sampler for the colored higher-spin quadrant model on
-    ``sc6v_quadrant_domain(*rect, params)``.
-
-    Boundary: color c enters at rows l_{c-1}+1 .. l_c, empty bottom; vertex
-    (x, y) uses spectral parameter u_x / y_y and spin s_y of its column.
-    """
+    """Row-sweep sampler for the colored higher-spin quadrant model of ``_hs_model``:
+    vertex (x, y) uses its row rapidity over its column's, and its column's spin."""
     model = _hs_model(params, rect)
     laws = {vertex: _VertexLaw(t) for vertex, t in model.transitions.items()}
     return SampleBatch(seed, params, count, model.n_colors, model.domain,
@@ -515,24 +518,20 @@ def qhahn_boundary_probs(q: float, s: float, z: float) -> np.ndarray:
         raise ParameterRangeError("q-Hahn boundary needs 0 < s^2 < z^2 < 1")
     r = s * s / (z * z)
     pref = _poch_inf(r, q) / _poch_inf(s * s, q)
-    probs = []
-    total = 0.0
-    k = 0
-    while k < 10000:
+    probs, total = [], 0.0
+    for k in range(10000):
         p = pref * q_pochhammer(z * z, q, k) / q_pochhammer(q, q, k) * r**k
         probs.append(p)
         total += p
         if 1 - total < 1e-14:
             break
-        k += 1
     _probabilities(probs, f"q-Hahn boundary weights for (q, s, z) = {(q, s, z)}")
     return np.array(probs)
 
 
 def _poch_inf(x, q):
     """(x; q)_inf, to the first factor with q^i <= 1e-18."""
-    out = 1.0
-    p = 1.0
+    out = p = 1.0
     while p > 1e-18:
         out *= 1 - p * x
         p *= q
@@ -542,61 +541,60 @@ def _poch_inf(x, q):
 @lru_cache(maxsize=8)
 def _qhahn_law(q: float, s: float, z: float) -> _VertexLaw:
     """The q-Hahn vertex law, one per (q, s, z) for every vertex and call: its row lock
-    lets calls on different threads share it."""
-    return _VertexLaw(partial(qhahn_row, s=s, z=z, q=q))
+    lets calls on different threads share it.  State (*A, *B) goes to (*(A + B - D), *D)
+    with the weights of ``qhahn_row(A)``, which is built once per A."""
+    row = lru_cache(maxsize=None)(partial(qhahn_row, s=s, z=z, q=q))
+
+    def transitions(state):
+        comp_a, comp_b = np.split(np.array(state), 2)
+        d, w = row(state[:len(comp_a)])
+        return np.hstack([comp_a + comp_b - d, d]), w
+
+    return _VertexLaw(transitions)
+
+
+@dataclass(frozen=True)
+class _EntryLaw:
+    """A drawn left-boundary edge as a sweep step: ``searchsorted(cdf, u, side="right")``
+    paths of one color, in row ``at`` of an otherwise empty state shaped as the inputs."""
+
+    cdf: np.ndarray
+    at: int
+
+    def draw(self, parts, u, vertex, dtype):
+        out = np.zeros((len(parts), len(u)), dtype=dtype)
+        out[self.at] = np.searchsorted(self.cdf, u, side="right")
+        return out
 
 
 def sample_qhahn(q: float, s: float, z: float, rect: tuple[int, int], boundary_levels,
                  seed: int, count: int, workers: int = 1, track=(),
-                 keep_edges: bool | None = None) -> SampleBatch:
+                 keep_edges: bool = True) -> SampleBatch:
     """Sampler for the fully fused q-Hahn quadrant model on ``sc6v_quadrant_domain``.
 
-    Interior vertices draw D <= A from the q-Hahn weights (left-entering paths
-    forced upward); per-row entering multiplicities are i.i.d. from the
-    boundary law.  ``track`` lists (alpha, beta, c) height observables to
-    accumulate during the sweep, which avoids storing fused edge arrays for
-    large batches.
+    One sweep: first each colored row's entering multiplicity, i.i.d. from the boundary
+    law, then every vertex in row order, drawing D <= A from the q-Hahn weights
+    (left-entering paths forced upward).  ``track`` lists (alpha, beta, c) heights to
+    read into ``tracked_heights``; ``keep_edges=False`` then drops the edge arrays.
     """
     n_rows, m_cols = rect
-    params = ModelParams(q=q, boundary_levels=tuple(boundary_levels))
-    domain = sc6v_quadrant_domain(n_rows, m_cols, params)
-    n_colors = _boundary(domain)[2]
+    domain = sc6v_quadrant_domain(n_rows, m_cols, ModelParams(q=q, boundary_levels=tuple(boundary_levels)))
+    h, v, n_colors = _boundary(domain)
     bcdf = np.cumsum(qhahn_boundary_probs(q, s, z))
-    if keep_edges is None:
-        keep_edges = count * (m_cols + 1) * (n_rows + 1) * n_colors <= 4_000_000
-    batch = SampleBatch(seed, (q, s, z, tuple(boundary_levels)), count, n_colors, domain)
-    spots = {(float(a), float(b), int(c)): height_anchor(domain, dbl(a, b), int(c)) for (a, b, c) in track}
-    law = _qhahn_law(q, s, z)
-    tracked = {key: np.full(count, base, dtype=np.int64) for key, (base, _, _) in spots.items()}
-    if keep_edges:
-        h_arr = np.zeros((m_cols + 1, n_rows + 1, n_colors, count), dtype=np.int16)
-        v_arr = np.zeros_like(h_arr)
-
-    def draw(stream, sl):
-        rng, size = make_rng(seed, stream), sl.stop - sl.start
-        left = np.zeros((n_rows + 1, n_colors, size), dtype=np.int64)
-        for y in range(1, n_rows + 1):
-            if params.row_color(y):
-                left[y, params.row_color(y) - 1] = np.searchsorted(bcdf, rng.random(size), side="right")
-        if keep_edges:
-            h_arr[0, ..., sl] = left
-        vert = np.zeros((m_cols + 1, n_colors, size), dtype=np.int64)  # A of column x >= 1
-        for y in range(1, n_rows + 1):
-            D = left[y]  # right-going paths; column 0 is the boundary
-            for x in range(m_cols + 1):
-                if x:
-                    B, D = D, law.draw(vert[x], rng.random(size), (x, y))
-                    vert[x] += B - D
-                    if keep_edges:
-                        h_arr[x, y, :, sl], v_arr[x, y, :, sl] = D, vert[x]
-                for key, (_, col, rows) in spots.items():
-                    if col == x and y in rows:
-                        tracked[key][sl] += D[key[2]:].sum(axis=0)
-
-    _run_streams(_stream_slices(count, workers), draw)
-    if keep_edges:
-        batch.h_edges, batch.v_edges = np.moveaxis(h_arr, -1, 0), np.moveaxis(v_arr, -1, 0)
-    batch.tracked_heights = tracked
+    track = [(float(a), float(b), int(c)) for a, b, c in track]
+    for a, b, c in track:  # a height outside the domain fails before the sweep
+        height_anchor(domain, dbl(a, b), c)
+    law, empty = _qhahn_law(q, s, z), (0,) * n_colors
+    model = _Model({(x, y): law.transitions for y in range(1, n_rows + 1) for x in range(1, m_cols + 1)},
+                   dict.fromkeys(h, empty), dict.fromkeys(v, empty), n_colors, domain)
+    laws = {edge: _EntryLaw(bcdf, n_colors + color - 1) for edge, color in h.items() if color}
+    laws.update(dict.fromkeys(model.transitions, law))
+    fused = np.promote_types(np.int16, _label_dtype(n_rows * len(bcdf)))  # every path that can enter
+    batch = SampleBatch(seed, (q, s, z, tuple(boundary_levels)), count, n_colors, domain,
+                        *_sweep(model, laws, seed, count, workers, fused))
+    batch.tracked_heights = {key: batch.heights(key[:2], key[2]) for key in track}
+    if not keep_edges:
+        batch.h_edges = batch.v_edges = None
     return batch
 
 
@@ -653,12 +651,14 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
     reach = {}  # delay -> the largest m its keep points read
     for d, m, _ in keep_points:
         reach[d] = max(m, reach.get(d, 0))
+    # eta, 1 - eta, a product, and per delay its saved Z and each Z it carries
+    scratch = np.empty((3 + sum(1 + min(r, t_max - 1 - d) for d, r in reach.items()), count))
 
     def draw(stream, sl):
-        rng, size = make_rng(seed, stream), sl.stop - sl.start
-        eta, rest, tmp = np.empty(size), np.empty(size), np.empty(size)
+        rng, spare = make_rng(seed, stream), iter(scratch[:, sl])
+        eta, rest, tmp = next(spare), next(spare), next(spare)
         z = {d: [] for d in reach}  # z[d][m - 1] = Z_(d)^(m,t) for m < t - d, m <= reach[d]
-        saved = {d: np.empty(size) for d in reach}  # Z_(d)^(m-1,t-1) while m is updated
+        saved = {d: next(spare) for d in reach}  # Z_(d)^(m-1,t-1) while m is updated
         for t in range(1, t_max + 1):
             for m in range(1, t):
                 rng.standard_gamma(sigma - rho, out=eta)
@@ -679,7 +679,7 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
                         new += eta if old is None else np.multiply(eta, old, out=tmp)
                     if old is None:
                         zs.append(new)
-                        saved[d] = np.empty(size)
+                        saved[d] = next(spare)
                     else:
                         zs[m - 1], saved[d] = new, old
             for (d, m, tt) in keep_points:

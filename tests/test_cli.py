@@ -1,12 +1,14 @@
 """CLI contract: subcommands, exit codes, JSON-pointer errors, round trips."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import vertexflow
 from vertexflow.cli import run
 from vertexflow.hecke import Permutation, kappa
 
@@ -213,8 +215,11 @@ def test_config_round_trip(tmp_path):
 
 
 def test_console_entry_point():
+    # the subprocess imports the package this test imported, installed or not
+    src = str(Path(vertexflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     res = subprocess.run([sys.executable, "-m", "vertexflow.cli"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     # argparse exits 2 on missing subcommand; message mentions usage
     assert res.returncode == 2
 
@@ -374,6 +379,7 @@ MOMENT_QUERY = {"points": [[1.5, 2.5], [2.5, 1.5]], "colors": [0, 1], "nodes_per
     ({"pi": [1, 1]}, "/pi"),
     ({"points": [[2.5, 1.5], [2.5, 2.5]]}, "/points"),  # betas increase
     ({"points": [[1.5, 1.5]], "colors": [0]}, "/points"),  # not on P
+    ({"nodes_per_circle": 8}, "/nodes_per_circle"),  # too coarse for the contours' margin rule
 ])
 def test_moment_query_error_exits_2_at_its_field(tmp_path, capsys, change, pointer):
     query = write(tmp_path, "q.json", dict(MOMENT_QUERY, **change))
@@ -389,6 +395,7 @@ BETA_QUERY = {"points": [[2, 5], [3, 5]], "colors": [0, 1], "params": {"sigma": 
     ({"points": [[3, 5], [2, 5]]}, "/points"),  # m decreases
     ({"colors": [0, 4]}, "/colors"),  # 3 + 4 > t = 5: alpha_pi(i) + c_i > beta_pi(i)
     ({"params": {"sigma": 1.0, "rho": 1.5}}, "/params"),  # sigma < rho
+    ({"params": {"sigma": 1.6, "rho": 1.5}}, "/params"),  # too close to nest two contours
 ])
 def test_moment_beta_query_error_exits_2_at_its_field(tmp_path, capsys, change, pointer):
     query = write(tmp_path, "q.json", dict(BETA_QUERY, **change))

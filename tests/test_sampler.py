@@ -669,7 +669,7 @@ def test_golden_digests(model, count, workers):
 
 
 @pytest.mark.parametrize("count, workers", GOLDEN_CASES)
-@pytest.mark.parametrize("model", ["sc6v", "hs"])
+@pytest.mark.parametrize("model", ["sc6v", "hs", "qhahn"])
 def test_golden_digests_do_not_depend_on_the_block(monkeypatch, model, count, workers):
     # vertex i of a stream reads draws [i * size, (i + 1) * size) of it however the
     # sweep is cut into blocks; 777 leaves a short last block in every stream
@@ -678,7 +678,7 @@ def test_golden_digests_do_not_depend_on_the_block(monkeypatch, model, count, wo
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("model", ["sc6v", "hs"])
+@pytest.mark.parametrize("model", ["sc6v", "hs", "qhahn"])
 def test_one_sample_blocks_give_the_same_batch(monkeypatch, model, workers):
     # every sample its own block: each vertex generator is placed at every offset
     draw = globals()[f"_golden_{model}"]
@@ -724,13 +724,17 @@ def test_beta_polymer_scratch_is_bounded(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_scratch_is_bounded_by_the_block(workers):
+@pytest.mark.parametrize("model", ["sc6v", "qhahn"])
+def test_sweep_scratch_is_bounded_by_the_block(model, workers):
     # beyond the batch, a few block-sized arrays per stream, however large the batch
     params = ModelParams(q=0.4, row_rapidities=(2.0, 2.1, 2.2), col_rapidities=(1.0, 1.05, 1.1))
     dom = rectangle_domain(3, 3, (1, 2, 3, 4, 5, 6))
-    peak, batch = _traced_peak(lambda count: sample_sc6v(dom, params, seed=41,
-                                                         count=count or 4 * sampler.BLOCK,
-                                                         workers=workers))
+    sweeps = {  # the models of _golden_sc6v and _golden_qhahn
+        "sc6v": lambda count: sample_sc6v(dom, params, seed=41, count=count, workers=workers),
+        "qhahn": lambda count: sample_qhahn(0.4, 0.4, 0.7, (2, 3), (1, 2), seed=43, count=count,
+                                            workers=workers),
+    }
+    peak, batch = _traced_peak(lambda count: sweeps[model](count or 4 * sampler.BLOCK))
     assert peak - batch.h_edges.nbytes - batch.v_edges.nbytes <= 48 * sampler.BLOCK * workers
 
 
