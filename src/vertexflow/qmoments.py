@@ -584,14 +584,13 @@ def _mesh_integral(grid: _Grid, f: PointFunction) -> complex:
         w1 = grid.nodes[1][None, :] + 0 * grid.nodes[0][:, None]
         vals = f([w0, w1]) * grid.cross(0, 1)
         return (vals * base[0][:, None] * base[1][None, :]).sum()
-    total = 0j
-    c01, c02, c12 = grid.cross(0, 1), grid.cross(0, 2), grid.cross(1, 2)
-    n2 = grid.nodes[2]
+    total = 0j  # one w_0 node at a time over the whole (w_1, w_2) mesh: O(N^2) memory
+    c01, c02 = grid.cross(0, 1), grid.cross(0, 2)
+    w1, w2 = np.meshgrid(grid.nodes[1], grid.nodes[2], indexing="ij")
+    inner = grid.cross(1, 2) * base[1][:, None] * base[2][None, :]
     for i, w0 in enumerate(grid.nodes[0]):
-        for j, w1 in enumerate(grid.nodes[1]):
-            vals = f([np.full_like(n2, w0), np.full_like(n2, w1), n2])
-            weight = base[0][i] * base[1][j] * c01[i, j]
-            total += (vals * c02[i, :] * c12[j, :] * base[2]).sum() * weight
+        vals = f([np.full_like(w1, w0), w1, w2])
+        total += (vals * c01[i][:, None] * c02[i][None, :] * inner).sum() * base[0][i]
     return total
 
 

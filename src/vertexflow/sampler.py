@@ -23,22 +23,22 @@ its glibc arena after the call.
 
 Every model lives on a ``SkewDomain``: SC6V on any, the higher-spin and q-Hahn
 models, fusions of SC6V on the quadrant, on ``sc6v_quadrant_domain`` (a rectangle
-with an empty bottom and the colors entering on the left).  Each vertex model has
-one ``transitions(state)``: ``weights._sc6v_transitions``,
-``weights._hs_transitions`` or, for q-Hahn, (*A, *B) -> (*(A + B - D), *D) with the
-weights of ``weights.qhahn_row(A)``.  Every vertex draws through one kernel,
-``_VertexLaw``: it groups the batch by a mixed-radix key of the incoming state
-built in place, builds and checks one row per state present, once for all streams
-(q-Hahn: once for all calls with the same (q, s, z)), and makes one inverse-CDF
-draw per sample.  ``_probabilities`` is the only stochasticity check, of every
-vertex row and of the q-Hahn boundary law.  A row stores the least uniform that
-reaches each cumulative weight (``_thresholds``), so the draw is a binary search on
-u alone, in place on one index array, and one ``take`` from an outcome table
-already in the edge dtype; it picks what a search for u times the row total picks,
-bit for bit.  The enumerators are the package's one lattice sum,
-``weights.lattice_sum``, over the same transitions with a slot per edge, without
-the check, since complex weights are legal there; one ``_Model`` record per model
-feeds both.  Every height is read where ``lattice.height_anchor`` says.
+with an empty bottom and the colors entering on the left).  Each vertex model has one
+``transitions(state)``: ``weights._sc6v_transitions``, ``weights._hs_transitions``
+or, for q-Hahn, whose weights read only the composition A entering from below,
+``weights.qhahn_row(A)``.  Every vertex draws through one kernel, ``_VertexLaw``: it
+groups the batch by a mixed-radix key of the incoming state built in place, builds
+and checks one row per state present, once for all streams (q-Hahn: once per A for
+all calls with the same (q, s, z)), and makes one inverse-CDF draw per sample;
+``_QHahnLaw.draw`` adds the forced-up rule.  ``_probabilities`` is the only
+stochasticity check, of every vertex row and of the q-Hahn boundary law.  A row
+stores the least uniform that reaches each cumulative weight (``_thresholds``), so
+the draw is a binary search on u alone, in place on one index array, and one ``take``
+from an outcome table already in the edge dtype; it picks what a search for u times
+the row total picks, bit for bit.  The enumerators are the package's one lattice sum,
+``weights.lattice_sum``, over the same transitions with a slot per edge, without the
+check, since complex weights are legal there; one ``_Model`` record per model feeds
+both.  Every height is read where ``lattice.height_anchor`` says.
 """
 
 from __future__ import annotations
@@ -331,7 +331,8 @@ class _VertexLaw:
 @dataclass(frozen=True)
 class _Model:
     """A vertex model on a skew domain, read by both ``_sweep`` and ``_enumerate``: each
-    vertex's transitions in sweep order, the label of every edge before the sweep
+    vertex's transitions in sweep order (q-Hahn: its row of D given A, the forced-up
+    rule living in ``_QHahnLaw.draw``), the label of every edge before the sweep
     (``h``/``v`` keyed by edge in x-major order; boundary colors, else empty; a
     fused label is a color composition), the color count and the domain."""
 
@@ -495,11 +496,11 @@ def sample_higher_spin(params: ModelParams, rect: tuple[int, int], seed: int, co
                        *_sweep(model, laws, seed, count, workers))
 
 
-def enumerate_higher_spin(params: ModelParams, rect: tuple[int, int], cap: int = 4) -> WeightedEnsemble:
-    """Exact ensemble of the higher-spin quadrant model (small rect only)."""
+def enumerate_higher_spin(params: ModelParams, rect: tuple[int, int]) -> WeightedEnsemble:
+    """Exact ensemble of the higher-spin quadrant model, on at most 4 vertices."""
     n_rows, m_cols = rect
-    if n_rows * m_cols > cap:
-        raise EnumerationCapError(f"{n_rows * m_cols} vertices exceeds the cap {cap}")
+    if n_rows * m_cols > 4:
+        raise EnumerationCapError(f"{n_rows * m_cols} vertices exceeds the cap 4")
     return _enumerate(_hs_model(params, rect))
 
 
@@ -538,19 +539,22 @@ def _poch_inf(x, q):
     return out
 
 
+class _QHahnLaw(_VertexLaw):
+    """Rows ``qhahn_row(A)`` keyed by the composition A entering from below, the D <= A
+    leaving right as outcomes.  Paths entering from the left go straight up, so ``draw``
+    groups on A alone and takes state (*A, *B) to (*(A + B - D), *D)."""
+
+    def draw(self, parts, u, vertex, dtype):
+        n = len(parts) // 2
+        d = super().draw(parts[:n], u, vertex, dtype)
+        return np.concatenate([np.add(parts[:n], parts[n:], dtype=dtype) - d, d])
+
+
 @lru_cache(maxsize=8)
-def _qhahn_law(q: float, s: float, z: float) -> _VertexLaw:
+def _qhahn_law(q: float, s: float, z: float) -> _QHahnLaw:
     """The q-Hahn vertex law, one per (q, s, z) for every vertex and call: its row lock
-    lets calls on different threads share it.  State (*A, *B) goes to (*(A + B - D), *D)
-    with the weights of ``qhahn_row(A)``, which is built once per A."""
-    row = lru_cache(maxsize=None)(partial(qhahn_row, s=s, z=z, q=q))
-
-    def transitions(state):
-        comp_a, comp_b = np.split(np.array(state), 2)
-        d, w = row(state[:len(comp_a)])
-        return np.hstack([comp_a + comp_b - d, d]), w
-
-    return _VertexLaw(transitions)
+    lets calls on different threads share it."""
+    return _QHahnLaw(partial(qhahn_row, s=s, z=z, q=q))
 
 
 @dataclass(frozen=True)

@@ -92,10 +92,9 @@ def local_relation_fused_error(q, s, u, comp_i, j: int, colors) -> float:
     return abs(lhs - rhs)
 
 
-def check_local_relation(r: int, trials: int = 1000, seed: int = 0,
-                         n_colors: int = 5, tol: float = 1e-12) -> CheckReport:
-    """Prop-style local relation at fixed r, random (q, z, colors, incomings)."""
-    rng = random.Random(seed)
+def check_local_relation(r: int, trials: int = 1000, seed: int = 0, tol: float = 1e-12) -> CheckReport:
+    """Prop-style local relation at fixed r, random (q, z, colors, incomings), colors 0..5."""
+    rng, n_colors = random.Random(seed), 5
     worst = 0.0
     for _ in range(trials):
         q = rng.uniform(0.05, 0.95)
@@ -110,8 +109,8 @@ def check_local_relation(r: int, trials: int = 1000, seed: int = 0,
 
 
 def check_local_relation_fused(r: int, trials: int = 1000, seed: int = 0,
-                               n_colors: int = 3, tol: float = 1e-12) -> CheckReport:
-    rng = random.Random(seed)
+                               tol: float = 1e-12) -> CheckReport:
+    rng, n_colors = random.Random(seed), 3
     worst = 0.0
     for _ in range(trials):
         q = rng.uniform(0.05, 0.95)
@@ -378,25 +377,24 @@ def _ybe_error(q, x, y, z, n: int) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-def check_ybe(trials: int = 100, seed: int = 0, n: int = 2, tol: float = 1e-12) -> CheckReport:
+def check_ybe(trials: int = 100, seed: int = 0, n: int = 2) -> CheckReport:
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(trials):
         q = rng.uniform(0.1, 0.9)
         x, y, z = (complex(rng.uniform(0.5, 2), rng.uniform(-0.5, 0.5)) for _ in range(3))
         worst = max(worst, _ybe_error(q, x, y, z, n))
-    return _report("yang_baxter", worst, trials, tol, f"seed={seed}, n={n}")
+    return _report("yang_baxter", worst, trials, 1e-12, f"seed={seed}, n={n}")
 
 
-def check_exchange(trials: int = 10, seed: int = 0, m_cols: int = 2, n: int = 2,
-                   tol: float = 1e-11) -> CheckReport:
+def check_exchange(seed: int = 0) -> CheckReport:
     from .hecke import row_operator
 
-    rng = random.Random(seed)
+    rng, trials, n = random.Random(seed), 10, 2
     worst = 0.0
     for _ in range(trials):
         q = rng.uniform(0.15, 0.85)
-        ys = [complex(rng.uniform(0.7, 1.4), rng.uniform(-0.3, 0.3)) for _ in range(m_cols)]
+        ys = [complex(rng.uniform(0.7, 1.4), rng.uniform(-0.3, 0.3)) for _ in range(2)]
         x1 = complex(rng.uniform(0.6, 2.0), rng.uniform(-0.4, 0.4))
         x2 = complex(rng.uniform(0.6, 2.0), rng.uniform(-0.4, 0.4))
         k1, k2 = sorted(rng.sample(range(0, n + 1), 2))
@@ -406,14 +404,14 @@ def check_exchange(trials: int = 10, seed: int = 0, m_cols: int = 2, n: int = 2,
         rhs = (x2 - q * x1) / (x2 - x1) * c22 @ c11
         rhs = rhs - x1 * (1 - q) / (x2 - x1) * c21 @ c12
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return _report("exchange_relation", worst, trials, tol, f"seed={seed}")
+    return _report("exchange_relation", worst, trials, 1e-11, f"seed={seed}")
 
 
-def check_lemma44(trials: int = 25, seed: int = 0, t_max: int = 4, tol: float = 1e-11) -> CheckReport:
+def check_lemma44(seed: int = 0) -> CheckReport:
     rng = random.Random(seed)
     worst = 0.0
-    for _ in range(trials):
-        t = rng.randint(1, t_max)
+    for _ in range(25):
+        t = rng.randint(1, 4)
         q = rng.uniform(0.15, 0.85)
         lam = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1))
         mu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1))
@@ -433,13 +431,13 @@ def check_lemma44(trials: int = 25, seed: int = 0, t_max: int = 4, tol: float = 
         for i in range(t):
             rhs *= (1 - q * mu * w[i]) / (1 - mu * w[i])
         worst = max(worst, abs(total - rhs))
-    return _report("lemma_4_4", worst, trials, tol, f"seed={seed}")
+    return _report("lemma_4_4", worst, 25, 1e-11, f"seed={seed}")
 
 
-def check_qidentity(trials: int = 50, seed: int = 0, tol: float = 1e-12) -> CheckReport:
+def check_qidentity(seed: int = 0) -> CheckReport:
     rng = random.Random(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(50):
         m = rng.randint(1, 3)
         q = rng.uniform(0.1, 0.9)
         xs = [complex(rng.uniform(-2, 2), rng.uniform(-1, 1)) for _ in range(m)]
@@ -460,13 +458,13 @@ def check_qidentity(trials: int = 50, seed: int = 0, tol: float = 1e-12) -> Chec
                 rhs += term
         rhs *= (1 - q) ** m
         worst = max(worst, abs(lhs - rhs))
-    return _report("q_identity", worst, trials, tol, f"seed={seed}")
+    return _report("q_identity", worst, 50, 1e-12, f"seed={seed}")
 
 
-def check_hecke_quadratic(trials: int = 20, seed: int = 0, tol: float = 1e-11) -> CheckReport:
+def check_hecke_quadratic(seed: int = 0) -> CheckReport:
     rng = random.Random(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         k = rng.randint(2, 4)
         q = rng.uniform(0.15, 0.85)
         cs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(k)]
@@ -485,7 +483,7 @@ def check_hecke_quadratic(trials: int = 20, seed: int = 0, tol: float = 1e-11) -
         w = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1)) for _ in range(k)]
         val = apply_T(i, g, q=q)(w) - q * g(w)  # (T_i - q)(T_i + 1) f
         worst = max(worst, abs(val))
-    return _report("hecke_quadratic", worst, trials, tol, f"seed={seed}")
+    return _report("hecke_quadratic", worst, 20, 1e-11, f"seed={seed}")
 
 
 def check_identity_suite(which=None, seed: int = 0) -> list[CheckReport]:
@@ -508,17 +506,16 @@ def check_identity_suite(which=None, seed: int = 0) -> list[CheckReport]:
 
 
 def mc_vs_exact(observable_values: np.ndarray, exact: float, name: str,
-                z_factor: float = Z_FACTOR, n_batches: int = 20,
-                rerun=None) -> CheckReport:
+                z_factor: float = Z_FACTOR, rerun=None) -> CheckReport:
     """Compare an empirical sample of an observable against an exact value.
 
-    The standard error comes from batch means; a failing comparison reruns
+    The standard error comes from 20 batch means; a failing comparison reruns
     once at 4x samples via the ``rerun`` callback (guards 1-in-16k flukes).
     """
     def compare(values):
         """(values, batch-means sigma, |mean - exact|, within z_factor sigma)."""
         vals = np.asarray(values, dtype=float)
-        means = np.array([b.mean() for b in np.array_split(vals, n_batches)])
+        means = np.array([b.mean() for b in np.array_split(vals, 20)])
         sigma = means.std(ddof=1) / np.sqrt(len(means))
         err = abs(vals.mean() - exact)
         return vals, sigma, err, _within(err, sigma, z_factor)

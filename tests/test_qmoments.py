@@ -250,6 +250,14 @@ def test_higher_spin_kappa_route_agrees():
         assert abs(a.value - b.value) < 1e-9
 
 
+def test_higher_spin_kappa_route_agrees_at_k3():
+    # the k = 3 mesh path of the kappa route, against Theorem 8.1's factored engine
+    query = MomentQuery([(1.5, 2.5), (2.5, 2.5), (2.5, 1.5)], [0, 1, 2], Permutation((3, 2, 1)))
+    a = qmoment_higher_spin(HS3, query)
+    b = qmoment_higher_spin_kappa(HS3, query)
+    assert abs(a.value - b.value) < 1e-9
+
+
 def test_higher_spin_permutation_consistency():
     # equal multiset {(alpha_pi(i), beta_pi(i), c_i)} -> equal expectations
     pts = [(1.5, 2.5), (2.5, 1.5)]

@@ -458,6 +458,27 @@ def test_qhahn_law_is_shared_across_calls(monkeypatch):
     assert calls and set(calls.values()) == {1}
 
 
+def test_qhahn_rows_are_keyed_by_the_bottom_composition(monkeypatch):
+    # the weights read only A, the composition entering from below (left-entering paths
+    # go straight up): one row per A, not per (A, B), each from one qhahn_row call
+    calls = Counter()
+    row = sampler.qhahn_row
+
+    def counted(state, **kwargs):
+        calls[state] += 1
+        return row(state, **kwargs)
+
+    monkeypatch.setattr(sampler, "qhahn_row", counted)
+    sampler._qhahn_law.cache_clear()
+    try:
+        batch = sample_qhahn(0.4, 0.4, 0.7, (3, 3), (1, 2, 3), seed=4, count=2000, workers=2)
+        rows = sampler._qhahn_law(0.4, 0.4, 0.7).rows
+    finally:
+        sampler._qhahn_law.cache_clear()  # drop the law that holds the counting rows
+    assert rows and {len(state) for state in rows} == {batch.n_colors}
+    assert calls == Counter(dict.fromkeys(rows, 1))
+
+
 def test_qhahn_forty_colors_two_entering():
     # 40 colors, of which only 39 and 40 enter; grouping must not span all colors
     levels = (0,) * 38 + (1, 2)
