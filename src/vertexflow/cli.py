@@ -112,12 +112,33 @@ def _workers(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+SAMPLE_FIELDS = {  # model -> (the config fields it reads, the params fields it reads)
+    "sc6v": ({"domain", "params"}, {"q", "row_rapidities", "col_rapidities"}),
+    "hs": ({"params", "rect"}, {"q", "row_rapidities", "col_rapidities", "col_spins",
+                                "boundary_levels"}),
+    "qhahn": ({"params", "rect"}, {"q", "s", "z", "boundary_levels"}),
+    "beta": ({"params", "keep_points"}, {"sigma", "rho", "t_max", "delays"}),
+}
+
+
+def _unread_fields(cfg, model: str) -> None:
+    """Reject, at its pointer, the first field in ``cfg`` that ``model`` never reads."""
+    fields, params = SAMPLE_FIELDS[model]
+    for key, value in cfg.items():
+        if key not in fields:
+            raise ConfigError(f"/{key}: the {model} model does not read this field")
+        for name in value if key == "params" else ():
+            if name not in params:
+                raise ConfigError(f"/params/{name}: the {model} model does not read this field")
+
+
 def _cmd_sample(args) -> int:
     cfg = _load_json(args.config, "sample_config")
     model = args.model
     count = args.samples
     if count < 1:
         raise ConfigError(f"/samples: --samples must be a positive integer, got {count}")
+    _unread_fields(cfg, model)
     seed = args.seed
     workers = _workers(args)
     if model == "sc6v":

@@ -26,19 +26,21 @@ models, fusions of SC6V on the quadrant, on ``sc6v_quadrant_domain`` (a rectangl
 with an empty bottom and the colors entering on the left).  Each vertex model has one
 ``transitions(state)``: ``weights._sc6v_transitions``, ``weights._hs_transitions``
 or, for q-Hahn, whose weights read only the composition A entering from below,
-``weights.qhahn_row(A)``.  Every vertex draws through one kernel, ``_VertexLaw``: it
-groups the batch by a mixed-radix key of the incoming state built in place, builds
-and checks one row per state present, once for all streams (q-Hahn: once per A for
-all calls with the same (q, s, z)), and makes one inverse-CDF draw per sample;
-``_QHahnLaw.draw`` adds the forced-up rule.  ``_probabilities`` is the only
-stochasticity check, of every vertex row and of the q-Hahn boundary law.  A row
-stores the least uniform that reaches each cumulative weight (``_thresholds``), so
-the draw is a binary search on u alone, in place on one index array, and one ``take``
-from an outcome table already in the edge dtype; it picks what a search for u times
-the row total picks, bit for bit.  The enumerators are the package's one lattice sum,
-``weights.lattice_sum``, over the same transitions with a slot per edge, without the
-check, since complex weights are legal there; one ``_Model`` record per model feeds
-both.  Every height is read where ``lattice.height_anchor`` says.
+``weights.qhahn_row(A)``.  A vertex law builds and checks each row once for all
+streams (q-Hahn: once per A for all calls with the same (q, s, z)); ``_probabilities``
+is the only stochasticity check, of every vertex row and of the q-Hahn boundary law.
+A row stores the least uniform that reaches each cumulative weight (``_thresholds``),
+so a draw compares u alone with it and picks what a search for u times the row total
+picks, bit for bit.  The higher-spin and q-Hahn vertices draw through ``_VertexLaw``:
+it groups the batch by a mixed-radix key of the incoming state built in place, makes
+a binary search per sample in place on one index array, and one ``take`` from an
+outcome table already in the edge dtype; ``_QHahnLaw.draw`` adds the forced-up rule.
+R reads only the order of its two labels, so an SC6V vertex (``_SC6VLaw``) keeps the
+swap thresholds of rows (0, 1) and (1, 0) and draws by mask arithmetic on the labels,
+with no grouping, search or ``take``.  The enumerators are the package's one lattice
+sum, ``weights.lattice_sum``, over the same transitions with a slot per edge, without
+the check, since complex weights are legal there; one ``_Model`` record per model
+feeds both.  Every height is read where ``lattice.height_anchor`` says.
 """
 
 from __future__ import annotations
@@ -265,8 +267,8 @@ def _probabilities(weights, what: str) -> np.ndarray:
 
 class _VertexLaw:
     """Inverse-CDF draws from ``transitions``; each incoming state's row is built on
-    first use, checked (``_probabilities``) and cached.  The padded
-    table of the last set of states present is kept too: the blocks of a sweep meet
+    first use, checked (``_probabilities``) and cached.  The padded table of the last
+    set of states present is kept too: the blocks of a higher-spin or q-Hahn sweep meet
     one vertex's law again and again, nearly always with the same states.  Streams on
     different threads share the caches; a row miss builds the row under a lock, so
     each row is built once."""
@@ -441,14 +443,39 @@ def _sc6v_model(domain: SkewDomain, params: ModelParams) -> _Model:
                    for (x, y) in vertices}, *_boundary(domain), domain)
 
 
+class _SC6VLaw(_VertexLaw):
+    """R_z reads only whether its bottom label b is below, equal to or above its left
+    label l, so a vertex needs two rows, (0, 1) and (1, 0), built and checked here, on
+    the calling thread.  The swap is outcome 0 of a row, taken exactly when u is below
+    the row's first threshold; equal labels have one outcome and nothing to swap.  So
+    ``draw`` needs neither grouping nor search: it sends b up and l right, moved by
+    d = (l - b) * swap in the edge dtype, with the same bits as ``_VertexLaw.draw``."""
+
+    def __init__(self, transitions, vertex):
+        super().__init__(transitions)
+        self.below = self.row((0, 1), vertex)[1][0]  # swap threshold for b < l
+        self.above = self.row((1, 0), vertex)[1][0]  # and for b > l
+
+    def draw(self, parts, u, vertex, dtype):
+        b, l = parts
+        swap = np.less(u, self.above)
+        swap &= b > l
+        below = np.less(u, self.below)
+        below &= b < l
+        swap |= below
+        out = np.empty((2, len(u)), dtype=dtype)  # (top, right)
+        d = np.subtract(l, b, out=out[1])
+        d *= swap
+        np.add(b, d, out=out[0])
+        np.subtract(l, d, out=d)
+        return out
+
+
 def sample_sc6v(domain: SkewDomain, params: ModelParams, seed: int, count: int,
                 workers: int = 1) -> SampleBatch:
     """Diagonal-sweep sampler for the SC6V model on a skew domain."""
     model = _sc6v_model(domain, params)
-    laws = {vertex: _VertexLaw(t) for vertex, t in model.transitions.items()}
-    for vertex, law in laws.items():  # R depends on sign(i - j) only: check all before drawing
-        law.row((0, 1), vertex)
-        law.row((1, 0), vertex)
+    laws = {vertex: _SC6VLaw(t, vertex) for vertex, t in model.transitions.items()}
     return SampleBatch(seed, params, count, model.n_colors, domain,
                        *_sweep(model, laws, seed, count, workers))
 

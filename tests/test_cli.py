@@ -329,6 +329,35 @@ def test_sample_model_params_error_exits_2_at_its_field(tmp_path, capsys, model,
     assert f"at /params/{field}:" in capsys.readouterr().err
 
 
+BETA_PARAMS = {"sigma": 6.0, "rho": 1.5, "t_max": 3, "delays": [0]}
+
+
+@pytest.mark.parametrize("model, doc, pointer", [
+    ("hs", {"params": HS_PARAMS, "rect": [2, 2], "domain": DOMAIN}, "/domain"),
+    ("hs", {"params": HS_PARAMS, "rect": [2, 2], "keep_points": [[0, 1, 2]]}, "/keep_points"),
+    ("hs", {"params": dict(HS_PARAMS, sigma=6.0), "rect": [2, 2]}, "/params/sigma"),
+    ("sc6v", {"domain": DOMAIN, "params": PARAMS, "rect": [2, 2]}, "/rect"),
+    ("sc6v", {"domain": DOMAIN, "params": dict(PARAMS, col_spins=[4.0, 4.0])}, "/params/col_spins"),
+    ("qhahn", {"params": dict(QHAHN_PARAMS, col_rapidities=[1.0]), "rect": [2, 2]},
+     "/params/col_rapidities"),
+    ("beta", {"params": dict(BETA_PARAMS, q=0.4)}, "/params/q"),
+    ("beta", {"params": BETA_PARAMS, "rect": [2, 2]}, "/rect"),
+    # two unread fields: the first in the document is reported
+    ("hs", {"domain": DOMAIN, "params": dict(HS_PARAMS, sigma=6.0), "rect": [2, 2]}, "/domain"),
+    ("hs", {"params": dict(HS_PARAMS, sigma=6.0), "rect": [2, 2], "domain": DOMAIN},
+     "/params/sigma"),
+])
+def test_sample_field_the_model_never_reads_exits_2_at_it(tmp_path, capsys, model, doc, pointer):
+    # a field the model ignores is a mistake in the config, not something to drop silently
+    cfg = write(tmp_path, "cfg.json", doc)
+    out = tmp_path / "x.jsonl"
+    code = run(["sample", "--model", model, "--config", cfg, "--samples", "2",
+                "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert f"at {pointer}: the {model} model does not read this field" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_moment_qhahn_string_levels_exits_2(tmp_path, capsys):
     query = write(tmp_path, "q.json", {
         "points": [[1.5, 0.5]], "colors": [0],

@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from vertexflow.sampler import (
     sc6v_quadrant_domain,
     simulate_beta_polymer,
 )
+from vertexflow.weights import _sc6v_transitions
 
 
 def poch_inf(x, q):
@@ -326,6 +328,45 @@ def test_vertex_law_rejects_nan_weights():
     law = _VertexLaw(lambda state: ([(0,), (1,)], [float("nan"), 1.0]))
     with pytest.raises(ParameterRangeError, match="vertex"):
         law.row((0,), (1, 1))
+
+
+@st.composite
+def sc6v_blocks(draw):
+    """(z, q, bottom labels, left labels, uniforms): z > 1, q in (0, 1), colors 0..n in
+    the edge dtype of n colors (int8 up to n = 127, int16 beyond, up to 200), with ties
+    b == l, and uniforms at each swap threshold and one ulp either side, 0 and the
+    largest double below 1."""
+    z = draw(st.floats(1, 1e3, exclude_min=True))
+    q = draw(st.floats(0, 1, exclude_min=True, exclude_max=True))
+    n_colors = draw(st.one_of(st.sampled_from([1, 127, 128, 200]), st.integers(1, 200)))
+    dtype = sampler._label_dtype(n_colors)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    b = rng.integers(0, n_colors + 1, n).astype(dtype)
+    l = rng.integers(0, n_colors + 1, n).astype(dtype)
+    tie = rng.random(n) < 0.2
+    l[tie] = b[tie]
+    law = sampler._SC6VLaw(partial(_sc6v_transitions, z, q), (1, 1))
+    top = np.nextafter(1.0, 0)
+    edges = np.array([x for t in (law.below, law.above)
+                      for x in (np.nextafter(t, 0), t, np.nextafter(t, 2))] + [0.0, top])
+    u = rng.random(n)
+    pick = rng.random(n) < 0.5
+    u[pick] = edges[rng.integers(0, len(edges), pick.sum())]
+    return z, q, b, l, np.minimum(u, top)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sc6v_blocks())
+def test_sc6v_law_draws_match_the_vertex_law(case):
+    # R reads only the order of its labels: a swap when u is below the first threshold
+    # of row (0, 1) or (1, 0), the same bits as the search over every (b, l) row
+    z, q, b, l, u = case
+    transitions = partial(_sc6v_transitions, z, q)
+    got = sampler._SC6VLaw(transitions, (1, 1)).draw([b, l], u, (1, 1), b.dtype)
+    want = _VertexLaw(transitions).draw([b, l], u, (1, 1), b.dtype)
+    assert got.dtype == b.dtype
+    assert np.array_equal(got, want)
 
 
 def test_row_cache_builds_each_row_once(monkeypatch):
@@ -682,6 +723,24 @@ def test_golden_digests(model, count, workers):
     finally:
         sys.setswitchinterval(interval)
     assert digest == GOLDEN[model][GOLDEN_CASES.index((count, workers))]
+
+
+INT16_DIGESTS = {  # per worker count
+    1: "8b8a2baa06a0dafa53660adc7e81a44fe8825a333ff3fb7fa81c3bf6797baec5",
+    2: "b2c072e568107565d9d38e9bf929eeb8e9f0ffce37eac3fac7345922c735e15b",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sc6v_int16_labels_digest(workers):
+    # 128 colors need int16 labels, which no GOLDEN case (at most 6 colors) reaches; the
+    # generic row search over every (bottom, left) state gives the same digests
+    params = ModelParams(q=0.4, row_rapidities=tuple(2.0 + 0.02 * i for i in range(64)),
+                         col_rapidities=tuple(1.0 + 0.01 * j for j in range(64)))
+    b = sample_sc6v(rectangle_domain(64, 64, tuple(range(1, 129))), params, seed=20, count=50,
+                    workers=workers)
+    assert b.h_edges.dtype == np.int16
+    assert _digest(b.h_edges, b.v_edges) == INT16_DIGESTS[workers]
 
 
 # ---------------------------------------------------------------------------
