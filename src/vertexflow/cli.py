@@ -282,12 +282,11 @@ def _suite_moments(seed: int):
     dom = rectangle_domain(2, 2, (0, 1, 1, 2))
     ens = enumerate_sc6v(dom, params)
     reports = []
-    pts, cols = [(1.5, 2.5), (2.5, 1.5)], [0, 1]
-    for pi in Permutation.all(2):
-        got = qmoments.qmoment_skew(dom, params, qmoments.MomentQuery(pts, cols, pi),
-                                    nodes_per_circle=64)
+    pts, cols, pis = [(1.5, 2.5), (2.5, 1.5)], [0, 1], Permutation.all(2)
+    got = qmoments.qmoment_skew_multi(dom, params, pts, cols, pis, nodes_per_circle=64)
+    for pi in pis:
         want = ens.moment(pts, pi.act(cols), params.q)
-        err = abs(got.value - want)
+        err = abs(got[pi.images].value - want)
         reports.append(verify.CheckReport(
             f"moment_vs_enumeration_pi{pi.images}", "pass" if err < 1e-8 else "fail",
             float(err), len(ens.entries), f"seed={seed}"))

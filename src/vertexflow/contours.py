@@ -8,6 +8,12 @@ q^{2a} r0 for variable a, so that q^{-1} times variable a+1's zero-circle
 lies inside variable a's.  The Beta-polymer family instead uses concentric
 circles around -sigma/2 whose radii grow by slightly more than 1 per
 variable, realizing the shift-by-(-1) nesting.
+
+``build_contours`` takes its poles in a canonical order, sorted by (real, imag)
+with repeats dropped, so any permutation of its pole lists gives an equal family,
+circle for circle.  Integrals whose poles agree up to order, such as the two
+sides of a shift-invariance pair, thus run on one quadrature grid
+(``qmoments.shared_grids``).
 """
 
 from __future__ import annotations
@@ -196,10 +202,10 @@ def build_contours(inside, outside, k: int, q: float) -> ContourFamily:
 
 
 def _dedupe(points):
-    """``points`` as complex numbers without repeats to 1e-11 relative."""
+    """``points`` as complex numbers without repeats to 1e-11 relative, in their
+    canonical order: sorted by (real, imag), a repeat dropped after its first."""
     out = []
-    for p in points:
-        p = complex(p)
+    for p in sorted((complex(p) for p in points), key=lambda p: (p.real, p.imag)):
         if all(abs(p - o) > 1e-11 * max(1.0, abs(p)) for o in out):
             out.append(p)
     return out

@@ -29,6 +29,16 @@ rank below half its order does the contraction condition on one variable, one
 subgraph per node.  The stride-2 submatrix of a cross matrix is the cross
 matrix of the next coarser level, which takes that ranking as its factors.
 
+A grid holds its tables for as long as it lives, and each integral builds its
+own, except inside a ``shared_grids`` scope: there ``_Grid.build`` hands out the
+grid the scope already built for the same circles per variable, node count,
+turn, variant and q, tables and all.  ``verify.check_shift_invariance`` opens
+one around the two integrals of a shift pair; their rapidities are the same up
+to a permutation, so their contour families (taken in the canonical pole order
+of ``contours``) are equal and the second integral ranks and factors nothing.
+The tables depend on the grid alone, so the values are the same bit for bit.
+No grid outlives the scope that built it.
+
 One adaptive loop serves every integral.  Node phases do not change with
 the node count, so the grids at n/2 and n/4 are stride-2 subsets of the grid
 at n and are read from the same tables.  The loop starts at the requested
@@ -78,13 +88,16 @@ of ratios linear in w, kept as closures.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import accumulate, permutations, product
 
 import numpy as np
 
 from .contours import ContourFamily, build_contours, build_contours_beta, build_contours_qhahn
-from .errors import ContourResolutionError, UnsupportedRegimeError, ValidationError
+from .errors import (ContourResolutionError, ParameterSingularityError, UnsupportedRegimeError,
+                     ValidationError)
 from .hecke import Permutation, PointFunction, _coeffs, _push, apply_T_pi
 from .lattice import ModelParams, SkewDomain, check_pole_separation, dbl, whole
 from .weights import q_pochhammer
@@ -155,6 +168,26 @@ class PairingIntegrand:
 # ---------------------------------------------------------------------------
 
 
+# {grid key: _Grid} of the innermost open ``shared_grids`` scope; None outside every scope
+_SHARED: ContextVar[dict | None] = ContextVar("vertexflow_shared_grids", default=None)
+
+
+@contextmanager
+def shared_grids():
+    """A scope in which integrals on the same contour circles share their grids.
+
+    Inside it, ``_Grid.build`` returns the grid it already built for the same circles
+    per variable, node count, turn, variant and q, with every table that grid holds:
+    cross tables, edge rankings, full-size factors and DL pair tables.  A grid lives
+    until the scope that built it closes; a nested scope starts empty.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 class _Grid:
     """Nodes, weights and pair-factor tables of one quadrature level."""
 
@@ -170,8 +203,17 @@ class _Grid:
     @classmethod
     def build(cls, fam: ContourFamily, nodes_per_circle: int, variant: str, q,
               turn: float = 0.0) -> "_Grid":
+        """The grid of ``fam`` at ``nodes_per_circle``; inside a ``shared_grids`` scope,
+        the one that scope already built for the same key, if any."""
+        shared = _SHARED.get()
+        key = (tuple(map(tuple, fam.per_variable)), nodes_per_circle, turn, variant, q)
+        if shared is not None and key in shared:
+            return shared[key]
         nodes, dws = zip(*(fam.nodes(a, nodes_per_circle, turn) for a in range(1, fam.k + 1)))
-        return cls(list(nodes), list(dws), variant, q)
+        grid = cls(list(nodes), list(dws), variant, q)
+        if shared is not None:
+            shared[key] = grid
+        return grid
 
     def coarse(self) -> "_Grid":
         """The n/2 level, the stride-2 subset of this one (n even), read from its tables."""
@@ -897,8 +939,16 @@ def _q_power(q, h, r):
 def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQuery,
                   nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
                   cap: int = NODE_CAP, contour_scale: float = 1.0) -> MomentResult:
-    """E[q^{sum h}] for the q-Hahn quadrant model via the fully fused formula."""
+    """E[q^{sum h}] for the q-Hahn quadrant model via the fully fused formula.
+
+    The formula divides by z^2 and by s: ParameterSingularityError names ``params/z``
+    where z * z is 0 (z = 0, or z^2 underflows) and ``params/s`` where s is 0.
+    """
     pts, colors = _read_query(query.points, query.colors, [query.pi])
+    if z * z == 0:
+        raise ParameterSingularityError(f"z = {z}: z^2 is 0", field="params/z")
+    if s == 0:
+        raise ParameterSingularityError("s = 0", field="params/s")
     params = ModelParams(q=q, boundary_levels=tuple(boundary_levels))
     levels = [params.level(c) for c in colors]
     if not pts[-1][1] > 2 * levels[-1]:

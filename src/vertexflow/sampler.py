@@ -658,7 +658,9 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
     ``keep_points`` lists (delay, m, t) to record; default: all m at t = t_max.
     As each eta_{m,t} arrives, every delay's Z^{(m,t)} is updated in place, only up
     to the largest m a keep point of that delay reads, since Z^{(m,t)} reads no
-    larger m; the boundary Z = 1 stays the scalar 1.0.
+    larger m; the boundary Z = 1 stays the scalar 1.0.  The eta of the cells after the
+    last one updated are never drawn: no kept value and no earlier draw reads them, so
+    the values are the same bits as with every point kept.
     ``t_max``, the delays and the keep points are whole numbers, each delay in
     0 <= d < t_max; ValidationError names the CLI field at fault.
     """
@@ -682,6 +684,9 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
     reach = {}  # delay -> the largest m its keep points read
     for d, m, _ in keep_points:
         reach[d] = max(m, reach.get(d, 0))
+    # cells run in order of t, then m; the last one a delay updates is (last_m, t_max), or
+    # none at last_m = 0, and no keep point reads a draw after it, so none is made
+    last_m = max([min(r, t_max - 1 - d) for d, r in reach.items()] + [0])
     # eta, 1 - eta, a product, and per delay its saved Z and each Z it carries
     scratch = np.empty((3 + sum(1 + min(r, t_max - 1 - d) for d, r in reach.items()), count))
 
@@ -691,7 +696,7 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
         z = {d: [] for d in reach}  # z[d][m - 1] = Z_(d)^(m,t) for m < t - d, m <= reach[d]
         saved = {d: next(spare) for d in reach}  # Z_(d)^(m-1,t-1) while m is updated
         for t in range(1, t_max + 1):
-            for m in range(1, t):
+            for m in range(1, t if t < t_max and last_m else last_m + 1):
                 rng.standard_gamma(sigma - rho, out=eta)
                 rng.standard_gamma(rho, out=rest)
                 live = [d for d in reach if m < t - d and m <= reach[d]]

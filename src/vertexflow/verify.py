@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ValidationError
 from .hecke import Permutation, PointFunction, apply_T
 from .lattice import Cut, ModelParams, SkewDomain, UpLeftPath
-from .qmoments import MomentQuery, qmoment_skew
+from .qmoments import MomentQuery, qmoment_skew, shared_grids
 from .sampler import enumerate_sc6v, sample_sc6v
 from .weights import _hs_transitions, _sc6v_transitions, q_pochhammer, tensor_sweep, vertex_tensor
 
@@ -271,10 +271,11 @@ def check_shift_invariance(col_a: CutCollection, col_b: CutCollection,
         ma = ens_a.moment(pts_a, pi_a.act(cols_a2), q)
         mb = ens_b.moment(pts_b, pi_b.act(cols_b2), q)
         err_enum = abs(ma - mb)
-        ia = qmoment_skew(col_a.domain, params, MomentQuery(pts_a, cols_a2, pi_a),
-                          nodes_per_circle=nodes_per_circle)
-        ib = qmoment_skew(col_b.domain, params_b, MomentQuery(pts_b, cols_b2, pi_b),
-                          nodes_per_circle=nodes_per_circle)
+        with shared_grids():  # the two sides have the same poles, so the same grids
+            ia = qmoment_skew(col_a.domain, params, MomentQuery(pts_a, cols_a2, pi_a),
+                              nodes_per_circle=nodes_per_circle)
+            ib = qmoment_skew(col_b.domain, params_b, MomentQuery(pts_b, cols_b2, pi_b),
+                              nodes_per_circle=nodes_per_circle)
         err_int = max(abs(ia.value - ma), abs(ib.value - mb), abs(ia.value - ib.value))
         err = max(err_enum, err_int)
         return _report("shift_invariance_exact", err, len(ens_a.entries) + len(ens_b.entries),

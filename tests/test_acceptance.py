@@ -462,6 +462,58 @@ def test_criterion_5_k4_factors_only_the_edges_it_uses(monkeypatch):
     assert len(shapes) == 9
 
 
+def _criterion_5_k4_pair():
+    from vertexflow.verify import _cut_moment_query
+
+    return next(c for c in criterion_5_pairs() if len(_cut_moment_query(c[0], c[4])[0]) == 4)
+
+
+def test_criterion_5_k4_shift_check_builds_one_grid(monkeypatch):
+    # both sides of the pair have the same poles, so the check ranks the six edges and
+    # factors the three it uses once, for both integrals (12 + 6 with a grid per side);
+    # the grid dies with the check: a later integral ranks and factors its own
+    from vertexflow import qmoments
+    from vertexflow.verify import _cut_moment_query
+
+    col_a, col_b, phi, psi, powers, params = _criterion_5_k4_pair()
+    shapes = []
+    cross_approx = qmoments._cross_approx
+
+    def counted(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return cross_approx(mat, *args, **kwargs)
+
+    monkeypatch.setattr(qmoments, "_cross_approx", counted)
+    rep = check_shift_invariance(col_a, col_b, phi, psi, powers, params, method="enumerate",
+                                 nodes_per_circle=64)
+    assert rep.passed, rep
+    assert sorted(shapes) == [(96, 96)] * 6 + [(192, 192)] * 3
+    assert qmoments._SHARED.get() is None
+    shapes.clear()
+    qmoment_skew(col_a.domain, params, MomentQuery(*_cut_moment_query(col_a, powers)),
+                 nodes_per_circle=64)
+    assert sorted(shapes) == [(96, 96)] * 6 + [(192, 192)] * 3
+
+
+def test_criterion_5_k4_shared_grid_gives_the_same_bits(monkeypatch):
+    # each side's integral on the shared grid equals, bit for bit, its value from a call
+    # made on its own
+    from vertexflow import verify
+    from vertexflow.verify import _cut_moment_query
+
+    col_a, col_b, phi, psi, powers, params = _criterion_5_k4_pair()
+    shared = []
+    own = verify.qmoment_skew
+    monkeypatch.setattr(verify, "qmoment_skew", lambda *args, **kwargs:
+                        shared.append(own(*args, **kwargs)) or shared[-1])
+    check_shift_invariance(col_a, col_b, phi, psi, powers, params, method="enumerate",
+                           nodes_per_circle=64)
+    alone = [own(col.domain, par, MomentQuery(*_cut_moment_query(col, powers)), nodes_per_circle=64)
+             for col, par in ((col_a, params), (col_b, verify._shifted_params(params, phi, psi)))]
+    assert [(r.value, r.error_estimate, r.nodes_per_circle) for r in shared] == \
+        [(r.value, r.error_estimate, r.nodes_per_circle) for r in alone]
+
+
 # ---------------------------------------------------------------------------
 # criterion 6: fusion consistency
 # ---------------------------------------------------------------------------

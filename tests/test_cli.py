@@ -482,6 +482,20 @@ def test_moment_qhahn_unsupported_regime_exits_2_at_points(tmp_path, capsys):
     assert "at /points: the implemented formula requires beta_k > l_{c_k}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, pointer", [
+    ({"z": 0}, "/params/z"),
+    ({"z": 1e-300}, "/params/z"),  # z^2 underflows to 0
+    ({"s": 0}, "/params/s"),
+])
+def test_moment_qhahn_singular_parameter_exits_2_at_its_field(tmp_path, capsys, change, pointer):
+    # the 8.5 formula divides by z^2 and by s: a config error, not a ZeroDivisionError
+    query = write(tmp_path, "q.json", {"points": [[1.5, 4.5]], "colors": [0],
+                                       "params": dict(QHAHN_PARAMS, **change)})
+    code = run(["moment", "--theorem", "8.5", "--query", query, "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"at {pointer}:" in capsys.readouterr().err
+
+
 def test_sample_beta_delay_past_t_max_exits_2_at_delays(tmp_path, capsys):
     # a delay with nothing to simulate is an error, not a batch of empty rows
     cfg = write(tmp_path, "cfg.json", {"params": {"sigma": 6.0, "rho": 1.5, "t_max": 5,

@@ -88,6 +88,18 @@ def test_qhahn_family():
     assert any(abs(p - 0.49 / 0.4) < 1e-9 for p in fam.outside_poles)
 
 
+def test_permuted_poles_give_the_same_family():
+    # poles are taken in their canonical order, so the two sides of a shift pair, whose
+    # rapidities are the same up to a permutation, get one family, circle for circle
+    q = 0.3
+    zetas = [0.5, 1 / 1.05, 1 / 2.11, 1 / 2.22, 1.0]
+    want = build_contours([1 / t for t in zetas], [1 / (q * t) for t in zetas] + [9.0], 4, q)
+    for order in ([4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+        zs = [zetas[i] for i in order]
+        got = build_contours([1 / t for t in zs], [9.0] + [1 / (q * t) for t in zs], 4, q)
+        assert got == want
+
+
 def test_beta_family_nesting():
     sigma, rho = 6.0, 1.5
     fam = build_contours_beta(sigma, rho, 3)

@@ -780,6 +780,32 @@ def test_beta_polymer_keep_points_do_not_change_values(workers):
             assert np.array_equal(values, full.value(*point)), (keep, point)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_beta_polymer_stops_after_the_last_cell_it_reads(workers, monkeypatch):
+    # no keep point below reads cell (4, 5), the last of t_max = 5: each stream makes 9 of
+    # the 10 Gamma pairs, and its values are the bits of a run that keeps every point
+    region = [(d, m, t) for d in (0, 1) for t in range(d + 1, 6) for m in range(1, t - d + 1)]
+    full = simulate_beta_polymer(4.0, 1.0, 5, {0, 1}, seed=44, count=3000, keep_points=region,
+                                 workers=workers)
+    draws, make_rng = [], sampler.make_rng
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng, self.gammas = rng, 0
+            draws.append(self)
+
+        def standard_gamma(self, shape, out):
+            self.gammas += 1
+            return self.rng.standard_gamma(shape, out=out)
+
+    monkeypatch.setattr(sampler, "make_rng", lambda *key: Counted(make_rng(*key)))
+    part = simulate_beta_polymer(4.0, 1.0, 5, {0, 1}, seed=44, count=3000,
+                                 keep_points=[(0, 1, 4), (0, 3, 5), (1, 2, 5)], workers=workers)
+    assert [c.gammas for c in draws] == [2 * 9] * workers
+    for point, values in part.values.items():
+        assert np.array_equal(values, full.value(*point)), point
+
+
 def _traced_peak(run):
     """Peak bytes that numpy and Python allocate during ``run()``, after one warm-up
     call has made its imports."""
