@@ -13,7 +13,6 @@ significant digits so doubles round-trip.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -230,13 +229,6 @@ def _cmd_moment(args) -> int:
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if args.csv:
-        with open(args.csv, "a", newline="") as fh:
-            writer = csv.writer(fh)
-            if fh.tell() == 0:
-                writer.writerow(["query", "value_re", "value_im", "err_est", "samples"])
-            writer.writerow([args.query, _fmt(res.value.real), _fmt(res.value.imag),
-                             _fmt(res.error_estimate), 0])
     print(f"moment[{theorem}]: value = {_fmt(res.value.real)} + {_fmt(res.value.imag)}j "
           f"(est {_fmt(res.error_estimate)}, {_convergence(res)})")
     return EXIT_OK
@@ -419,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--theorem", required=True, choices=["6.1", "8.1", "8.4", "8.5", "9.2"])
     mp.add_argument("--query", required=True)
     mp.add_argument("--out", required=True)
-    mp.add_argument("--csv", default=None)
     mp.set_defaults(func=_cmd_moment)
 
     vp = sub.add_parser("verify", help="run identity/consistency suites")

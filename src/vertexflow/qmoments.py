@@ -713,16 +713,15 @@ def _moment_terms(q, pis) -> list:
 
 
 def _q_formula(phi, psi, fam: ContourFamily, q, pis, nodes_per_circle: int | None, tol: float,
-               cap: int, contour_scale: float) -> dict:
+               cap: int) -> dict:
     """{pi images: MomentResult} of a q-variant formula for every pi in ``pis``.
 
     ``phi`` and ``psi`` hold one (zeros, poles) pair of ``ratio_product`` per point,
     the factors of Phi and Psi.  ``fam`` is the model's contour family, built where
-    its poles are known; every radius is taken times ``contour_scale``.  Each pairing
-    carries its moment prefactor.
+    its poles are known and handed unchanged to ``pairing_values``; any family of the
+    q-nested class gives the same value (``ContourFamily.scaled`` deforms one).  Each
+    pairing carries its moment prefactor.
     """
-    if contour_scale != 1.0:
-        fam = fam.scaled(contour_scale)
     integrand = PairingIntegrand([(1.0, [ratio_product(*f) for f in phi])],
                                  [ratio_product(*f) for f in psi], _moment_terms(q, pis))
     return pairing_values(fam, integrand, q, _start(fam, nodes_per_circle), tol, cap)
@@ -730,7 +729,7 @@ def _q_formula(phi, psi, fam: ContourFamily, q, pis, nodes_per_circle: int | Non
 
 def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, pis,
                        nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
-                       cap: int = NODE_CAP, contour_scale: float = 1.0) -> dict:
+                       cap: int = NODE_CAP) -> dict:
     """E[q^{H_{pi.c}}] for every pi in ``pis``, sharing one quadrature grid."""
     pts, colors = _read_query(points, colors, pis)
     q = params.q
@@ -751,15 +750,15 @@ def qmoment_skew_multi(domain: SkewDomain, params: ModelParams, points, colors, 
            for zp in (crossed(*domain.threshold(c)) for c in colors)]
     psi = [([q * t for t in zp], zp) for zp in (crossed(*p) for p in pts)]
     fam = build_contours([1 / t for t in zetas], [1 / (q * t) for t in zetas], len(pts), q)
-    return _q_formula(phi, psi, fam, q, pis, nodes_per_circle, tol, cap, contour_scale)
+    return _q_formula(phi, psi, fam, q, pis, nodes_per_circle, tol, cap)
 
 
 def qmoment_skew(domain: SkewDomain, params: ModelParams, query: MomentQuery,
                  nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
-                 cap: int = NODE_CAP, contour_scale: float = 1.0) -> MomentResult:
+                 cap: int = NODE_CAP) -> MomentResult:
     """E[exp_q(H^{(A,B)}_{pi.c})] for the SC6V model on a skew domain."""
     res = qmoment_skew_multi(domain, params, query.points, query.colors, [query.pi],
-                             nodes_per_circle, tol, cap, contour_scale)
+                             nodes_per_circle, tol, cap)
     return res[query.pi.images]
 
 
@@ -805,19 +804,17 @@ def _hs_factors(params: ModelParams, pts, colors):
 
 def qmoment_higher_spin_multi(params: ModelParams, points, colors, pis,
                               nodes_per_circle: int | None = None,
-                              tol: float = DEFAULT_TOL, cap: int = NODE_CAP,
-                              contour_scale: float = 1.0) -> dict:
+                              tol: float = DEFAULT_TOL, cap: int = NODE_CAP) -> dict:
     pts, colors = _read_query(points, colors, pis)
-    return _q_formula(*_hs_factors(params, pts, colors), params.q, pis, nodes_per_circle, tol,
-                      cap, contour_scale)
+    return _q_formula(*_hs_factors(params, pts, colors), params.q, pis, nodes_per_circle, tol, cap)
 
 
 def qmoment_higher_spin(params: ModelParams, query: MomentQuery,
                         nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
-                        cap: int = NODE_CAP, contour_scale: float = 1.0) -> MomentResult:
+                        cap: int = NODE_CAP) -> MomentResult:
     """E[q^{sum_i h_{>c_i}(alpha_pi(i), beta_pi(i))}] on the higher-spin quadrant."""
     res = qmoment_higher_spin_multi(params, query.points, query.colors, [query.pi],
-                                    nodes_per_circle, tol, cap, contour_scale)
+                                    nodes_per_circle, tol, cap)
     return res[query.pi.images]
 
 
@@ -859,30 +856,29 @@ def shifted_observable(params: ModelParams, points, base_colors, pi: Permutation
 
     ``base_colors`` is the monotone c = [1]^{m_1} ... [n]^{m_n} (entries >= 1).
     exact=True evaluates the coset/T-sum integral formula; exact=False computes
-    the empirical mean from a higher-spin SampleBatch.
+    the empirical mean from a higher-spin SampleBatch.  A color with m_c = 0 adds a
+    factor of exactly 1, so the exact formula reads only the (c, m_c) present.
     """
     pts, colors = _read_query(points, base_colors, [pi])
     if colors and colors[0] < 1:
         raise ValidationError("base colors must be nondecreasing and >= 1", field="colors")
-    n = max(colors) if colors else 0
-    mults = [colors.count(c) for c in range(1, n + 1)]
     if exact:
-        return _shifted_exact(params, pts, pi, mults, nodes_per_circle, tol, cap)
+        blocks = [(c, colors.count(c)) for c in sorted(set(colors))]
+        return _shifted_exact(params, pts, pi, blocks, nodes_per_circle, tol, cap)
     if batch is None:
         raise ValidationError("empirical evaluation needs a SampleBatch")
     return _shifted_empirical(batch, points, colors, pi)
 
 
-def _shifted_exact(params, pts, pi, mults, nodes_per_circle, tol, cap):
+def _shifted_exact(params, pts, pi, blocks, nodes_per_circle, tol, cap):
     q = params.q
     k = len(pts)
-    n = len(mults)
+    n = blocks[-1][0] if blocks else 0
     _, psi, fam = _hs_factors(params, pts, [n] * k)
 
     # expand prod_c (sum_{j_c=0}^{m_c} coef * slot assignment) into phi terms
     phi_terms = [(1.0, [])]
-    for c in range(1, n + 1):
-        m_c = mults[c - 1]
+    for c, m_c in blocks:
         lower = ratio_product(*_level_factor(params, c - 1))
         upper = ratio_product(*_level_factor(params, c))
         new_terms = []
@@ -896,7 +892,7 @@ def _shifted_exact(params, pts, pi, mults, nodes_per_circle, tol, cap):
         phi_terms = new_terms
     pref = (1 - q) ** k
     integrand = PairingIntegrand(phi_terms, [ratio_product(*f) for f in psi],
-                                 [(pref, tau) for tau in _coset(pi, mults)])
+                                 [(pref, tau) for tau in _coset(pi, [m for _, m in blocks])])
 
     def evaluate(grid, keys=None):  # one value: the sum over the coset, priced as a sum
         return {None: sum(_pairing_on_grid(grid, integrand).values())}
@@ -938,7 +934,7 @@ def _q_power(q, h, r):
 
 def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQuery,
                   nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
-                  cap: int = NODE_CAP, contour_scale: float = 1.0) -> MomentResult:
+                  cap: int = NODE_CAP) -> MomentResult:
     """E[q^{sum h}] for the q-Hahn quadrant model via the fully fused formula.
 
     The formula divides by z^2 and by s: ParameterSingularityError names ``params/z``
@@ -961,7 +957,7 @@ def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQu
     psi = [([zi2 * s] * ((b2 - 1) // 2) + [s] * ((a2 - 1) // 2),
             [s] * ((b2 - 1) // 2) + [1 / s] * ((a2 + 1) // 2)) for a2, b2 in pts]
     return _q_formula(phi, psi, build_contours_qhahn(s, z, q, len(pts)), q, [query.pi],
-                      nodes_per_circle, tol, cap, contour_scale)[query.pi.images]
+                      nodes_per_circle, tol, cap)[query.pi.images]
 
 
 # ---------------------------------------------------------------------------
@@ -971,11 +967,12 @@ def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQu
 
 def beta_moment(sigma: float, rho: float, points, delays, pi: Permutation | None = None,
                 nodes_per_circle: int | None = None, tol: float = DEFAULT_TOL,
-                cap: int = NODE_CAP, contour_scale: float = 1.0) -> MomentResult:
+                cap: int = NODE_CAP) -> MomentResult:
     """E[prod_i Z_(c_i)^(m_pi(i), t_pi(i))] for the delayed Beta polymer.
 
     ``points`` are integer (m, t) pairs mapped to dual points
-    (alpha, beta) = (m - 1/2, t - 1/2); ``delays`` are the c_i.
+    (alpha, beta) = (m - 1/2, t - 1/2); ``delays`` are the c_i.  The contours are
+    ``build_contours_beta``'s, passed to ``pairing_values`` as they are.
     """
     if not sigma > rho > 0:
         raise ValidationError("need sigma > rho > 0", field="params")
@@ -1017,8 +1014,6 @@ def beta_moment(sigma: float, rho: float, points, delays, pi: Permutation | None
         return f
 
     fam = build_contours_beta(sigma, rho, k)
-    if contour_scale != 1.0:
-        fam = fam.scaled(contour_scale)
     integrand = PairingIntegrand(
         [(1.0, [phi_for(c) for c in delays])],
         [psi_for(m, t) for m, t in zip(ms, ts)],

@@ -27,8 +27,9 @@ with an empty bottom and the colors entering on the left).  Each vertex model ha
 ``transitions(state)``: ``weights._sc6v_transitions``, ``weights._hs_transitions``
 or, for q-Hahn, whose weights read only the composition A entering from below,
 ``weights.qhahn_row(A)``.  A vertex law builds and checks each row once for all
-streams (q-Hahn: once per A for all calls with the same (q, s, z)); ``_probabilities``
-is the only stochasticity check, of every vertex row and of the q-Hahn boundary law.
+streams (SC6V: one law per distinct (z, q) of a call; q-Hahn: once per A for all
+calls with the same (q, s, z)); ``_probabilities`` is the only stochasticity check,
+of every vertex row and of the q-Hahn boundary law.
 A row stores the least uniform that reaches each cumulative weight (``_thresholds``),
 so a draw compares u alone with it and picks what a search for u times the row total
 picks, bit for bit.  The higher-spin and q-Hahn vertices draw through ``_VertexLaw``:
@@ -64,10 +65,11 @@ from .lattice import (
     rectangle_domain,
     whole,
 )
-from .weights import _hs_transitions, _sc6v_transitions, lattice_sum, q_pochhammer, qhahn_row
+from .weights import _hs_transitions, _sc6v_transitions, lattice_sum, qhahn_row
 
 PROB_TOL = 1e-10
 BLOCK = 1 << 16  # samples a stream carries through every vertex of a sweep at a time
+SC6V_ENUM_CAP = 16  # the most vertices enumerate_sc6v sums over
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -475,16 +477,18 @@ def sample_sc6v(domain: SkewDomain, params: ModelParams, seed: int, count: int,
                 workers: int = 1) -> SampleBatch:
     """Diagonal-sweep sampler for the SC6V model on a skew domain."""
     model = _sc6v_model(domain, params)
-    laws = {vertex: _SC6VLaw(t, vertex) for vertex, t in model.transitions.items()}
+    shared = {}  # a law reads only the (z, q) of its partial(_sc6v_transitions, z, q)
+    laws = {vertex: shared.get(t.args) or shared.setdefault(t.args, _SC6VLaw(t, vertex))
+            for vertex, t in model.transitions.items()}
     return SampleBatch(seed, params, count, model.n_colors, domain,
                        *_sweep(model, laws, seed, count, workers))
 
 
-def enumerate_sc6v(domain: SkewDomain, params: ModelParams, cap: int = 16) -> WeightedEnsemble:
+def enumerate_sc6v(domain: SkewDomain, params: ModelParams) -> WeightedEnsemble:
     """Exact ensemble: every configuration with its product weight (complex ok)."""
     model = _sc6v_model(domain, params)
-    if len(model.transitions) > cap:
-        raise EnumerationCapError(f"{len(model.transitions)} vertices exceeds the cap {cap}")
+    if len(model.transitions) > SC6V_ENUM_CAP:
+        raise EnumerationCapError(f"{len(model.transitions)} vertices exceeds the cap {SC6V_ENUM_CAP}")
     return _enumerate(model)
 
 
@@ -547,12 +551,14 @@ def qhahn_boundary_probs(q: float, s: float, z: float) -> np.ndarray:
     r = s * s / (z * z)
     pref = _poch_inf(r, q) / _poch_inf(s * s, q)
     probs, total = [], 0.0
+    num = den = qk = 1.0  # (z^2; q)_k and (q; q)_k, multiplied up as q_pochhammer does, and q^k
     for k in range(10000):
-        p = pref * q_pochhammer(z * z, q, k) / q_pochhammer(q, q, k) * r**k
+        p = pref * num / den * r**k
         probs.append(p)
         total += p
         if 1 - total < 1e-14:
             break
+        num, den, qk = num * (1 - qk * (z * z)), den * (1 - qk * q), qk * q
     _probabilities(probs, f"q-Hahn boundary weights for (q, s, z) = {(q, s, z)}")
     return np.array(probs)
 
@@ -657,8 +663,8 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
     with Z_{(k)}^{(t-k,t)} = 1 and Z_{(k)}^{(1,t)} = prod_{i=k+2}^t eta_{1,i}.
     ``keep_points`` lists (delay, m, t) to record; default: all m at t = t_max.
     As each eta_{m,t} arrives, every delay's Z^{(m,t)} is updated in place, only up
-    to the largest m a keep point of that delay reads, since Z^{(m,t)} reads no
-    larger m; the boundary Z = 1 stays the scalar 1.0.  The eta of the cells after the
+    to the largest m of that delay's keep points with m < t - d, since Z^{(m,t)} reads
+    no larger m; the boundary Z = 1 stays the scalar 1.0.  The eta of the cells after the
     last one updated are never drawn: no kept value and no earlier draw reads them, so
     the values are the same bits as with every point kept.
     ``t_max``, the delays and the keep points are whole numbers, each delay in
@@ -681,14 +687,15 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
             raise ValidationError(f"point {(d, m, t)} outside the simulated region",
                                   field="keep_points")
     values = {point: np.empty(count) for point in keep_points}
-    reach = {}  # delay -> the largest m its keep points read
-    for d, m, _ in keep_points:
-        reach[d] = max(m, reach.get(d, 0))
+    reach = {}  # delay -> the largest m < t - d its keep points read
+    for d, m, t in keep_points:
+        if m < t - d:
+            reach[d] = max(m, reach.get(d, 0))
     # cells run in order of t, then m; the last one a delay updates is (last_m, t_max), or
     # none at last_m = 0, and no keep point reads a draw after it, so none is made
-    last_m = max([min(r, t_max - 1 - d) for d, r in reach.items()] + [0])
+    last_m = max(reach.values(), default=0)
     # eta, 1 - eta, a product, and per delay its saved Z and each Z it carries
-    scratch = np.empty((3 + sum(1 + min(r, t_max - 1 - d) for d, r in reach.items()), count))
+    scratch = np.empty((3 + sum(1 + r for r in reach.values()), count))
 
     def draw(stream, sl):
         rng, spare = make_rng(seed, stream), iter(scratch[:, sl])

@@ -20,6 +20,7 @@ from .sampler import enumerate_sc6v, sample_sc6v
 from .weights import _hs_transitions, _sc6v_transitions, q_pochhammer, tensor_sweep, vertex_tensor
 
 Z_FACTOR = 4.0  # Monte Carlo checks pass within this many standard errors
+LOCAL_TOL = 1e-12  # the local relations hold to this absolute error
 
 
 def _within(err, sigma, z_factor: float = Z_FACTOR) -> bool:
@@ -92,7 +93,7 @@ def local_relation_fused_error(q, s, u, comp_i, j: int, colors) -> float:
     return abs(lhs - rhs)
 
 
-def check_local_relation(r: int, trials: int = 1000, seed: int = 0, tol: float = 1e-12) -> CheckReport:
+def check_local_relation(r: int, trials: int = 1000, seed: int = 0) -> CheckReport:
     """Prop-style local relation at fixed r, random (q, z, colors, incomings), colors 0..5."""
     rng, n_colors = random.Random(seed), 5
     worst = 0.0
@@ -105,11 +106,10 @@ def check_local_relation(r: int, trials: int = 1000, seed: int = 0, tol: float =
         i = rng.randint(0, n_colors)
         j = rng.randint(0, n_colors)
         worst = max(worst, local_relation_error(q, z, i, j, colors))
-    return _report(f"local_relation_r{r}", worst, trials, tol, f"seed={seed}")
+    return _report(f"local_relation_r{r}", worst, trials, LOCAL_TOL, f"seed={seed}")
 
 
-def check_local_relation_fused(r: int, trials: int = 1000, seed: int = 0,
-                               tol: float = 1e-12) -> CheckReport:
+def check_local_relation_fused(r: int, trials: int = 1000, seed: int = 0) -> CheckReport:
     rng, n_colors = random.Random(seed), 3
     worst = 0.0
     for _ in range(trials):
@@ -122,7 +122,7 @@ def check_local_relation_fused(r: int, trials: int = 1000, seed: int = 0,
         colors = sorted(rng.randint(0, n_colors) for _ in range(r))
         j = rng.randint(0, n_colors)
         worst = max(worst, local_relation_fused_error(q, s, u, comp, j, colors))
-    return _report(f"local_relation_fused_r{r}", worst, trials, tol, f"seed={seed}")
+    return _report(f"local_relation_fused_r{r}", worst, trials, LOCAL_TOL, f"seed={seed}")
 
 
 # ---------------------------------------------------------------------------

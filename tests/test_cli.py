@@ -58,6 +58,18 @@ def test_moment_result_fields(tmp_path):
     assert abs(doc["value_re"] - want.real) < 1e-8
 
 
+def test_moment_writes_json_only(tmp_path, capsys):
+    # the result goes to --out; there is no CSV writer
+    query = write(tmp_path, "q.json", {"points": [[1.5, 2.5]], "colors": [0],
+                                       "domain": DOMAIN, "params": PARAMS})
+    with pytest.raises(SystemExit) as info:
+        run(["moment", "--theorem", "6.1", "--query", query, "--out", str(tmp_path / "r.json"),
+             "--csv", str(tmp_path / "r.csv")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_moment_beta_theorem(tmp_path):
     query = write(tmp_path, "q.json", {
         "points": [[1, 3]], "colors": [0],
@@ -547,6 +559,25 @@ def test_moment_shifted_base_color_zero_exits_2_at_colors(tmp_path, capsys):
     code = run(["moment", "--theorem", "8.4", "--query", query, "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert "at /colors: base colors must be nondecreasing and >= 1" in capsys.readouterr().err
+
+
+def test_moment_shifted_huge_color_gives_the_value_of_a_small_one(tmp_path):
+    # above the last of three boundary levels every color enters at that level, so on
+    # these params 1e300 is color 4; the formula reads only the colors present, so the
+    # call returns at once
+    params = {"q": 0.5, "row_rapidities": [5.0, 6.0, 7.0], "col_rapidities": [1.0, 1.1, 1.2],
+              "col_spins": [4.0, 4.0, 4.0], "boundary_levels": [1, 2, 3]}
+    doc = {"points": [[1.5, 2.5], [2.5, 1.5]], "pi": [2, 1], "params": params}
+    small, huge = tmp_path / "small.json", tmp_path / "huge.json"
+    assert run(["moment", "--theorem", "8.4", "--out", str(small),
+                "--query", write(tmp_path, "small_q.json", dict(doc, colors=[1, 4]))]) == 0
+    src = str(Path(vertexflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-m", "vertexflow.cli", "moment", "--theorem", "8.4",
+                          "--query", write(tmp_path, "huge_q.json", dict(doc, colors=[1, 1e300])),
+                          "--out", str(huge)], capture_output=True, text=True, env=env, timeout=30)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(huge.read_text()) == json.loads(small.read_text())
 
 
 def test_sample_sc6v_missing_domain_exits_2(tmp_path, capsys):

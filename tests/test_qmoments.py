@@ -559,14 +559,15 @@ def test_qhahn_unsupported_regime_names_points():
 # ---------------------------------------------------------------------------
 
 
-def test_contour_deformation_and_node_doubling_invariance():
+def test_contour_deformation_and_node_doubling_invariance(scaled_contours):
     params = ModelParams(q=0.3, row_rapidities=(1.9, 2.2), col_rapidities=(1.0, 1.12))
     dom = rectangle_domain(2, 2, (0, 1, 1, 2))
     query = MomentQuery([(1.5, 2.5), (2.5, 1.5)], [0, 1], Permutation((2, 1)))
     base = qmoment_skew(dom, params, query, nodes_per_circle=NODES)
     assert base.error_estimate < 1e-9  # the adaptive run certifies doubling
     for scale in (1.1, 0.9):
-        pert = qmoment_skew(dom, params, query, nodes_per_circle=NODES, contour_scale=scale)
+        with scaled_contours(scale):
+            pert = qmoment_skew(dom, params, query, nodes_per_circle=NODES)
         assert abs(pert.value - base.value) < 1e-9
     doubled = qmoment_skew(dom, params, query, nodes_per_circle=2 * NODES)
     assert abs(doubled.value - base.value) < 1e-9

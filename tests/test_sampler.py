@@ -30,7 +30,7 @@ from vertexflow.sampler import (
     sc6v_quadrant_domain,
     simulate_beta_polymer,
 )
-from vertexflow.weights import _sc6v_transitions
+from vertexflow.weights import _sc6v_transitions, q_pochhammer
 
 
 def poch_inf(x, q):
@@ -137,7 +137,7 @@ def test_enumeration_cap():
     params = ModelParams(q=0.4, row_rapidities=(2.0,) * 5, col_rapidities=(1.0,) * 5)
     dom = rectangle_domain(5, 5, tuple([0] * 5 + [1] * 5))
     with pytest.raises(EnumerationCapError):
-        enumerate_sc6v(dom, params, cap=16)
+        enumerate_sc6v(dom, params)
 
 
 def test_sc6v_colors_above_int8_match_oracle():
@@ -369,6 +369,28 @@ def test_sc6v_law_draws_match_the_vertex_law(case):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("rows, laws", [((2.0,) * 64, 1), ((2.0, 3.0) * 32, 2)])
+def test_sc6v_builds_one_law_per_distinct_spectral_parameter(monkeypatch, rows, laws):
+    # a law reads only its vertex's (z, q): on a homogeneous 64 x 64 rectangle its two
+    # rows are built and checked once, and the batch has the bits of a law per vertex
+    params = ModelParams(q=0.4, row_rapidities=rows, col_rapidities=(1.0,) * 64)
+    dom = rectangle_domain(64, 64, tuple(range(1, 129)))
+    checks, probabilities = [], sampler._probabilities
+    monkeypatch.setattr(sampler, "_probabilities",
+                        lambda weights, what: checks.append(what) or probabilities(weights, what))
+    batch = sample_sc6v(dom, params, seed=20, count=50)
+    assert len(checks) == 2 * laws
+    model = sampler._sc6v_model(dom, params)
+    per_vertex = {vertex: sampler._SC6VLaw(t, vertex) for vertex, t in model.transitions.items()}
+    h, v = sampler._sweep(model, per_vertex, 20, 50, 1)
+    assert np.array_equal(h, batch.h_edges) and np.array_equal(v, batch.v_edges)
+    # a bad z still fails at its first vertex in sweep order
+    bad = ModelParams(q=0.4, row_rapidities=rows[:-1] + (0.5,), col_rapidities=(1.0,) * 64)
+    first = next(vertex for vertex in sampler._sc6v_model(dom, bad).transitions if vertex[1] == 64)
+    with pytest.raises(ParameterRangeError, match=rf"vertex \({first[0]}, 64\)"):
+        sample_sc6v(dom, bad, seed=20, count=50)
+
+
 def test_row_cache_builds_each_row_once(monkeypatch):
     # a stream that misses the cache builds the row under the law's lock, so two
     # streams that meet a new state together build it once, however often they switch
@@ -436,6 +458,33 @@ def test_qhahn_boundary_distribution():
     assert probs.min() >= 0
     with pytest.raises(ParameterRangeError):
         qhahn_boundary_probs(q, 0.8, 0.7)  # s^2 > z^2
+
+
+@pytest.mark.parametrize("q, s, z", [(0.4, 0.4, 0.7), (0.4, 0.2, 0.9), (0.4, 0.69, 0.7)])
+def test_qhahn_boundary_terms_equal_the_per_term_formula(q, s, z):
+    # the Pochhammer products are carried from term to term, with the bits of each
+    # term computed on its own, and the same stopping rule
+    r = s * s / (z * z)
+    pref = poch_inf(r, q) / poch_inf(s * s, q)
+    want, total = [], 0.0
+    for k in range(10000):
+        want.append(pref * q_pochhammer(z * z, q, k) / q_pochhammer(q, q, k) * r**k)
+        total += want[-1]
+        if 1 - total < 1e-14:
+            break
+    assert qhahn_boundary_probs(q, s, z).tolist() == want
+
+
+def test_qhahn_boundary_law_near_s_equal_z_takes_linear_time():
+    # s close to z needs thousands of terms: the law returns, or raises once its 10^4
+    # terms fall short of 1, within 2 s each
+    t0 = time.perf_counter()
+    assert abs(qhahn_boundary_probs(0.4, 0.699, 0.7).sum() - 1) < 1e-10
+    assert time.perf_counter() - t0 < 2
+    t0 = time.perf_counter()
+    with pytest.raises(ParameterRangeError):
+        qhahn_boundary_probs(0.4, 0.6999, 0.7)
+    assert time.perf_counter() - t0 < 2
 
 
 def test_qhahn_empty_boundary_draw():
@@ -802,6 +851,32 @@ def test_beta_polymer_stops_after_the_last_cell_it_reads(workers, monkeypatch):
     part = simulate_beta_polymer(4.0, 1.0, 5, {0, 1}, seed=44, count=3000,
                                  keep_points=[(0, 1, 4), (0, 3, 5), (1, 2, 5)], workers=workers)
     assert [c.gammas for c in draws] == [2 * 9] * workers
+    for point, values in part.values.items():
+        assert np.array_equal(values, full.value(*point)), point
+
+
+@pytest.mark.parametrize("keep, cells", [([(0, 5, 5)], 0), ([(0, 5, 5), (1, 2, 5)], 8)])
+def test_beta_polymer_keep_points_on_the_boundary_draw_nothing(monkeypatch, keep, cells):
+    # Z_(d)^(t-d,t) = 1 reads no eta: (0, 5, 5) adds no cell, and (1, 2, 5) alone reads the
+    # 8 cells of m <= 2 up to t = 5; the values are the bits of a run keeping every point
+    region = [(d, m, t) for d in (0, 1) for t in range(d + 1, 6) for m in range(1, t - d + 1)]
+    full = simulate_beta_polymer(4.0, 1.0, 5, {0, 1}, seed=44, count=3000, keep_points=region,
+                                 workers=2)
+    draws, make_rng = [], sampler.make_rng
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng, self.gammas = rng, 0
+            draws.append(self)
+
+        def standard_gamma(self, shape, out):
+            self.gammas += 1
+            return self.rng.standard_gamma(shape, out=out)
+
+    monkeypatch.setattr(sampler, "make_rng", lambda *key: Counted(make_rng(*key)))
+    part = simulate_beta_polymer(4.0, 1.0, 5, {0, 1}, seed=44, count=3000, keep_points=keep,
+                                 workers=2)
+    assert [c.gammas for c in draws] == [2 * cells] * 2
     for point, values in part.values.items():
         assert np.array_equal(values, full.value(*point)), point
 
