@@ -279,9 +279,8 @@ def _suite_moments(seed: int):
     for pi in pis:
         want = ens.moment(pts, pi.act(cols), params.q)
         err = abs(got[pi.images].value - want)
-        reports.append(verify.CheckReport(
-            f"moment_vs_enumeration_pi{pi.images}", "pass" if err < 1e-8 else "fail",
-            float(err), len(ens.entries), f"seed={seed}"))
+        reports.append(verify._report(f"moment_vs_enumeration_pi{pi.images}", err, len(ens.entries),
+                                      1e-8, f"seed={seed}"))
     return reports
 
 

@@ -83,20 +83,6 @@ class Permutation:
         return Permutation(tuple(imgs))
 
     @staticmethod
-    def cycle_plus(k: int, a: int, b: int) -> "Permutation":
-        """sigma^+_[a,b] = sigma_a sigma_{a+1} ... sigma_{b-1}: b -> a, i -> i+1."""
-        imgs = list(range(1, k + 1))
-        for i in range(a, b):
-            imgs[i - 1] = i + 1
-        imgs[b - 1] = a
-        return Permutation(tuple(imgs))
-
-    @staticmethod
-    def cycle_minus(k: int, a: int, b: int) -> "Permutation":
-        """sigma^-_[a,b] = sigma_{b-1} ... sigma_a: a -> b, i -> i-1."""
-        return Permutation.cycle_plus(k, a, b).inverse()
-
-    @staticmethod
     def all(k: int):
         return [Permutation(p) for p in _all_perms(range(1, k + 1))]
 
@@ -145,11 +131,6 @@ class Permutation:
                 if a > b:
                     return False
         return True
-
-    def is_interval_ordered(self, a: int, b: int) -> bool:
-        """[a,b]-ordered: pi^{-1}(i) < pi^{-1}(j) whenever a <= i < j <= b."""
-        inv = self.inverse().images
-        return all(inv[i - 1] < inv[i] for i in range(a, b))
 
 
 # ---------------------------------------------------------------------------

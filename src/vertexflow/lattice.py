@@ -232,8 +232,10 @@ class SkewDomain:
         verts.sort(key=lambda v: (v[0] + v[1], v[0]))
         return verts
 
-    def face_range(self, a2: int) -> tuple[int, int]:
-        """Doubled beta range [lo, hi] of domain faces in dual column a2."""
+    def face_range(self, p: Point) -> tuple[int, int]:
+        """Doubled beta range [lo, hi] of domain faces in the dual column of the doubled
+        point ``p``; ValidationError if ``p`` lies outside the domain."""
+        a2, b2 = p
         lo = hi = None
         for (pa, pb) in self.q_path.points():
             if pa == a2:
@@ -241,16 +243,9 @@ class SkewDomain:
         for (pa, pb) in self.p_path.points():
             if pa == a2:
                 hi = pb if hi is None else max(hi, pb)
-        if lo is None or hi is None:
-            raise ValidationError("dual column outside the domain")
+        if lo is None or hi is None or not lo <= b2 <= hi:
+            raise ValidationError(f"point {undbl(p)} lies outside the domain")
         return lo, hi
-
-    def contains_face(self, point: Point) -> bool:
-        try:
-            lo, hi = self.face_range(point[0])
-        except ValidationError:
-            return False
-        return lo <= point[1] <= hi
 
     def incoming_edges(self):
         """Step index -> ('h'|'v', (x, y), color): the edge crossed by step i.
@@ -279,11 +274,6 @@ class SkewDomain:
         """Height h_{>c} at a point of Q (the deterministic ramp)."""
         i = self.q_path.index_of(point)
         return sum(1 for col in self.coloring[:i] if col > c)
-
-
-def build_skew_domain(q_path: UpLeftPath, p_path: UpLeftPath, coloring) -> SkewDomain:
-    """Validated constructor mirroring the dataclass, kept as the public API."""
-    return SkewDomain(q_path, p_path, tuple(coloring))
 
 
 def rectangle_domain(n_rows: int, m_cols: int, coloring) -> SkewDomain:
@@ -380,10 +370,8 @@ def height_anchor(domain: SkewDomain, p: Point, c: int) -> tuple[int, int, range
     color c < 0, raises ValidationError."""
     if c < 0:
         raise ValidationError(f"height color must be >= 0, got {c}")
-    if not domain.contains_face(p):
-        raise ValidationError(f"point {undbl(p)} lies outside the domain")
+    lo, _ = domain.face_range(p)
     a2, b2 = p
-    lo, _ = domain.face_range(a2)
     # h-edges crossing line alpha sit at x = alpha - 1/2
     return domain.boundary_height((a2, lo), c), (a2 - 1) // 2, range(lo // 2 + 1, b2 // 2 + 1)
 

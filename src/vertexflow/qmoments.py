@@ -100,7 +100,7 @@ from .errors import (ContourResolutionError, ParameterSingularityError, Unsuppor
                      ValidationError)
 from .hecke import Permutation, PointFunction, _coeffs, _push, apply_T_pi
 from .lattice import ModelParams, SkewDomain, check_pole_separation, dbl, whole
-from .weights import q_pochhammer
+from .weights import qidentity_coef
 
 NODE_CAP = 4096
 TABLE_BUDGET = 2**28  # bytes of one level's cross tables (``_table_bytes``) the loop may build
@@ -881,15 +881,8 @@ def _shifted_exact(params, pts, pi, blocks, nodes_per_circle, tol, cap):
     for c, m_c in blocks:
         lower = ratio_product(*_level_factor(params, c - 1))
         upper = ratio_product(*_level_factor(params, c))
-        new_terms = []
-        for coef, factors in phi_terms:
-            for j in range(m_c + 1):
-                cj = (-1) ** j * q ** (_binom2(m_c - j)) / (
-                    q_pochhammer(q, q, j) * q_pochhammer(q, q, m_c - j)
-                )
-                slot_factors = [lower] * j + [upper] * (m_c - j)
-                new_terms.append((coef * cj, factors + slot_factors))
-        phi_terms = new_terms
+        phi_terms = [(coef * qidentity_coef(q, m_c, j), factors + [lower] * j + [upper] * (m_c - j))
+                     for coef, factors in phi_terms for j in range(m_c + 1)]
     pref = (1 - q) ** k
     integrand = PairingIntegrand(phi_terms, [ratio_product(*f) for f in psi],
                                  [(pref, tau) for tau in _coset(pi, [m for _, m in blocks])])
@@ -898,10 +891,6 @@ def _shifted_exact(params, pts, pi, blocks, nodes_per_circle, tol, cap):
         return {None: sum(_pairing_on_grid(grid, integrand).values())}
 
     return _adaptive(fam, integrand.variant, q, evaluate, nodes_per_circle, tol, cap)[None]
-
-
-def _binom2(m: int) -> int:
-    return m * (m - 1) // 2
 
 
 def _shifted_empirical(batch, points, colors, pi):

@@ -65,10 +65,11 @@ from .lattice import (
     rectangle_domain,
     whole,
 )
-from .weights import _hs_transitions, _sc6v_transitions, lattice_sum, qhahn_row
+from .weights import _hs_transitions, _poch_terms, _sc6v_transitions, lattice_sum, qhahn_row
 
 PROB_TOL = 1e-10
 BLOCK = 1 << 16  # samples a stream carries through every vertex of a sweep at a time
+QHAHN_BOUNDARY_TERMS = 10**6  # the most terms a q-Hahn boundary law may take
 SC6V_ENUM_CAP = 16  # the most vertices enumerate_sc6v sums over
 
 
@@ -541,35 +542,38 @@ def enumerate_higher_spin(params: ModelParams, rect: tuple[int, int]) -> Weighte
 
 
 def qhahn_boundary_probs(q: float, s: float, z: float) -> np.ndarray:
-    """Per-row path-count distribution, truncated once the tail is < 1e-14 (at most
-    10^4 terms).
-
+    """Per-row path-count distribution
     Prob(k) = (s^2/z^2; q)_inf / (s^2; q)_inf * (z^2; q)_k / (q; q)_k * (s^2/z^2)^k.
+
+    It stops once 1 - total < 1e-14 or the tail is provably below 1e-16; the bound
+    serves s near z, where roundoff keeps 1 - total above 1e-14.  For j >= k the term
+    ratio r (1 - q^j z^2) / (1 - q^{j+1}), r = s^2/z^2, is at most rho = r / (1 - q^{k+1}),
+    so if rho < 1 the terms after Prob(k) sum to at most Prob(k) rho / (1 - rho).  A law
+    longer than ``QHAHN_BOUNDARY_TERMS`` (length grows like 1 / (1 - r)) raises at params/s.
     """
     if not (0 < s * s < z * z < 1):
         raise ParameterRangeError("q-Hahn boundary needs 0 < s^2 < z^2 < 1")
     r = s * s / (z * z)
     pref = _poch_inf(r, q) / _poch_inf(s * s, q)
     probs, total = [], 0.0
-    num = den = qk = 1.0  # (z^2; q)_k and (q; q)_k, multiplied up as q_pochhammer does, and q^k
-    for k in range(10000):
+    for k, (num, qk), (den, _) in zip(range(QHAHN_BOUNDARY_TERMS), _poch_terms(z * z, q), _poch_terms(q, q)):
         p = pref * num / den * r**k
         probs.append(p)
         total += p
-        if 1 - total < 1e-14:
+        rho = r / (1 - qk * q)
+        if 1 - total < 1e-14 or (rho < 1 and p * rho / (1 - rho) < 1e-16):
             break
-        num, den, qk = num * (1 - qk * (z * z)), den * (1 - qk * q), qk * q
+    else:
+        raise ParameterRangeError(
+            f"the q-Hahn boundary law for (q, s, z) = {(q, s, z)} needs more than "
+            f"{QHAHN_BOUNDARY_TERMS} terms: s is too close to z", field="params/s")
     _probabilities(probs, f"q-Hahn boundary weights for (q, s, z) = {(q, s, z)}")
     return np.array(probs)
 
 
 def _poch_inf(x, q):
     """(x; q)_inf, to the first factor with q^i <= 1e-18."""
-    out = p = 1.0
-    while p > 1e-18:
-        out *= 1 - p * x
-        p *= q
-    return out
+    return next(out for out, p in _poch_terms(x, q) if p <= 1e-18)
 
 
 class _QHahnLaw(_VertexLaw):

@@ -20,11 +20,16 @@ sum of weight products over a small lattice reads it in one of two ways:
   need them all: the row operators (``hecke.row_operator``) and the
   Yang-Baxter check (``verify``).  Its state has labels^slots entries per start,
   which fits those checks and not an enumeration.
+
+Every q-Pochhammer product here and in ``sampler`` reads the one recurrence of
+``_poch_terms``, written once since its multiplication order fixes the bits of every
+weight built on it, and so of the sampler digests.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import islice
 from itertools import permutations as _it_permutations
 from itertools import product as _it_product
 
@@ -37,16 +42,21 @@ from .errors import ParameterSingularityError
 # ---------------------------------------------------------------------------
 
 
+def _poch_terms(x, q):
+    """((x; q)_n, q^n) for n = 0, 1, 2, ...: (x; q)_{n+1} = (x; q)_n (1 - q^n x), from
+    the 1 of q's type, so Fractions stay exact."""
+    out = p = _one_like(q)
+    while True:
+        yield out, p
+        out = out * (1 - p * x)
+        p = p * q
+
+
 def q_pochhammer(x, q, n: int):
     """(x; q)_n = prod_{i=0}^{n-1} (1 - q^i x).  Requires n >= 0."""
     if n < 0:
         raise ValueError("q-Pochhammer order must be >= 0")
-    out = _one_like(q)
-    p = _one_like(q)
-    for _ in range(n):
-        out = out * (1 - p * x)
-        p = p * q
-    return out
+    return next(islice(_poch_terms(x, q), n, None))[0]
 
 
 def q_binom(n: int, m: int, q):
@@ -58,14 +68,16 @@ def q_binom(n: int, m: int, q):
     return num / den
 
 
+def qidentity_coef(q, m: int, j: int):
+    """c_j = (-1)^j q^{binom(m-j, 2)} / ((q;q)_j (q;q)_{m-j}), the coefficient of the
+    q-identity that expands a shifted observable into m + 1 slot assignments."""
+    den = q_pochhammer(q, q, j) * q_pochhammer(q, q, m - j)
+    return (-1) ** j * q ** ((m - j) * (m - j - 1) // 2) / den
+
+
 def _poch_prefix(x, q, n: int) -> list:
     """[(x; q)_k for k = 0..n], each entry computed exactly as q_pochhammer(x, q, k)."""
-    out = [_one_like(q)]
-    p = _one_like(q)
-    for _ in range(n):
-        out.append(out[-1] * (1 - p * x))
-        p = p * q
-    return out
+    return [out for out, _ in islice(_poch_terms(x, q), n + 1)]
 
 
 def inv(word) -> int:

@@ -91,15 +91,6 @@ def test_bruhat_vs_subword_definition():
             assert rho.bruhat_leq(pi) == sub, (rho, pi)
 
 
-def test_cycles_and_interval_order():
-    k = 5
-    assert Permutation.cycle_plus(k, 2, 4).images == (1, 3, 4, 2, 5)
-    assert Permutation.cycle_minus(k, 2, 4).images == (1, 4, 2, 3, 5)
-    assert Permutation((1, 3, 2, 4, 5)).is_interval_ordered(2, 3) is False
-    assert Permutation((1, 3, 2, 4, 5)).is_interval_ordered(3, 5) is True
-    assert Permutation((2, 1, 3, 4, 5)).is_interval_ordered(3, 5) is True
-
-
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from vertexflow.errors import (
 from vertexflow.lattice import (
     Configuration,
     ModelParams,
+    SkewDomain,
     UpLeftPath,
-    build_skew_domain,
     check_pole_separation,
     config_from_json,
     config_to_json,
@@ -31,7 +31,7 @@ def figure_domain():
     """The paper's staircase skew domain with coloring (1,2,2,3,4,5,5,5)."""
     q_path = UpLeftPath.from_floats((4.5, 0.5), "HVHHVHVV")
     p_path = UpLeftPath.from_floats((4.5, 0.5), "VVVHVHHH")
-    return build_skew_domain(q_path, p_path, (1, 2, 2, 3, 4, 5, 5, 5))
+    return SkewDomain(q_path, p_path, (1, 2, 2, 3, 4, 5, 5, 5))
 
 
 def figure_config():
@@ -54,19 +54,19 @@ def test_domain_validation_errors():
     start = (5, 1)
     q = UpLeftPath(start, "HHVV")
     with pytest.raises(PathMismatchError):
-        build_skew_domain(q, UpLeftPath(start, "HHV"), (1, 1, 1))
+        SkewDomain(q, UpLeftPath(start, "HHV"), (1, 1, 1))
     with pytest.raises(PathMismatchError):
-        build_skew_domain(q, UpLeftPath((7, 1), "HHHV" + "V"), (1, 1, 1, 1))
+        SkewDomain(q, UpLeftPath((7, 1), "HHHV" + "V"), (1, 1, 1, 1))
     with pytest.raises(PathOrderError):
-        build_skew_domain(UpLeftPath(start, "VVHH"), UpLeftPath(start, "HHVV"), (1, 1, 2, 2))
+        SkewDomain(UpLeftPath(start, "VVHH"), UpLeftPath(start, "HHVV"), (1, 1, 2, 2))
     with pytest.raises(NonMonotoneColoringError):
-        build_skew_domain(q, UpLeftPath(start, "VVHH"), (2, 1, 2, 2))
+        SkewDomain(q, UpLeftPath(start, "VVHH"), (2, 1, 2, 2))
 
 
 def test_degenerate_domain_has_no_vertices():
     start = (5, 1)
     path = UpLeftPath(start, "HVHV")
-    dom = build_skew_domain(path, path, (0, 1, 1, 3))
+    dom = SkewDomain(path, path, (0, 1, 1, 3))
     assert dom.vertices() == []
 
 

@@ -476,15 +476,19 @@ def test_qhahn_boundary_terms_equal_the_per_term_formula(q, s, z):
 
 
 def test_qhahn_boundary_law_near_s_equal_z_takes_linear_time():
-    # s close to z needs thousands of terms: the law returns, or raises once its 10^4
-    # terms fall short of 1, within 2 s each
-    t0 = time.perf_counter()
-    assert abs(qhahn_boundary_probs(0.4, 0.699, 0.7).sum() - 1) < 1e-10
-    assert time.perf_counter() - t0 < 2
-    t0 = time.perf_counter()
-    with pytest.raises(ParameterRangeError):
-        qhahn_boundary_probs(0.4, 0.6999, 0.7)
-    assert time.perf_counter() - t0 < 2
+    # s close to z needs 10^4-10^5 terms, where roundoff keeps 1 - total above the
+    # 1e-14 stop: the tail bound ends the law, which sums to 1, within 2 s each
+    for s in (0.699, 0.6999):
+        t0 = time.perf_counter()
+        assert abs(qhahn_boundary_probs(0.4, s, 0.7).sum() - 1) < 1e-10
+        assert time.perf_counter() - t0 < 2
+
+
+def test_qhahn_boundary_law_past_its_term_cap_names_s(monkeypatch):
+    monkeypatch.setattr(sampler, "QHAHN_BOUNDARY_TERMS", 1000)  # (0.4, 0.69, 0.7) takes 1115
+    with pytest.raises(ParameterRangeError, match="more than 1000 terms") as info:
+        qhahn_boundary_probs(0.4, 0.69, 0.7)
+    assert info.value.field == "params/s"
 
 
 def test_qhahn_empty_boundary_draw():

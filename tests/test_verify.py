@@ -1,6 +1,8 @@
 """Verification-engine checks: local relation, shift invariance, identities, MC bridge."""
 
+import hashlib
 import itertools
+import math
 import random
 from functools import partial
 
@@ -9,23 +11,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vertexflow import verify
 from vertexflow.errors import ValidationError
-from vertexflow.hecke import Permutation
+from vertexflow.hecke import Permutation, PointFunction
 from vertexflow.lattice import Cut, ModelParams, SkewDomain, UpLeftPath, dbl
 from vertexflow.sampler import make_rng
 from vertexflow.verify import (
     CutCollection,
     _ybe_error,
+    check_exchange,
+    check_hecke_quadratic,
     check_identity_suite,
+    check_lemma44,
     check_local_relation,
     check_local_relation_fused,
+    check_qidentity,
     check_shift_invariance,
+    check_ybe,
     cut_crossing,
     cut_greater,
     find_shift_isomorphism,
     local_relation_error,
     mc_vs_exact,
     random_shift_pair,
+    random_skew_domain,
     validate_shift_isomorphism,
 )
 from vertexflow.weights import _sc6v_transitions, lattice_sum
@@ -110,6 +119,64 @@ def test_identity_suite_all_pass():
 def test_identity_suite_subset():
     reports = check_identity_suite(which=["ybe", "qidentity"], seed=1)
     assert [r.name for r in reports] == ["yang_baxter", "q_identity"]
+
+
+def _cli_size_reports(seed):
+    """The local relations at the sizes and seeds `vertexflow verify` runs, then the suite."""
+    reports = []
+    for r in range(5):
+        reports.append(check_local_relation(r, trials=200, seed=seed + r))
+        reports.append(check_local_relation_fused(r, trials=100, seed=seed + r))
+    return reports + check_identity_suite(seed=seed)
+
+
+def test_identity_reports_are_pinned_bit_for_bit():
+    # every field of the 150 reports of seeds 0-9, the error by its repr: a rewrite of
+    # the checks must draw the same trials and compute the same bits
+    lines = [f"{seed} {r.name} {r.status} {r.max_abs_error!r} {r.samples_or_cases} {r.details}"
+             for seed in range(10) for r in _cli_size_reports(seed)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "376e8e0d1953cdd6b63beceed508a528cc3ec75e78afbc62319b2bf50cec4167"
+
+
+def _nan_first(fn, value):
+    """``fn``, except that its first call returns ``value(result)``: NaN in one trial."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        out = fn(*args, **kwargs)
+        return value(out) if len(calls) == 1 else out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("check, callee, value", [
+    (partial(check_local_relation, 2, trials=50), "local_relation_error", lambda e: np.nan),
+    (partial(check_local_relation_fused, 2, trials=50), "local_relation_fused_error", lambda e: np.nan),
+    (partial(check_ybe, trials=3), "_ybe_error", lambda e: np.nan),
+    (check_exchange, "row_operator", lambda c: c * np.nan),
+    (check_lemma44, "apply_T", lambda f: PointFunction(f.k, lambda w: np.nan)),
+    (check_qidentity, "qidentity_coef", lambda c: np.nan),
+    (check_hecke_quadratic, "apply_T", lambda f: PointFunction(f.k, lambda w: np.nan)),
+])
+def test_a_nan_trial_fails_its_check(monkeypatch, check, callee, value):
+    # the worst error lets a NaN win, and a check passes only below its tolerance
+    assert check(seed=0).passed
+    monkeypatch.setattr(verify, callee, _nan_first(getattr(verify, callee), value))
+    rep = check(seed=0)
+    assert rep.status == "fail" and math.isnan(rep.max_abs_error), rep
+
+
+def test_random_skew_domain_retries_only_an_order_error(monkeypatch):
+    # two random paths with equal step counts can only be out of order; any other
+    # error is a fault and propagates instead of ending as "failed to draw"
+    def broken(*args):
+        raise TypeError("broken constructor")
+
+    monkeypatch.setattr(verify, "SkewDomain", broken)
+    with pytest.raises(TypeError, match="broken constructor"):
+        random_skew_domain(random.Random(0), 2, 2)
 
 
 # ---------------------------------------------------------------------------
