@@ -13,6 +13,7 @@ significant digits so doubles round-trip.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -95,6 +96,12 @@ def _field(doc, pointer: str):
     return node
 
 
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _workers(args) -> int:
     raw = args.workers if args.workers is not None else os.environ.get("VERTEXFLOW_WORKERS") or 1
     try:
@@ -153,14 +160,12 @@ def _cmd_sample(args) -> int:
                            for key in ("q", "s", "z", "boundary_levels"))
         rect = _semantic(cfg, "/rect", lambda r: (int(r[0]), int(r[1])))
         batch = sampler.sample_qhahn(q, s, z, rect, tuple(levels), seed, count, workers)
-    elif model == "beta":
+    else:  # beta; argparse rejects any other model
         sigma, rho, t_max, delays = (_field(cfg, f"/params/{key}")
                                      for key in ("sigma", "rho", "t_max", "delays"))
         keep = [tuple(pt) for pt in cfg.get("keep_points", [])] or None
         batch = sampler.simulate_beta_polymer(sigma, rho, t_max, delays, seed, count,
                                               keep, workers)
-    else:
-        raise ConfigError(f"/model: unknown model {model}")
     if model == "beta":
         lines = [json.dumps({f"{k}:{m}:{t}": _fmt(batch.values[(k, m, t)][i])
                              for (k, m, t) in sorted(batch.values)}, sort_keys=True)
@@ -212,23 +217,18 @@ def _cmd_moment(args) -> int:
         q, s, z, levels = (_field(doc, f"/params/{key}")
                            for key in ("q", "s", "z", "boundary_levels"))
         res = qmoments.qmoment_qhahn(q, s, z, tuple(levels), query, nodes, tol)
-    elif theorem == "9.2":
+    else:  # 9.2; argparse rejects any other theorem
         sigma, rho = (_field(doc, f"/params/{key}") for key in ("sigma", "rho"))
         res = qmoments.beta_moment(sigma, rho, [tuple(pt) for pt in doc["points"]],
                                    list(doc["colors"]), query.pi, nodes, tol)
-    else:
-        raise ConfigError(f"/theorem: unknown theorem {theorem}")
-    out = {
+    _write_json(args.out, {
         "theorem": theorem,
         "value_re": res.value.real,
         "value_im": res.value.imag,
         "error_estimate": res.error_estimate,
         "nodes_per_circle": res.nodes_per_circle,
         "converged": res.converged,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"moment[{theorem}]: value = {_fmt(res.value.real)} + {_fmt(res.value.imag)}j "
           f"(est {_fmt(res.error_estimate)}, {_convergence(res)})")
     return EXIT_OK
@@ -239,68 +239,12 @@ def _cmd_moment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_local(seed: int):
-    reports = []
-    for r in range(5):
-        reports.append(verify.check_local_relation(r, trials=200, seed=seed + r))
-        reports.append(verify.check_local_relation_fused(r, trials=100, seed=seed + r))
-    return reports
-
-
-def _suite_shift(seed: int):
-    import random as _random
-
-    rng = _random.Random(seed)
-    reports = []
-    for i in range(3):
-        k = rng.choice([1, 2])
-        col_a, col_b, phi, psi = verify.random_shift_pair(rng, 3, 3, k)
-        params = lattice.ModelParams(
-            q=0.3,
-            row_rapidities=tuple(2.0 + 0.11 * i for i in range(3)),
-            col_rapidities=tuple(1.0 + 0.05 * i for i in range(3)),
-        )
-        reports.append(verify.check_shift_invariance(
-            col_a, col_b, phi, psi, [1] * k, params, method="enumerate",
-            nodes_per_circle=64))
-    return reports
-
-
-def _suite_moments(seed: int):
-    from .lattice import ModelParams, rectangle_domain
-    from .sampler import enumerate_sc6v
-
-    params = ModelParams(q=0.3, row_rapidities=(1.9, 2.2), col_rapidities=(1.0, 1.12))
-    dom = rectangle_domain(2, 2, (0, 1, 1, 2))
-    ens = enumerate_sc6v(dom, params)
-    reports = []
-    pts, cols, pis = [(1.5, 2.5), (2.5, 1.5)], [0, 1], Permutation.all(2)
-    got = qmoments.qmoment_skew_multi(dom, params, pts, cols, pis, nodes_per_circle=64)
-    for pi in pis:
-        want = ens.moment(pts, pi.act(cols), params.q)
-        err = abs(got[pi.images].value - want)
-        reports.append(verify._report(f"moment_vs_enumeration_pi{pi.images}", err, len(ens.entries),
-                                      1e-8, f"seed={seed}"))
-    return reports
-
-
 def _cmd_verify(args) -> int:
-    seed = args.seed
-    suites = {
-        "local": lambda: _suite_local(seed),
-        "identities": lambda: verify.check_identity_suite(seed=seed),
-        "shift": lambda: _suite_shift(seed),
-        "moments": lambda: _suite_moments(seed),
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    reports = []
-    for name in names:
-        reports.extend(suites[name]())
-    doc = {"suite": args.suite, "seed": seed, "checks": [r.as_dict() for r in reports]}
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    reports = [r for name in names for r in verify.SUITES[name](seed=args.seed)]
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, {"suite": args.suite, "seed": args.seed,
+                               "checks": [dataclasses.asdict(r) for r in reports]})
     n_fail = sum(1 for r in reports if not r.passed)
     for r in reports:
         print(f"{r.status.upper():4s} {r.name}: max|err| = {_fmt(r.max_abs_error)} "
@@ -379,9 +323,7 @@ def _cmd_polymer(args) -> int:
     if args.m == 1:  # E[Z_(c)^(1,t)] = mu^(t-1-c), mu = (sigma - rho)/sigma
         out["analytic"] = ((args.sigma - args.rho) / args.sigma) ** (args.t - 1 - args.delay)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(out, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, out)
     print(f"polymer: E[Z_({args.delay})^({args.m},{args.t})] = {_fmt(res.value.real)} "
           f"(est {_fmt(res.error_estimate)}, {_convergence(res)})")
     return EXIT_OK
@@ -414,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run identity/consistency suites")
     vp.add_argument("--suite", required=True,
-                    choices=["local", "shift", "identities", "moments", "all"])
+                    choices=[*verify.SUITES, "all"])
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--out", default=None)
     vp.set_defaults(func=_cmd_verify)

@@ -27,7 +27,7 @@ from itertools import permutations as _all_perms
 import numpy as np
 
 from .errors import SingularEvaluationError, ValidationError
-from .weights import _sc6v_transitions, lattice_sum, tensor_sweep, vertex_tensor
+from .weights import _sc6v_transitions, inv, lattice_sum, tensor_sweep, vertex_tensor
 
 COINCIDENCE_RTOL = 1e-12
 
@@ -63,13 +63,12 @@ class Permutation:
         return Permutation(tuple(out))
 
     def length(self) -> int:
-        im = self.images
-        return sum(1 for a in range(len(im)) for b in range(a + 1, len(im)) if im[a] > im[b])
+        return inv(self.images)
 
     def act(self, values):
         """pi.(v_1..v_k) = (v_{pi^{-1}(1)}, ..., v_{pi^{-1}(k)})."""
-        inv = self.inverse().images
-        return tuple(values[inv[i - 1] - 1] for i in range(1, len(self) + 1))
+        pre = self.inverse().images
+        return tuple(values[pre[i - 1] - 1] for i in range(1, len(self) + 1))
 
     @staticmethod
     def identity(k: int) -> "Permutation":

@@ -341,7 +341,7 @@ def _sum_comps(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _tail_count(label, c: int, n_colors: int) -> int:
+def _tail_count(label, c: int) -> int:
     """Number of paths of color > c on an edge label."""
     if isinstance(label, tuple):
         return sum(label[c:])
@@ -378,7 +378,7 @@ def height_anchor(domain: SkewDomain, p: Point, c: int) -> tuple[int, int, range
 
 def _read_height(config: Configuration, anchor, c: int) -> int:
     base, x, rows = anchor
-    return base + sum(_tail_count(config.h_edges[(x, y)], c, config.n_colors) for y in rows)
+    return base + sum(_tail_count(config.h_edges[(x, y)], c) for y in rows)
 
 
 def merge_colors(config: Configuration, theta) -> Configuration:

@@ -1,9 +1,12 @@
 """Executable verification of the paper-level identities; the acceptance engine.
 
 Every check returns a CheckReport carrying the worst error, the case count,
-and enough seed/context detail to reproduce a failure exactly.  The randomized
-identity checks share one trial loop, ``_trials``, over a ``case(rng)`` that draws
-one trial and returns its error; a NaN error is the worst one and fails the check.
+and enough seed/context detail to reproduce a failure exactly; ``_report`` builds
+each one from its verdict: ``err < tol`` for exact checks, ``_within`` (4 sigma)
+for Monte Carlo ones.  The randomized identity checks share one trial loop,
+``_trials``, over a ``case(rng)`` that draws one trial and returns its error; a NaN
+error is the worst one and fails the check.  ``SUITES`` holds the suites that
+``vertexflow verify --suite`` runs, keyed by their names.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 
 from .errors import PathOrderError, ValidationError
 from .hecke import Permutation, PointFunction, apply_T, row_operator
-from .lattice import Cut, ModelParams, SkewDomain, UpLeftPath
-from .qmoments import MomentQuery, qmoment_skew, shared_grids
+from .lattice import Cut, ModelParams, SkewDomain, UpLeftPath, rectangle_domain
+from .qmoments import MomentQuery, qmoment_skew, qmoment_skew_multi, shared_grids
 from .sampler import enumerate_sc6v, sample_sc6v
 from .weights import _hs_transitions, _sc6v_transitions, qidentity_coef, tensor_sweep, vertex_tensor
 
@@ -42,27 +45,20 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "max_abs_error": self.max_abs_error,
-            "samples_or_cases": self.samples_or_cases,
-            "details": self.details,
-        }
 
-
-def _report(name, err, cases, tol, details="") -> CheckReport:
-    status = "pass" if err < tol else "fail"
-    return CheckReport(name, status, float(err), cases, details)
+def _report(name, err, cases, passed: bool, details="") -> CheckReport:
+    """The one report builder; ``passed`` is the check's verdict on ``err``."""
+    return CheckReport(name, "pass" if passed else "fail", float(err), cases, details)
 
 
 def _trials(name, case, trials: int, seed: int, tol, details="") -> CheckReport:
     """The one trial loop: ``trials`` errors ``case(rng)`` from one ``random.Random(seed)``,
     reported at their largest, which is NaN if any of them is."""
+    if trials < 1:
+        raise ValidationError(f"a check needs at least one trial, got trials={trials}")
     rng = random.Random(seed)
-    errors = [case(rng) for _ in range(trials)]
-    return _report(name, float(np.max(errors, initial=0.0)), trials, tol, f"seed={seed}{details}")
+    err = float(np.max([case(rng) for _ in range(trials)]))
+    return _report(name, err, trials, err < tol, f"seed={seed}{details}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +281,7 @@ def check_shift_invariance(col_a: CutCollection, col_b: CutCollection,
         err_int = max(abs(ia.value - ma), abs(ib.value - mb), abs(ia.value - ib.value))
         err = max(err_enum, err_int)
         return _report("shift_invariance_exact", err, len(ens_a.entries) + len(ens_b.entries),
-                       tol, f"enum diff {err_enum:.3e}, integral diff {err_int:.3e}")
+                       err < tol, f"enum diff {err_enum:.3e}, integral diff {err_int:.3e}")
     if method != "mc":
         raise ValidationError("method must be 'enumerate' or 'mc'")
     vals = []
@@ -300,9 +296,8 @@ def check_shift_invariance(col_a: CutCollection, col_b: CutCollection,
     (ma, sa), (mb, sb) = vals
     sigma = np.hypot(sa, sb)
     err = abs(ma - mb)
-    status = "pass" if _within(err, sigma) else "fail"
-    return CheckReport("shift_invariance_mc", status, float(err), samples,
-                       f"seed={seed}, sigma={sigma:.3e}, z={err / max(sigma, 1e-300):.2f}")
+    return _report("shift_invariance_mc", err, samples, _within(err, sigma),
+                   f"seed={seed}, sigma={sigma:.3e}, z={err / max(sigma, 1e-300):.2f}")
 
 
 def random_skew_domain(rng: random.Random, n_rows: int, m_cols: int) -> SkewDomain:
@@ -500,20 +495,63 @@ def mc_vs_exact(observable_values: np.ndarray, exact: float, name: str,
     once at 4x samples via the ``rerun`` callback (guards 1-in-16k flukes).
     """
     def compare(values):
-        """(values, batch-means sigma, |mean - exact|, within z_factor sigma)."""
+        """(sample size, batch-means sigma, |mean - exact|, within z_factor sigma)."""
         vals = np.asarray(values, dtype=float)
         means = np.array([b.mean() for b in np.array_split(vals, 20)])
         sigma = means.std(ddof=1) / np.sqrt(len(means))
         err = abs(vals.mean() - exact)
-        return vals, sigma, err, _within(err, sigma, z_factor)
+        return len(vals), sigma, err, _within(err, sigma, z_factor)
 
-    vals, sigma, err, ok = compare(observable_values)
-    n = len(vals)
+    n, sigma, err, ok = compare(observable_values)
     if ok:
-        return CheckReport(name, "pass", float(err), n,
-                           f"sigma={sigma:.3e}, z={err / max(sigma, 1e-300):.2f}")
-    if rerun is not None:
-        vals, sigma, err, ok = compare(rerun(4 * n))
-        return CheckReport(name, "pass" if ok else "fail", float(err), len(vals),
-                           f"rerun at 4x; sigma={sigma:.3e}")
-    return CheckReport(name, "fail", float(err), n, f"sigma={sigma:.3e}")
+        details = f"sigma={sigma:.3e}, z={err / max(sigma, 1e-300):.2f}"
+    elif rerun is not None:
+        n, sigma, err, ok = compare(rerun(4 * n))
+        details = f"rerun at 4x; sigma={sigma:.3e}"
+    else:
+        details = f"sigma={sigma:.3e}"
+    return _report(name, err, n, ok, details)
+
+
+# ---------------------------------------------------------------------------
+# suites of `vertexflow verify`
+# ---------------------------------------------------------------------------
+
+
+def _suite_local(seed: int) -> list[CheckReport]:
+    return [check(r, trials=trials, seed=seed + r) for r in range(5)
+            for check, trials in ((check_local_relation, 200), (check_local_relation_fused, 100))]
+
+
+def _suite_shift(seed: int) -> list[CheckReport]:
+    """Three exact checks on random shift-isomorphic pairs of 3x3 domains."""
+    rng = random.Random(seed)
+    params = ModelParams(q=0.3, row_rapidities=tuple(2.0 + 0.11 * i for i in range(3)),
+                         col_rapidities=tuple(1.0 + 0.05 * i for i in range(3)))
+    reports = []
+    for _ in range(3):
+        k = rng.choice([1, 2])
+        col_a, col_b, phi, psi = random_shift_pair(rng, 3, 3, k)
+        reports.append(check_shift_invariance(col_a, col_b, phi, psi, [1] * k, params,
+                                              method="enumerate", nodes_per_circle=64))
+    return reports
+
+
+def _suite_moments(seed: int) -> list[CheckReport]:
+    """Theorem 6.1 against enumeration on the 2x2 README domain, for both pi."""
+    params = ModelParams(q=0.3, row_rapidities=(1.9, 2.2), col_rapidities=(1.0, 1.12))
+    dom = rectangle_domain(2, 2, (0, 1, 1, 2))
+    ens = enumerate_sc6v(dom, params)
+    pts, cols, pis = [(1.5, 2.5), (2.5, 1.5)], [0, 1], Permutation.all(2)
+    got = qmoment_skew_multi(dom, params, pts, cols, pis, nodes_per_circle=64)
+    reports = []
+    for pi in pis:
+        err = abs(got[pi.images].value - ens.moment(pts, pi.act(cols), params.q))
+        reports.append(_report(f"moment_vs_enumeration_pi{pi.images}", err, len(ens.entries),
+                               err < 1e-8, f"seed={seed}"))
+    return reports
+
+
+# name -> suite(seed=...); `vertexflow verify --suite all` runs them in this order
+SUITES = {"local": _suite_local, "identities": check_identity_suite,
+          "shift": _suite_shift, "moments": _suite_moments}

@@ -120,6 +120,19 @@ def test_verify_exit_codes(tmp_path):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--model", "ising", "--config", "cfg.json", "--out", "x.jsonl"],
+    ["moment", "--theorem", "7.7", "--query", "q.json", "--out", "x.json"],
+    ["verify", "--suite", "nothing"],
+])
+def test_unknown_choice_exits_2(argv, capsys):
+    # argparse rejects the value before any command runs or reads a file
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_kappa_golden_value(capsys):
     code = run(["kappa", "--pi", "2,3,1", "--rho", "1,3,2",
                 "--w", "[[0.3,0.1],[1.2,-0.4],[0.7,0.9]]", "--q", "0.42"])

@@ -635,6 +635,15 @@ def test_cap_at_start_count_reports_unconverged():
     assert res.converged and res.error_estimate < 1e-12
 
 
+def test_odd_start_count_is_doubled_first():
+    # the requested grid is the stride-2 subset of the first level, so an odd start
+    # count n runs the levels of 2n: the same result, bit for bit
+    query = MomentQuery([(1.5, 2.5), (2.5, 1.5)], [0, 1], Permutation((2, 1)))
+    odd = qmoment_skew(SKEW_DOMAIN, SKEW_PARAMS, query, nodes_per_circle=65)
+    assert odd == qmoment_skew(SKEW_DOMAIN, SKEW_PARAMS, query, nodes_per_circle=130)
+    assert odd.nodes_per_circle == 130 and odd.converged
+
+
 def test_error_estimate_is_in_returned_units():
     # a pi_terms coefficient (the moment prefactor) scales what the loop prices:
     # |I(32) - I(16)| is 1.4e-8 (the error of I(16); I(32) is off by 4e-16), so

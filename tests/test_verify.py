@@ -297,6 +297,27 @@ def test_mc_vs_exact_reads_its_fourth_positional_argument_as_the_sigma_factor():
     assert not rep.passed and calls == [4 * len(vals)]
 
 
+def test_mc_vs_exact_miss_without_rerun_fails_with_its_sample_size():
+    vals = make_rng(8).normal(1.05, 0.1, size=2000)  # 0.05 off at a sigma near 0.002
+    rep = mc_vs_exact(vals, 1.0, "biased")
+    assert rep.status == "fail" and rep.samples_or_cases == 2000
+    assert rep.details.startswith("sigma=") and "rerun" not in rep.details
+
+
+@pytest.mark.parametrize("check", [partial(check_local_relation, 2, trials=0),
+                                   partial(check_local_relation_fused, 2, trials=0),
+                                   partial(check_ybe, trials=-5)])
+def test_a_check_without_trials_raises(check):
+    # a check that ran no trial vouches for nothing
+    with pytest.raises(ValidationError, match="at least one trial"):
+        check()
+
+
+def test_suites_are_keyed_by_their_cli_names():
+    assert list(verify.SUITES) == ["local", "identities", "shift", "moments"]
+    assert verify.SUITES["identities"] is check_identity_suite
+
+
 def test_checkreport_reproducibility():
     r1 = check_local_relation(3, trials=100, seed=42)
     r2 = check_local_relation(3, trials=100, seed=42)
