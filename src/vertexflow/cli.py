@@ -1,13 +1,14 @@
 """Command-line entry point: sampling, moments, verification, kappa, polymer.
 
-Configs and queries are JSON documents validated against the schemas shipped
-in the package (src/vertexflow/schemas/) before any computation.  Every
-configuration error exits with code 2 and a JSON pointer: the offending field
-(also for errors the library raises with a ``field``, such as a node count that
-a contour family's resolution rule rejects), ``/params`` for parameters a model
-rejects or no contour family fits, ``/`` otherwise.  A bad flag of ``kappa`` or
-``polymer`` is reported at ``/`` + the flag name.  Numeric output uses 17
-significant digits so doubles round-trip.
+Configs and queries are JSON documents validated against the one schema shipped
+in the package (src/vertexflow/schemas/) before any computation; a field that
+the model or theorem never reads (``SAMPLE_FIELDS``, ``MOMENT_FIELDS``) is an
+error too.  Every configuration error exits with code 2 and a JSON pointer: the
+offending field (also for errors the library raises with a ``field``, such as a
+node count that a contour family's resolution rule rejects), ``/params`` for
+parameters a model rejects or no contour family fits, ``/`` otherwise.  A bad
+flag of ``kappa`` or ``polymer`` is reported at ``/`` + the flag name.  Numeric
+output uses 17 significant digits so doubles round-trip.
 """
 
 from __future__ import annotations
@@ -50,11 +51,13 @@ class ConfigError(Exception):
 
 
 def _validate_schema(doc, schema_name: str) -> None:
+    """Validate ``doc`` against ``$defs/<schema_name>`` of the shipped schema."""
     import jsonschema
 
-    with open(SCHEMA_DIR / f"{schema_name}.schema.json") as fh:
-        schema = json.load(fh)
-    validator = jsonschema.Draft202012Validator(schema)
+    with open(SCHEMA_DIR / "vertexflow.schema.json") as fh:
+        defs = json.load(fh)["$defs"]
+    validator = jsonschema.Draft202012Validator({"$defs": defs,
+                                                 "$ref": f"#/$defs/{schema_name}"})
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
@@ -114,28 +117,47 @@ def _workers(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sample
+# the fields each model and theorem reads
 # ---------------------------------------------------------------------------
 
 
-SAMPLE_FIELDS = {  # model -> (the config fields it reads, the params fields it reads)
-    "sc6v": ({"domain", "params"}, {"q", "row_rapidities", "col_rapidities"}),
-    "hs": ({"params", "rect"}, {"q", "row_rapidities", "col_rapidities", "col_spins",
-                                "boundary_levels"}),
-    "qhahn": ({"params", "rect"}, {"q", "s", "z", "boundary_levels"}),
+_SC6V = {"q", "row_rapidities", "col_rapidities"}
+_HS = _SC6V | {"col_spins", "boundary_levels"}
+_QHAHN = {"q", "s", "z", "boundary_levels"}
+_QUERY = {"points", "colors", "pi", "nodes_per_circle", "tolerance"}
+
+# name -> (the top-level fields it reads, the params fields it reads); the keys are
+# the --model and --theorem choices
+SAMPLE_FIELDS = {
+    "sc6v": ({"domain", "params"}, _SC6V),
+    "hs": ({"params", "rect"}, _HS),
+    "qhahn": ({"params", "rect"}, _QHAHN),
     "beta": ({"params", "keep_points"}, {"sigma", "rho", "t_max", "delays"}),
+}
+MOMENT_FIELDS = {
+    "6.1": (_QUERY | {"domain", "params"}, _SC6V),
+    "8.1": (_QUERY | {"params"}, _HS),
+    "8.4": (_QUERY | {"params"}, _HS),
+    "8.5": (_QUERY | {"params"}, _QHAHN),
+    "9.2": (_QUERY | {"params"}, {"sigma", "rho"}),
 }
 
 
-def _unread_fields(cfg, model: str) -> None:
-    """Reject, at its pointer, the first field in ``cfg`` that ``model`` never reads."""
-    fields, params = SAMPLE_FIELDS[model]
-    for key, value in cfg.items():
+def _unread_fields(doc, entry, reader: str) -> None:
+    """Reject, at its pointer, the first field in ``doc`` that ``entry`` (a field table
+    entry) does not name: "``reader`` does not read this field"."""
+    fields, params = entry
+    for key, value in doc.items():
         if key not in fields:
-            raise ConfigError(f"/{key}: the {model} model does not read this field")
+            raise ConfigError(f"/{key}: {reader} does not read this field")
         for name in value if key == "params" else ():
             if name not in params:
-                raise ConfigError(f"/params/{name}: the {model} model does not read this field")
+                raise ConfigError(f"/params/{name}: {reader} does not read this field")
+
+
+# ---------------------------------------------------------------------------
+# sample
+# ---------------------------------------------------------------------------
 
 
 def _cmd_sample(args) -> int:
@@ -144,7 +166,7 @@ def _cmd_sample(args) -> int:
     count = args.samples
     if count < 1:
         raise ConfigError(f"/samples: --samples must be a positive integer, got {count}")
-    _unread_fields(cfg, model)
+    _unread_fields(cfg, SAMPLE_FIELDS[model], f"the {model} model")
     seed = args.seed
     workers = _workers(args)
     if model == "sc6v":
@@ -196,9 +218,16 @@ def _convergence(res: qmoments.MomentResult) -> str:
             f"{res.nodes_per_circle} nodes/circle")
 
 
+def _result_fields(res: qmoments.MomentResult) -> dict:
+    """The fields of a result that ``moment`` and ``polymer`` both write."""
+    return {"value_re": res.value.real, "value_im": res.value.imag,
+            "error_estimate": res.error_estimate, "converged": res.converged}
+
+
 def _cmd_moment(args) -> int:
     doc = _load_json(args.query, "moment_query")
     theorem = args.theorem
+    _unread_fields(doc, MOMENT_FIELDS[theorem], f"theorem {theorem}")
     nodes = doc.get("nodes_per_circle")
     tol = doc.get("tolerance", qmoments.DEFAULT_TOL)
     query = _query_from_json(doc)
@@ -221,14 +250,8 @@ def _cmd_moment(args) -> int:
         sigma, rho = (_field(doc, f"/params/{key}") for key in ("sigma", "rho"))
         res = qmoments.beta_moment(sigma, rho, [tuple(pt) for pt in doc["points"]],
                                    list(doc["colors"]), query.pi, nodes, tol)
-    _write_json(args.out, {
-        "theorem": theorem,
-        "value_re": res.value.real,
-        "value_im": res.value.imag,
-        "error_estimate": res.error_estimate,
-        "nodes_per_circle": res.nodes_per_circle,
-        "converged": res.converged,
-    })
+    _write_json(args.out, {"theorem": theorem, "nodes_per_circle": res.nodes_per_circle,
+                           **_result_fields(res)})
     print(f"moment[{theorem}]: value = {_fmt(res.value.real)} + {_fmt(res.value.imag)}j "
           f"(est {_fmt(res.error_estimate)}, {_convergence(res)})")
     return EXIT_OK
@@ -314,12 +337,7 @@ def _polymer_flags(args) -> None:
 def _cmd_polymer(args) -> int:
     _polymer_flags(args)
     res = qmoments.beta_moment(args.sigma, args.rho, [(args.m, args.t)], [args.delay])
-    out = {
-        "value_re": res.value.real,
-        "value_im": res.value.imag,
-        "error_estimate": res.error_estimate,
-        "converged": res.converged,
-    }
+    out = _result_fields(res)
     if args.m == 1:  # E[Z_(c)^(1,t)] = mu^(t-1-c), mu = (sigma - rho)/sigma
         out["analytic"] = ((args.sigma - args.rho) / args.sigma) ** (args.t - 1 - args.delay)
     if args.out:
@@ -340,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sample", help="draw Monte Carlo samples")
-    sp.add_argument("--model", required=True, choices=["sc6v", "hs", "qhahn", "beta"])
+    sp.add_argument("--model", required=True, choices=list(SAMPLE_FIELDS))
     sp.add_argument("--config", required=True)
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
@@ -349,14 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sample)
 
     mp = sub.add_parser("moment", help="evaluate an exact q-moment integral")
-    mp.add_argument("--theorem", required=True, choices=["6.1", "8.1", "8.4", "8.5", "9.2"])
+    mp.add_argument("--theorem", required=True, choices=list(MOMENT_FIELDS))
     mp.add_argument("--query", required=True)
     mp.add_argument("--out", required=True)
     mp.set_defaults(func=_cmd_moment)
 
     vp = sub.add_parser("verify", help="run identity/consistency suites")
-    vp.add_argument("--suite", required=True,
-                    choices=[*verify.SUITES, "all"])
+    vp.add_argument("--suite", required=True, choices=[*verify.SUITES, "all"])
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--out", default=None)
     vp.set_defaults(func=_cmd_verify)

@@ -207,26 +207,12 @@ class PointFunction:
         return PointFunction(self.k, lambda w: self.evaluator(list(w)) * other.evaluator(list(w)))
 
 
-def apply_T(i: int, f: PointFunction, variant: str = "q", q=None) -> PointFunction:
-    """Single Demazure-Lusztig operator T_i acting on f."""
-    if not (1 <= i < f.k):
-        raise ValidationError("operator index out of range")
-    a_fn, b_fn = _coeffs(variant, q)
-
-    def ev(w):
-        _check_coincidence(w[i - 1], w[i])
-        swapped = list(w)
-        swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-        return a_fn(w[i - 1], w[i]) * f.evaluator(list(w)) + b_fn(w[i - 1], w[i]) * f.evaluator(swapped)
-
-    return PointFunction(f.k, ev)
-
-
 def apply_T_pi(pi: Permutation, f: PointFunction, variant: str = "q", q=None) -> PointFunction:
     """T_pi along the canonical reduced word (word-independent by the braid relations).
 
     Implemented through the kappa expansion: T_pi f = sum_rho kappa_pi^rho (t_rho f),
-    which memoizes the 2^{l(pi)} branch tree by visited variable-permutation.
+    which memoizes the 2^{l(pi)} branch tree by visited variable-permutation.  A single
+    T_i is ``pi = Permutation.transposition(k, i)``: a_i(w) f(w) + b_i(w) f(t_i w).
     """
     if len(pi) != f.k:
         raise ValidationError("permutation rank must match the function rank")

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .errors import PathOrderError, ValidationError
-from .hecke import Permutation, PointFunction, apply_T, row_operator
+from .hecke import Permutation, PointFunction, apply_T_pi, row_operator
 from .lattice import Cut, ModelParams, SkewDomain, UpLeftPath, rectangle_domain
 from .qmoments import MomentQuery, qmoment_skew, qmoment_skew_multi, shared_grids
 from .sampler import enumerate_sc6v, sample_sc6v
@@ -416,7 +416,7 @@ def check_lemma44(seed: int = 0) -> CheckReport:
         total = (q - lam * q**t) / (q - lam)
         for i in range(t):
             if i:  # T_{sigma^-_[1,i+1]} = T_i T_{i-1} ... T_1, T_1 applied first
-                g = apply_T(i, g, q=q)
+                g = apply_T_pi(Permutation.transposition(t, i), g, q=q)
             total = total + g(w)
         rhs = 1.0
         for i in range(t):
@@ -465,10 +465,11 @@ def check_hecke_quadratic(seed: int = 0) -> CheckReport:
 
         f = PointFunction(k, f_ev)
         i = rng.randint(1, k - 1)
-        tf = apply_T(i, f, q=q)
+        s_i = Permutation.transposition(k, i)
+        tf = apply_T_pi(s_i, f, q=q)
         g = PointFunction(k, lambda w: tf(w) + f(w))
         w = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1)) for _ in range(k)]
-        return abs(apply_T(i, g, q=q)(w) - q * g(w))  # (T_i - q)(T_i + 1) f
+        return abs(apply_T_pi(s_i, g, q=q)(w) - q * g(w))  # (T_i - q)(T_i + 1) f
 
     return _trials("hecke_quadratic", case, 20, seed, 1e-11)
 
@@ -538,7 +539,8 @@ def _suite_shift(seed: int) -> list[CheckReport]:
 
 
 def _suite_moments(seed: int) -> list[CheckReport]:
-    """Theorem 6.1 against enumeration on the 2x2 README domain, for both pi."""
+    """Theorem 6.1 against enumeration on the 2x2 README domain, for both pi.  It draws
+    nothing, so ``seed`` is taken only to fit ``SUITES`` and is not reported."""
     params = ModelParams(q=0.3, row_rapidities=(1.9, 2.2), col_rapidities=(1.0, 1.12))
     dom = rectangle_domain(2, 2, (0, 1, 1, 2))
     ens = enumerate_sc6v(dom, params)
@@ -548,7 +550,7 @@ def _suite_moments(seed: int) -> list[CheckReport]:
     for pi in pis:
         err = abs(got[pi.images].value - ens.moment(pts, pi.act(cols), params.q))
         reports.append(_report(f"moment_vs_enumeration_pi{pi.images}", err, len(ens.entries),
-                               err < 1e-8, f"seed={seed}"))
+                               err < 1e-8))
     return reports
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from vertexflow.contours import build_contours
-from vertexflow.hecke import Permutation, PointFunction, apply_T, kappa, z_partition
+from vertexflow.hecke import Permutation, PointFunction, apply_T_pi, kappa, z_partition
 from vertexflow.lattice import Cut, ModelParams, SkewDomain, UpLeftPath, dbl, rectangle_domain
 from vertexflow.qmoments import (
     MomentQuery,
@@ -269,16 +269,17 @@ def test_criterion_4_hecke_layer():
         for word in words:
             g = f
             for i in reversed(word):
-                g = apply_T(i, g, q=q)
+                g = apply_T_pi(Permutation.transposition(k, i), g, q=q)
             vals.append(g(pt))
         if len(vals) == 2:
             err = abs(vals[0] - vals[1])
             worst = max(worst, err)
             assert err < 1e-10
         i = rng.randint(1, k - 1)
-        tf = apply_T(i, f, q=q)
+        s_i = Permutation.transposition(k, i)
+        tf = apply_T_pi(s_i, f, q=q)
         g = PointFunction(k, lambda w: tf(w) + f(w))
-        err = abs(apply_T(i, g, q=q)(pt) - q * g(pt))
+        err = abs(apply_T_pi(s_i, g, q=q)(pt) - q * g(pt))
         worst = max(worst, err)
         assert err < 1e-10
     elapsed = time.time() - t0

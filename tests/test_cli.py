@@ -371,6 +371,8 @@ BETA_PARAMS = {"sigma": 6.0, "rho": 1.5, "t_max": 3, "delays": [0]}
     ("hs", {"domain": DOMAIN, "params": dict(HS_PARAMS, sigma=6.0), "rect": [2, 2]}, "/domain"),
     ("hs", {"params": dict(HS_PARAMS, sigma=6.0), "rect": [2, 2], "domain": DOMAIN},
      "/params/sigma"),
+    # a field no model reads is reported at its own pointer, not at the root
+    ("hs", {"params": HS_PARAMS, "rect": [2, 2], "rects": [2, 2]}, "/rects"),
 ])
 def test_sample_field_the_model_never_reads_exits_2_at_it(tmp_path, capsys, model, doc, pointer):
     # a field the model ignores is a mistake in the config, not something to drop silently
@@ -617,3 +619,45 @@ def test_moment_params_without_q_exits_2_at_params_q(tmp_path, capsys):
     code = run(["moment", "--theorem", "6.1", "--query", query, "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert "at /params/q: required field is missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theorem, doc, pointer", [
+    ("6.1", dict(MOMENT_QUERY, params=dict(PARAMS, s=0.5)), "/params/s"),
+    ("8.1", {"points": [[1.5, 2.5]], "colors": [0], "params": dict(HS_PARAMS, sigma=6.0)},
+     "/params/sigma"),
+    ("8.4", {"points": [[1.5, 2.5]], "colors": [1], "params": dict(HS_PARAMS, delays=[0])},
+     "/params/delays"),
+    ("8.5", {"points": [[1.5, 3.5]], "colors": [0],
+             "params": dict(QHAHN_PARAMS, row_rapidities=[1.0])}, "/params/row_rapidities"),
+    ("9.2", dict(BETA_QUERY, params={"sigma": 6.0, "rho": 1.5, "q": 0.4}), "/params/q"),
+    # only 6.1 reads a domain; with two unread fields the first in the query is reported
+    ("8.1", {"points": [[1.5, 2.5]], "colors": [0], "params": HS_PARAMS, "domain": DOMAIN},
+     "/domain"),
+    ("8.5", {"points": [[1.5, 3.5]], "colors": [0], "domain": DOMAIN,
+             "params": dict(QHAHN_PARAMS, row_rapidities=[1.0])}, "/domain"),
+    ("9.2", dict(BETA_QUERY, rect=[2, 2]), "/rect"),
+    ("9.2", dict(BETA_QUERY, keep_points=[[0, 2, 5]]), "/keep_points"),
+    ("9.2", dict(BETA_QUERY, params={"sigma": 6.0, "rho": 1.5, "t_max": 5}), "/params/t_max"),
+])
+def test_moment_field_the_theorem_never_reads_exits_2_at_it(tmp_path, capsys, theorem, doc,
+                                                             pointer):
+    # as for sample: a field the formula ignores is a mistake in the query
+    query = write(tmp_path, "q.json", doc)
+    out = tmp_path / "r.json"
+    code = run(["moment", "--theorem", theorem, "--query", query, "--out", str(out)])
+    assert code == 2
+    assert f"at {pointer}: theorem {theorem} does not read this field" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_moment_unknown_domain_key_exits_2_at_domain(tmp_path, capsys):
+    # the domain schema is shared with sample, so a key it does not define is an error here too
+    params = dict(PARAMS, sigma=1.0, s=0.5)  # fields 6.1 never reads, reported after /domain
+    query = write(tmp_path, "q.json", dict(MOMENT_QUERY, domain=dict(DOMAIN, bogus=1),
+                                           params=params))
+    out = tmp_path / "r.json"
+    code = run(["moment", "--theorem", "6.1", "--query", query, "--out", str(out)])
+    assert code == 2
+    assert "at /domain: Additional properties are not allowed ('bogus' was unexpected)" in \
+        capsys.readouterr().err
+    assert not out.exists()

@@ -14,7 +14,6 @@ from vertexflow.errors import SingularEvaluationError, ValidationError
 from vertexflow.hecke import (
     Permutation,
     PointFunction,
-    apply_T,
     apply_T_pi,
     kappa,
     kappa_table,
@@ -41,6 +40,11 @@ def rand_rational(k):
         return out + w[0] * w[-1]
 
     return PointFunction(k, ev)
+
+
+def T(i, f, **kwargs):
+    """T_i f: T_pi at the transposition sigma_i."""
+    return apply_T_pi(Permutation.transposition(f.k, i), f, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,7 @@ def test_Ti_of_constant_is_q():
     q = 0.37
     one = PointFunction.constant(3, 1.0)
     for i in (1, 2):
-        assert abs(apply_T(i, one, q=q)([rnd() for _ in range(3)]) - q) < 1e-13
+        assert abs(T(i, one, q=q)([rnd() for _ in range(3)]) - q) < 1e-13
 
 
 def test_T1_on_geometric_factor():
@@ -109,7 +113,7 @@ def test_T1_on_geometric_factor():
     eta = rnd()
     f = PointFunction(2, lambda w: eta * w[0] / (1 - eta * w[0]))
     pt = [rnd(), rnd()]
-    lhs = apply_T(1, f, q=q)(pt)
+    lhs = T(1, f, q=q)(pt)
     rhs = (eta * pt[1] / (1 - eta * pt[1])) * (1 - q * eta * pt[0]) / (1 - eta * pt[0])
     assert abs(lhs - rhs) < 1e-12
 
@@ -119,10 +123,10 @@ def test_hecke_quadratic_relation():
     for _ in range(10):
         f = rand_rational(3)
         i = random.randint(1, 2)
-        tf = apply_T(i, f, q=q)
+        tf = T(i, f, q=q)
         g = PointFunction(3, lambda w: tf(w) + f(w))
         pt = [rnd() for _ in range(3)]
-        assert abs(apply_T(i, g, q=q)(pt) - q * g(pt)) < 1e-11
+        assert abs(T(i, g, q=q)(pt) - q * g(pt)) < 1e-11
 
 
 def test_polymer_variant_relations():
@@ -130,8 +134,8 @@ def test_polymer_variant_relations():
     f = rand_rational(3)
     pt = [rnd() for _ in range(3)]
     one = PointFunction.constant(3, 1.0)
-    assert abs(apply_T(2, one, variant="polymer")(pt) - 1) < 1e-13
-    tw = apply_T(1, apply_T(1, f, variant="polymer"), variant="polymer")(pt)
+    assert abs(T(2, one, variant="polymer")(pt) - 1) < 1e-13
+    tw = T(1, T(1, f, variant="polymer"), variant="polymer")(pt)
     assert abs(tw - f(pt)) < 1e-11
 
 
@@ -144,7 +148,7 @@ def test_word_independence():
     def apply_word(word):
         out = f
         for i in reversed(word):
-            out = apply_T(i, out, q=q)
+            out = T(i, out, q=q)
         return out(pt)
 
     v1 = apply_word((1, 2, 1))
@@ -166,7 +170,7 @@ def test_coincident_point_raises():
     q = 0.5
     f = rand_rational(2)
     with pytest.raises(SingularEvaluationError):
-        apply_T(1, f, q=q)([1.0 + 0j, 1.0 + 0j])
+        T(1, f, q=q)([1.0 + 0j, 1.0 + 0j])
 
 
 # ---------------------------------------------------------------------------
