@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -50,15 +51,19 @@ class ConfigError(Exception):
     pass
 
 
-def _validate_schema(doc, schema_name: str) -> None:
-    """Validate ``doc`` against ``$defs/<schema_name>`` of the shipped schema."""
+@functools.cache
+def _validator(schema_name: str):
+    """The validator of ``$defs/<schema_name>`` of the shipped schema, built once per process."""
     import jsonschema
 
     with open(SCHEMA_DIR / "vertexflow.schema.json") as fh:
         defs = json.load(fh)["$defs"]
-    validator = jsonschema.Draft202012Validator({"$defs": defs,
-                                                 "$ref": f"#/$defs/{schema_name}"})
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    return jsonschema.Draft202012Validator({"$defs": defs, "$ref": f"#/$defs/{schema_name}"})
+
+
+def _validate_schema(doc, schema_name: str) -> None:
+    """Validate ``doc`` against ``$defs/<schema_name>`` of the shipped schema."""
+    errors = sorted(_validator(schema_name).iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         pointer = "/" + "/".join(str(p) for p in err.absolute_path)

@@ -24,7 +24,13 @@ x @ ((y u_v) @ M_vb) (or the mirrored form), two thin GEMMs of 2 r N^2
 multiply-adds in place of one square GEMM of N^3.  For K4 that is both GEMMs
 of every term, at r = 31 against N = 192, so of its six edges only the split
 edge and the two edges of those steps are factored at full size.  A graph that
-never splits is never ranked and keeps the square GEMM.  Only when no edge has
+never splits is never ranked and keeps the square GEMM, but the DL terms of
+every pi on a grid are one expansion: a product of an edge with an a- or b-table
+and a (phi term, slot, variable) vector are each built once per evaluation, and a
+degree-two product M_av diag(u_v) M_vb of a term's top-level contraction is
+built once per distinct (u_v, M_av, M_vb), so the nine triangles of each level
+of a k = 3 all-pi query take three square GEMMs.  Split terms and conditioned
+subgraphs build their vectors anew and share nothing.  Only when no edge has
 rank below half its order does the contraction condition on one variable, one
 subgraph per node.  The stride-2 submatrix of a cross matrix is the cross
 matrix of the next coarser level, which takes that ranking as its factors.
@@ -357,6 +363,11 @@ def _oriented(mats: dict, a: int, b: int) -> np.ndarray:
     return mats[(a, b)] if a < b else mats[(b, a)].T
 
 
+# {(a, v, b, id(u_v), id(M_av), id(M_vb)): (u_v, M_av, M_vb, M_av diag(u_v) M_vb)} of the
+# top-level ``_contract`` calls of the innermost ``_pairing_on_grid``; None outside every call
+_ELIMINATED: ContextVar[dict | None] = ContextVar("vertexflow_eliminated", default=None)
+
+
 def _contract(us: dict, mats: dict, factors, cached: dict | None = None) -> complex:
     """sum over the grid of prod_a us[a][n_a] * prod_{(a,b) in mats} mats[(a,b)][n_a, n_b].
 
@@ -376,7 +387,13 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None) -> comp
     the records of the other edges go down to the terms as ``cached``.  Only when
     no edge has rank below half its order does the routine condition on the first
     variable of most edges, one subgraph per node.
+
+    A call with no ``cached`` is a top-level call: inside ``_pairing_on_grid`` it
+    takes each degree-two product from that call's memo (``_ELIMINATED``), keyed by
+    the identity of (u_v, M_av, M_vb), and multiplies a memoised edge out of place.
+    Split terms and conditioned subgraphs pass ``cached`` and memoise nothing.
     """
+    memo = _ELIMINATED.get() if cached is None else None
     us, mats, cached = dict(us), dict(mats), dict(cached or {})
     scale = 1
     while us:
@@ -394,6 +411,16 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None) -> comp
             (w,) = nbrs[v]
             us[w] = us[w] * (_oriented(mats, w, v) @ uv)
             del mats[min(v, w), max(v, w)]
+        elif memo is not None:  # top level: nothing is cached, so the product is square
+            a, b = sorted(nbrs[v])
+            av, vb = (min(a, v), max(a, v)), (min(v, b), max(v, b))
+            ident = (a, v, b, id(uv), id(mats[av]), id(mats[vb]))
+            if ident not in memo:  # the entry holds its inputs, so their ids stay theirs
+                memo[ident] = (uv, mats[av], mats[vb],
+                               (_oriented(mats, a, v) * uv) @ _oriented(mats, v, b))
+            edge = memo[ident][-1]
+            del mats[av], mats[vb]
+            mats[(a, b)] = mats[(a, b)] * edge if (a, b) in mats else edge
         else:
             a, b = sorted(nbrs[v])
             thin = _least_rank({key: f for key in ((min(a, v), max(a, v)), (min(v, b), max(v, b)))
@@ -437,7 +464,7 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None) -> comp
         rest = {key: m for key, m in mats.items() if v not in key}
         for i, ui in enumerate(uv):
             rows = {w: us[w] * _oriented(mats, v, w)[i] for w in nbrs[v]}
-            total += ui * _contract({**us, **rows}, rest, factors)
+            total += ui * _contract({**us, **rows}, rest, factors, {})
     return scale * total
 
 
@@ -446,23 +473,37 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand, keys=None) -> dic
     ``keys``, only for the pi whose images are in ``keys``.
 
     Each DL term's edges start as the cross factors.  A b-factor on (u, v) with
-    u < v cancels an untouched cross(u, v) exactly, so that edge is dropped.
+    u < v cancels an untouched cross(u, v) exactly, so that edge is dropped.  The
+    terms of every pi are one expansion: each product of an edge with an a- or
+    b-table, and each (phi term, slot, variable) vector, is built once per call, so
+    equal chains in different terms are the same objects, and ``_contract`` builds
+    one degree-two product per distinct (u_v, M_av, M_vb) of its top-level calls.
+    Nothing of this outlives the call.
     """
     k = grid.k
     base_u = [grid.dws[a] / grid.nodes[a] for a in range(k)]
-    phi_tables = []
-    for coef, factors in integrand.phi_terms:
-        # slot s evaluated on variable b's nodes
-        phi_tables.append((coef, [[np.asarray(f(grid.nodes[b])) + 0j for b in range(k)] for f in factors]))
     psi_vals = [np.asarray(f(grid.nodes[a])) + 0j for a, f in enumerate(integrand.psi_factors)]
+    # per phi term, its vector of slot s on variable b
+    phi_us = [(coef, [[base_u[b] * psi_vals[b] * (np.asarray(f(grid.nodes[b])) + 0j)
+                       for b in range(k)] for f in factors])
+              for coef, factors in integrand.phi_terms]
     cross = {(a, b): grid.cross(a, b) for a in range(k) for b in range(a + 1, k)}
+    products = {}  # {(id(edge), id(table)): edge * table}; every edge and table outlives it
 
     def edge_factors(key, mat):
         return grid.cross_factors(*key) if mat is cross[key] else _ranked(mat)
 
+    def times(mats, key, table):
+        if key not in mats:
+            return {**mats, key: table}
+        ident = (id(mats[key]), id(table))
+        if ident not in products:
+            products[ident] = mats[key] * table
+        return {**mats, key: products[ident]}
+
     def a_step(tlist, u, v):
         key, a_mat = grid.pair_matrix("a", u - 1, v - 1)
-        return [_mat_mult(mats, key, a_mat) for mats in tlist]
+        return [times(mats, key, a_mat) for mats in tlist]
 
     def b_step(tlist, u, v):
         key, terms = (min(u, v) - 1, max(u, v) - 1), []
@@ -470,33 +511,26 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand, keys=None) -> dic
             if u < v and mats.get(key) is cross[key]:
                 terms.append({edge: m for edge, m in mats.items() if edge != key})
             else:  # the b-table is built only here, where it is read
-                terms.append(_mat_mult(mats, key, grid.pair_matrix("b", u - 1, v - 1)[1]))
+                terms.append(times(mats, key, grid.pair_matrix("b", u - 1, v - 1)[1]))
         return terms
 
     out = {}
-    for picoef, pi in integrand.pi_terms:
-        if keys is not None and pi.images not in keys:
-            continue
-        total = 0j
-        for rho, tlist in _push(pi, [cross], a_step, b_step).items():
-            rho_inv = [0] * k
-            for s, b in enumerate(rho):
-                rho_inv[b - 1] = s  # slot feeding variable b (0-based slot)
-            for phi_coef, table in phi_tables:
-                us = {b: base_u[b] * psi_vals[b] * table[rho_inv[b]][b] for b in range(k)}
-                for mats in tlist:
-                    total += phi_coef * _contract(us, mats, edge_factors)
-        out[pi.images] = out.get(pi.images, 0j) + picoef * total
+    token = _ELIMINATED.set({})
+    try:
+        for picoef, pi in integrand.pi_terms:
+            if keys is not None and pi.images not in keys:
+                continue
+            total = 0j
+            for rho, tlist in _push(pi, [cross], a_step, b_step).items():
+                for phi_coef, slots in phi_us:
+                    # variable b reads the slot s with rho(s) = b
+                    us = {b: slots[rho.index(b + 1)][b] for b in range(k)}
+                    for mats in tlist:
+                        total += phi_coef * _contract(us, mats, edge_factors)
+            out[pi.images] = out.get(pi.images, 0j) + picoef * total
+    finally:
+        _ELIMINATED.reset(token)
     return out
-
-
-def _mat_mult(mats: dict, key, mat) -> dict:
-    new = dict(mats)
-    if key in new:
-        new[key] = new[key] * mat
-    else:
-        new[key] = mat
-    return new
 
 
 def _start(fam: ContourFamily, nodes_per_circle: int | None) -> int:

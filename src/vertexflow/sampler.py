@@ -262,9 +262,10 @@ def _probabilities(weights, what: str) -> np.ndarray:
     p = w.real
     if (not np.isfinite(w).all() or np.abs(w.imag).max() > 1e-12 or p.min() < -1e-12
             or p.max() > 1 + 1e-12 or abs(p.sum() - 1) > PROB_TOL):
-        raise ParameterRangeError(
-            f"{what} are not a probability distribution (min {p.min():.3g}, "
-            f"sum {p.sum():.15g}, max |imag| {np.abs(w.imag).max():.3g})")
+        with np.errstate(invalid="ignore"):  # weights of inf and -inf sum to nan
+            raise ParameterRangeError(
+                f"{what} are not a probability distribution (min {p.min():.3g}, "
+                f"sum {p.sum():.15g}, max |imag| {np.abs(w.imag).max():.3g})")
     return p
 
 

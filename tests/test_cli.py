@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -661,3 +662,61 @@ def test_moment_unknown_domain_key_exits_2_at_domain(tmp_path, capsys):
     assert "at /domain: Additional properties are not allowed ('bogus' was unexpected)" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+FUZZ_VALUES = [0, 1, -1, 1e-300, 1e300, 0.5, 2]
+# each model's config and the params fields of it that hold reals; rect, boundary_levels,
+# t_max, delays and keep_points stay fixed, so no case can ask for much time or memory
+FUZZ_MODELS = {
+    "sc6v": ({"domain": DOMAIN, "params": PARAMS}, ["q", "row_rapidities", "col_rapidities"]),
+    "hs": ({"params": HS_PARAMS, "rect": [2, 2]},
+           ["q", "row_rapidities", "col_rapidities", "col_spins"]),
+    "qhahn": ({"params": QHAHN_PARAMS, "rect": [2, 2]}, ["q", "s", "z"]),
+    "beta": ({"params": BETA_PARAMS}, ["sigma", "rho"]),
+}
+
+
+def fuzzed_params(model, mixes=40):
+    """``model``'s params with its real slots (scalars and list entries) taken from
+    ``FUZZ_VALUES``: each slot alone at each value, every slot at one value, and ``mixes``
+    draws of a fixed-seed generator."""
+    (doc, fields), rng = FUZZ_MODELS[model], random.Random(f"sample-fuzz-{model}")
+    slots = [(f, i) for f in fields
+             for i in (range(len(doc["params"][f])) if isinstance(doc["params"][f], list) else [None])]
+
+    def with_values(values):
+        params = json.loads(json.dumps(doc["params"]))
+        for (field, i), v in zip(slots, values):
+            if i is None:
+                params[field] = v
+            else:
+                params[field][i] = v
+        return params
+
+    base = [doc["params"][f] if i is None else doc["params"][f][i] for f, i in slots]
+    cases = [with_values(base[:n] + [v] + base[n + 1:])
+             for n in range(len(slots)) for v in FUZZ_VALUES]
+    cases += [with_values([v] * len(slots)) for v in FUZZ_VALUES]
+    cases += [with_values([rng.choice(FUZZ_VALUES) for _ in slots]) for _ in range(mixes)]
+    return cases
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", FUZZ_MODELS)
+def test_sample_fuzzed_params_exit_0_or_2_at_a_params_pointer(tmp_path, capsys, model):
+    # every real-valued param at 0, +-1, 1e-300, 1e300, 0.5 and 2: the run either samples
+    # or is a config error named at /params or below, never a traceback, a numpy warning
+    # or the root pointer
+    doc, _ = FUZZ_MODELS[model]
+    for params in fuzzed_params(model):
+        cfg = write(tmp_path, "cfg.json", dict(doc, params=params))
+        out = tmp_path / "x.jsonl"
+        code = run(["sample", "--model", model, "--config", cfg, "--samples", "3",
+                    "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, (params, err)
+        if code == 0:
+            assert len(out.read_text().splitlines()) == 3, params
+        else:
+            assert code == 2 and "configuration error at /params" in err, (params, code, err)
+        out.unlink(missing_ok=True)

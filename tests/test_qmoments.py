@@ -1,6 +1,8 @@
 """Contour-integral moment formulas against enumeration, MC, and each other."""
 
+import gc
 import random
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -723,6 +725,108 @@ def test_summed_integrals_vouch_for_their_sum():
     res = shifted_observable(HS, pts, [1, 1], Permutation((2, 1)), nodes_per_circle=NODES,
                              tol=1e-300, cap=NODES)
     assert not res.converged
+
+
+# ---------------------------------------------------------------------------
+# one T_pi expansion for every pi of a grid
+# ---------------------------------------------------------------------------
+
+
+CORPUS_K3 = (SkewDomain(UpLeftPath.from_floats((3.5, 0.5), "HVHHVV"),
+                        UpLeftPath.from_floats((3.5, 0.5), "VVHVHH"), (0, 1, 1, 2, 3, 3)),
+             ModelParams(q=0.33, row_rapidities=(2.0, 2.1, 2.25), col_rapidities=(1.0, 1.05, 1.1)),
+             [(2.5, 2.5), (2.5, 2.5), (3.5, 1.5)], [0, 1, 3])
+K4_PIS = [Permutation((2, 1, 4, 3)), Permutation((3, 1, 2, 4))]  # both of length 2
+
+
+def captured_integrand(monkeypatch, formula):
+    """(contour family, integrand, q) of the one ``pairing_values`` call of ``formula()``."""
+    captured = []
+    monkeypatch.setattr(qmoments, "pairing_values",
+                        lambda fam, integrand, q, *args: captured.append((fam, integrand, q)) or {})
+    formula()
+    ((fam, integrand, q),) = captured
+    return fam, integrand, q
+
+
+def top_level_graphs(monkeypatch) -> list:
+    """The edge sets of the top-level ``_contract`` calls made from here on."""
+    contract, graphs = qmoments._contract, []
+
+    def recorded(us, mats, factors, cached=None):
+        if cached is None:
+            graphs.append(set(mats))
+        return contract(us, mats, factors, cached)
+
+    monkeypatch.setattr(qmoments, "_contract", recorded)
+    return graphs
+
+
+SHARED_CASES = {
+    "corpus k = 3": (lambda: qmoment_skew_multi(*CORPUS_K3, Permutation.all(3)), NODES),
+    "HS k = 3": (lambda: qmoment_higher_spin_multi(
+        HS3, [(1.5, 2.5), (2.5, 2.5), (2.5, 1.5)], [0, 1, 2], Permutation.all(3)), NODES),
+    "skew k = 4": (lambda: qmoment_skew_multi(
+        SKEW_DOMAIN, SKEW_PARAMS, [(1.5, 2.5), (1.5, 2.5), (2.5, 1.5), (2.5, 1.5)],
+        [0, 0, 1, 1], K4_PIS), 8),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_CASES)
+def test_shared_expansion_equals_each_pi_alone(monkeypatch, case):
+    # the DL terms of all pi share their products and eliminations; each pi's value is
+    # the one it has evaluated alone, bit for bit
+    formula, nodes = SHARED_CASES[case]
+    fam, integrand, q = captured_integrand(monkeypatch, formula)
+    grid = qmoments._Grid.build(fam, nodes, "q", q)
+    graphs = top_level_graphs(monkeypatch)
+    shared = qmoments._pairing_on_grid(grid, integrand)
+    assert len(shared) == len(integrand.pi_terms) > 1
+    if grid.k == 4:  # b-steps leave degree-two variables at top level
+        assert any(min(sum(v in e for e in g) for v in range(4)) == 2 for g in graphs)
+    for _, pi in integrand.pi_terms:
+        assert qmoments._pairing_on_grid(grid, integrand, keys={pi.images}) == {
+            pi.images: shared[pi.images]}
+
+
+class _Squares(np.ndarray):
+    """Node weights that pass their ufuncs on as plain arrays and keep a weak reference
+    to each product of two matrices made from them."""
+
+    made = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, _Squares) else x
+
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(plain, kwargs["out"]))
+        out = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if not isinstance(out, np.ndarray) or out.ndim == 0:
+            return out
+        out = out.view(_Squares)
+        if ufunc is np.matmul and all(np.ndim(x) == 2 for x in inputs):
+            _Squares.made.append(weakref.ref(out))
+        return out
+
+
+def test_all_pi_share_their_degree_two_products(monkeypatch):
+    # at 64 nodes per circle each level of a k = 3 all-pi corpus query contracts 9
+    # triangles through 3 distinct M_av diag(u_v) M_vb, each built once, and none of
+    # them outlives the call
+    fam, integrand, q = captured_integrand(
+        monkeypatch, lambda: qmoment_skew_multi(*CORPUS_K3, Permutation.all(3)))
+    fine = qmoments._Grid.build(fam, NODES, "q", q)
+    fine.dws = [dw.view(_Squares) for dw in fine.dws]  # every node vector is a _Squares
+    graphs = top_level_graphs(monkeypatch)
+    for grid in (fine, fine.coarse()):
+        graphs.clear()
+        monkeypatch.setattr(_Squares, "made", [])
+        qmoments._pairing_on_grid(grid, integrand)
+        assert sum(len(g) == 3 for g in graphs) == 9
+        assert len(_Squares.made) == 3
+        gc.collect()
+        assert all(ref() is None for ref in _Squares.made)
 
 
 # ---------------------------------------------------------------------------
