@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     NonMonotoneColoringError,
+    ParameterRangeError,
     PathMismatchError,
     PathOrderError,
     ValidationError,
@@ -116,6 +117,14 @@ def check_pole_separation(zetas, q) -> None:
                 raise ValidationError(
                     f"pole separation fails: zeta_{i+1} = q * zeta_{j+1} within 1e-9",
                     field="params")
+
+
+def check_qhahn_regime(s, z) -> None:
+    """Raise ParameterRangeError at ``params`` unless 0 < s^2 < z^2 < 1, the regime where
+    the q-Hahn boundary law and vertex weights are probabilities; its sampler and its
+    moment formula read only s^2 and z^2."""
+    if not (0 < s * s < z * z < 1):
+        raise ParameterRangeError("q-Hahn boundary needs 0 < s^2 < z^2 < 1", field="params")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,13 @@ via the kappa recursion, into a sum of terms that factor into per-variable
 vectors and pairwise matrices; each term is then a contraction over its pair
 graph, one vector per variable and one matrix per edge.  A b-factor on (u, v)
 with u < v cancels the cross factor of that pair exactly, so the edge is dropped.
+Any other first DL factor on a pair x < y also cancels the cross factor's numerator
+w_y - w_x against its own denominator, so the product is one table in closed form
+with one division (``_Grid.cross_times``): with X = w_x, Y = w_y, a_(x,y), a_(y,x)
+and b_(y,x) give (q-1)Y/(Y - qX), (1-q)X/(Y - qX) and (qY - X)/(Y - qX), or for the
+polymer variant -1/(Y - X + 1), 1/(Y - X + 1) and (Y - X - 1)/(Y - X + 1).  A later
+factor on that edge multiplies its table in.  The cross table of a pair is built
+only where a term contracts the pair untouched.
 ``_contract`` sums out a variable with at most two edges by a matvec or one
 GEMM; this covers every graph with k <= 3.  When every variable has three or
 more edges, it splits the edge of least numerical rank r into r rank-1 terms,
@@ -105,7 +112,8 @@ from .contours import ContourFamily, build_contours, build_contours_beta, build_
 from .errors import (ContourResolutionError, ParameterSingularityError, UnsupportedRegimeError,
                      ValidationError)
 from .hecke import Permutation, PointFunction, _coeffs, _push, apply_T_pi
-from .lattice import ModelParams, SkewDomain, check_pole_separation, dbl, whole
+from .lattice import (ModelParams, SkewDomain, check_pole_separation, check_qhahn_regime, dbl,
+                      whole)
 from .weights import qidentity_coef
 
 NODE_CAP = 4096
@@ -195,7 +203,9 @@ def shared_grids():
 
 
 class _Grid:
-    """Nodes, weights and pair-factor tables of one quadrature level."""
+    """Nodes, weights and pair-factor tables of one quadrature level: cross tables, their
+    closed-form products with a first DL factor, DL tables and edge rankings.  Each is
+    built on first use, and a coarse level reads a stride-2 view of its finer's."""
 
     def __init__(self, nodes: list, dws: list, variant: str, q, finer: "_Grid | None" = None):
         self.k = len(nodes)
@@ -243,6 +253,24 @@ class _Grid:
             return (wb - wa) / (wb - wa + 1)
 
         return self._table(("cross", a, b), build, lambda m: m[::2, ::2])
+
+    def cross_times(self, tag: str, u: int, v: int) -> np.ndarray:
+        """``cross(x, y) * pair_matrix(tag, u, v)[1]`` for {x, y} = {u, v}, x < y, in closed
+        form with one division: the factor's denominator w_y - w_x cancels against the
+        cross factor's numerator.  Rows index x; ("b", x, y) drops the edge and has none."""
+        def build(grid):
+            x, y = sorted((u, v))
+            wx, wy = grid.nodes[x][:, None], grid.nodes[y][None, :]
+            if grid.variant == "q":
+                q = grid.q
+                num = ((q - 1) * wy if u < v else (1 - q) * wx) if tag == "a" else q * wy - wx
+                den = wy - q * wx
+            else:
+                num = (-1 if u < v else 1) if tag == "a" else wy - wx - 1
+                den = wy - wx + 1
+            return np.divide(num, den, out=den)
+
+        return self._table(("cross", tag, u, v), build, lambda m: m[::2, ::2])
 
     def cross_factors(self, a: int, b: int):
         """``_ranked(cross(a, b))``.  On the finest level it factors the stride-2
@@ -363,6 +391,9 @@ def _oriented(mats: dict, a: int, b: int) -> np.ndarray:
     return mats[(a, b)] if a < b else mats[(b, a)].T
 
 
+# the edge of a DL term that no factor has touched yet: its cross factor, still unbuilt
+_UNTOUCHED = object()
+
 # {(a, v, b, id(u_v), id(M_av), id(M_vb)): (u_v, M_av, M_vb, M_av diag(u_v) M_vb)} of the
 # top-level ``_contract`` calls of the innermost ``_pairing_on_grid``; None outside every call
 _ELIMINATED: ContextVar[dict | None] = ContextVar("vertexflow_eliminated", default=None)
@@ -472,12 +503,16 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand, keys=None) -> dic
     """Values of the pairing for each pi in integrand.pi_terms, on a fixed grid; with
     ``keys``, only for the pi whose images are in ``keys``.
 
-    Each DL term's edges start as the cross factors.  A b-factor on (u, v) with
-    u < v cancels an untouched cross(u, v) exactly, so that edge is dropped.  The
-    terms of every pi are one expansion: each product of an edge with an a- or
-    b-table, and each (phi term, slot, variable) vector, is built once per call, so
-    equal chains in different terms are the same objects, and ``_contract`` builds
-    one degree-two product per distinct (u_v, M_av, M_vb) of its top-level calls.
+    Each DL term's edges start untouched, marked ``_UNTOUCHED``.  A b-factor on (u, v)
+    with u < v cancels an untouched cross(u, v) exactly, so that edge is dropped; any
+    other first factor on an untouched edge reads the closed-form product
+    ``grid.cross_times``, and a factor on a touched or dropped edge multiplies it by
+    the a- or b-table.  An edge still untouched when its term is contracted becomes
+    ``grid.cross``, so a cross table is built only where a term reads it.  The terms
+    of every pi are one expansion: each product of an edge with an a- or b-table,
+    and each (phi term, slot, variable) vector, is built once per call, so equal
+    chains in different terms are the same objects, and ``_contract`` builds one
+    degree-two product per distinct (u_v, M_av, M_vb) of its top-level calls.
     Nothing of this outlives the call.
     """
     k = grid.k
@@ -487,13 +522,17 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand, keys=None) -> dic
     phi_us = [(coef, [[base_u[b] * psi_vals[b] * (np.asarray(f(grid.nodes[b])) + 0j)
                        for b in range(k)] for f in factors])
               for coef, factors in integrand.phi_terms]
-    cross = {(a, b): grid.cross(a, b) for a in range(k) for b in range(a + 1, k)}
+    cross = {}  # {pair: grid.cross(*pair)} of the untouched edges a term contracts
     products = {}  # {(id(edge), id(table)): edge * table}; every edge and table outlives it
 
     def edge_factors(key, mat):
-        return grid.cross_factors(*key) if mat is cross[key] else _ranked(mat)
+        return grid.cross_factors(*key) if mat is cross.get(key) else _ranked(mat)
 
-    def times(mats, key, table):
+    def times(mats, tag, u, v):
+        key = (min(u, v), max(u, v))
+        if mats.get(key) is _UNTOUCHED:
+            return {**mats, key: grid.cross_times(tag, u, v)}
+        table = grid.pair_matrix(tag, u, v)[1]  # a b-table is built only here, where it is read
         if key not in mats:
             return {**mats, key: table}
         ident = (id(mats[key]), id(table))
@@ -502,18 +541,19 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand, keys=None) -> dic
         return {**mats, key: products[ident]}
 
     def a_step(tlist, u, v):
-        key, a_mat = grid.pair_matrix("a", u - 1, v - 1)
-        return [times(mats, key, a_mat) for mats in tlist]
+        return [times(mats, "a", u - 1, v - 1) for mats in tlist]
 
     def b_step(tlist, u, v):
-        key, terms = (min(u, v) - 1, max(u, v) - 1), []
-        for mats in tlist:
-            if u < v and mats.get(key) is cross[key]:
-                terms.append({edge: m for edge, m in mats.items() if edge != key})
-            else:  # the b-table is built only here, where it is read
-                terms.append(times(mats, key, grid.pair_matrix("b", u - 1, v - 1)[1]))
-        return terms
+        key = (u - 1, v - 1)
+        return [{edge: m for edge, m in mats.items() if edge != key}
+                if u < v and mats.get(key) is _UNTOUCHED else times(mats, "b", u - 1, v - 1)
+                for mats in tlist]
 
+    def contracted(mats):  # an edge still untouched reads its cross table
+        return {key: cross.setdefault(key, grid.cross(*key)) if m is _UNTOUCHED else m
+                for key, m in mats.items()}
+
+    untouched = {(a, b): _UNTOUCHED for a in range(k) for b in range(a + 1, k)}
     out = {}
     token = _ELIMINATED.set({})
     try:
@@ -521,7 +561,8 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand, keys=None) -> dic
             if keys is not None and pi.images not in keys:
                 continue
             total = 0j
-            for rho, tlist in _push(pi, [cross], a_step, b_step).items():
+            for rho, tlist in _push(pi, [untouched], a_step, b_step).items():
+                tlist = [contracted(mats) for mats in tlist]
                 for phi_coef, slots in phi_us:
                     # variable b reads the slot s with rho(s) = b
                     us = {b: slots[rho.index(b + 1)][b] for b in range(k)}
@@ -961,13 +1002,22 @@ def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQu
     """E[q^{sum h}] for the q-Hahn quadrant model via the fully fused formula.
 
     The formula divides by z^2 and by s: ParameterSingularityError names ``params/z``
-    where z * z is 0 (z = 0, or z^2 underflows) and ``params/s`` where s is 0.
+    where z * z is 0 (z = 0, or z^2 underflows) and ``params/s`` where s is 0.  Outside
+    the model's regime 0 < s^2 < z^2 < 1 the integral is no expectation, and
+    ``lattice.check_qhahn_regime``, the check its sampler runs, raises at ``params``.
     """
     pts, colors = _read_query(query.points, query.colors, [query.pi])
     if z * z == 0:
         raise ParameterSingularityError(f"z = {z}: z^2 is 0", field="params/z")
     if s == 0:
         raise ParameterSingularityError("s = 0", field="params/s")
+    check_qhahn_regime(s, z)
+    return _qhahn_fused(q, s, z, boundary_levels, pts, colors, query.pi, nodes_per_circle, tol, cap)
+
+
+def _qhahn_fused(q, s, z, boundary_levels, pts, colors, pi, nodes_per_circle, tol, cap):
+    """The fused 8.5 integral at doubled points ``pts`` for any s != 0 and z^2 != 0.  Inside
+    the regime it is the moment; at z^2 = q^{-L} it is the integral of L fused rows."""
     params = ModelParams(q=q, boundary_levels=tuple(boundary_levels))
     levels = [params.level(c) for c in colors]
     if not pts[-1][1] > 2 * levels[-1]:
@@ -979,8 +1029,8 @@ def qmoment_qhahn(q: float, s: float, z: float, boundary_levels, query: MomentQu
     # left of alpha, and the measure factor s/(s - w) = 1/(1 - w/s)
     psi = [([zi2 * s] * ((b2 - 1) // 2) + [s] * ((a2 - 1) // 2),
             [s] * ((b2 - 1) // 2) + [1 / s] * ((a2 + 1) // 2)) for a2, b2 in pts]
-    return _q_formula(phi, psi, build_contours_qhahn(s, z, q, len(pts)), q, [query.pi],
-                      nodes_per_circle, tol, cap)[query.pi.images]
+    return _q_formula(phi, psi, build_contours_qhahn(s, z, q, len(pts)), q, [pi],
+                      nodes_per_circle, tol, cap)[pi.images]
 
 
 # ---------------------------------------------------------------------------

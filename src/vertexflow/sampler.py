@@ -59,6 +59,7 @@ from .lattice import (
     ModelParams,
     SkewDomain,
     _read_height,
+    check_qhahn_regime,
     dbl,
     height_anchor,
     quadrant_coloring,
@@ -552,8 +553,7 @@ def qhahn_boundary_probs(q: float, s: float, z: float) -> np.ndarray:
     so if rho < 1 the terms after Prob(k) sum to at most Prob(k) rho / (1 - rho).  A law
     longer than ``QHAHN_BOUNDARY_TERMS`` (length grows like 1 / (1 - r)) raises at params/s.
     """
-    if not (0 < s * s < z * z < 1):
-        raise ParameterRangeError("q-Hahn boundary needs 0 < s^2 < z^2 < 1")
+    check_qhahn_regime(s, z)
     r = s * s / (z * z)
     pref = _poch_inf(r, q) / _poch_inf(s * s, q)
     probs, total = [], 0.0

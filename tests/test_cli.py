@@ -524,6 +524,18 @@ def test_moment_qhahn_singular_parameter_exits_2_at_its_field(tmp_path, capsys, 
     assert f"at {pointer}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [{"s": 0.7, "z": 0.4}, {"z": 1.2}])
+def test_moment_qhahn_outside_its_regime_exits_2_at_params(tmp_path, capsys, change):
+    # outside 0 < s^2 < z^2 < 1 the 8.5 integral is no expectation: no value is written
+    query = write(tmp_path, "q.json", {"points": [[1.5, 3.5], [2.5, 3.5]], "colors": [0, 1],
+                                       "pi": [2, 1], "params": dict(QHAHN_PARAMS, **change)})
+    out = tmp_path / "r.json"
+    code = run(["moment", "--theorem", "8.5", "--query", query, "--out", str(out)])
+    assert code == 2
+    assert "at /params: q-Hahn boundary needs 0 < s^2 < z^2 < 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_beta_delay_past_t_max_exits_2_at_delays(tmp_path, capsys):
     # a delay with nothing to simulate is an error, not a batch of empty rows
     cfg = write(tmp_path, "cfg.json", {"params": {"sigma": 6.0, "rho": 1.5, "t_max": 5,

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexflow import qmoments
-from vertexflow.contours import build_contours
-from vertexflow.errors import UnsupportedRegimeError, ValidationError
+from vertexflow.contours import build_contours, build_contours_beta
+from vertexflow.errors import ParameterRangeError, UnsupportedRegimeError, ValidationError
 from vertexflow.hecke import Permutation, PointFunction, apply_T_pi
 from vertexflow.lattice import ModelParams, SkewDomain, UpLeftPath, rectangle_domain
 from vertexflow.qmoments import (
@@ -349,15 +349,18 @@ def test_qhahn_unsupported_regime():
 def test_qhahn_fusion_specialization_finite_L():
     # z^2 = q^{-L} at L = 2: the fused formula equals the unfused higher-spin
     # integrand with row groups (s, qs), all spins s, unit column rapidities,
-    # and the first-column limit s/(s - w)
+    # and the first-column limit s/(s - w).  z^2 > 1 lies outside the q-Hahn
+    # regime, where ``qmoment_qhahn`` raises, so the identity is checked on the
+    # fused integral that it runs inside the regime
     from vertexflow.contours import build_contours_qhahn
 
     q, s, L = 0.45, 0.5, 2
     zq = (q**-L) ** 0.5
     levels = (1, 2)
     for (alpha, beta, c) in [(1.5, 2.5, 0), (1.5, 3.5, 1)]:
-        val_f = qmoment_qhahn(q, s, zq, levels, MomentQuery([(alpha, beta)], [c]),
-                              nodes_per_circle=96)
+        pts, colors = qmoments._read_query([(alpha, beta)], [c])
+        val_f = qmoments._qhahn_fused(q, s, zq, levels, pts, colors, Permutation.identity(1),
+                                      96, qmoments.DEFAULT_TOL, qmoments.NODE_CAP)
         n_rows = int(beta - 0.5)
         us = []
         for _ in range(n_rows):
@@ -554,6 +557,26 @@ def test_qhahn_unsupported_regime_names_points():
     with pytest.raises(UnsupportedRegimeError) as info:
         qmoment_qhahn(0.4, 0.4, 0.7, QHAHN_LEVELS, MomentQuery([(1.5, 1.5)], [3]))
     assert info.value.field == "points"
+
+
+QHAHN_CLI_QUERY = MomentQuery([(1.5, 3.5), (2.5, 3.5)], [0, 1], Permutation((2, 1)))
+
+
+@pytest.mark.parametrize("s, z", [(0.7, 0.4), (1.5, 0.7), (0.4, 0.4), (0.7, 0.7), (0.4, 1.2)])
+def test_qhahn_outside_its_regime_raises_at_params(s, z):
+    # E[q^{sum h}] lies in (0, 1]; outside 0 < s^2 < z^2 < 1 the integral is no
+    # expectation (3112.54 at (0.7, 0.4), -19.01 at (1.5, 0.7)), so it is not returned
+    with pytest.raises(ParameterRangeError) as info:
+        qmoment_qhahn(0.4, s, z, QHAHN_LEVELS, QHAHN_CLI_QUERY)
+    assert info.value.field == "params"
+    assert str(info.value) == "q-Hahn boundary needs 0 < s^2 < z^2 < 1"
+
+
+def test_qhahn_moment_reads_only_s_squared():
+    plus = qmoment_qhahn(0.4, 0.4, 0.7, QHAHN_LEVELS, QHAHN_CLI_QUERY)
+    minus = qmoment_qhahn(0.4, -0.4, 0.7, QHAHN_LEVELS, QHAHN_CLI_QUERY)
+    assert plus.converged and minus.converged
+    assert abs(plus.value - minus.value) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -939,3 +962,76 @@ def test_cross_approx_stops_at_roundoff():
     assert x.shape == (40, 3) and y.shape == (3, 30)
     assert np.abs(low - x @ y).max() <= 1e-15 * np.abs(low).max()
     assert _cross_approx(rng.standard_normal((40, 30))) is None  # rank >= 15: not split
+
+
+# ---------------------------------------------------------------------------
+# closed-form cross products and lazy cross tables
+# ---------------------------------------------------------------------------
+
+
+CLOSED_FORM_FAMILIES = {
+    "corpus k = 3": lambda mp: captured_integrand(
+        mp, lambda: qmoment_skew_multi(*CORPUS_K3, Permutation.all(3)))[0],
+    "Beta k = 3": lambda mp: build_contours_beta(6.0, 1.5, 3),
+}
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
+@pytest.mark.parametrize("variant", ["q", "polymer"])
+def test_cross_times_is_the_cross_table_times_the_dl_table(monkeypatch, family, variant):
+    # a_(x,y), a_(y,x) and b_(y,x) on every pair x < y: the closed form, whose factor
+    # denominator w_y - w_x has cancelled, is the product entry by entry to roundoff;
+    # the coarse level reads a stride-2 view of it
+    fine = qmoments._Grid.build(CLOSED_FORM_FAMILIES[family](monkeypatch), 32, variant, 0.33)
+    coarse = fine.coarse()
+    for x in range(3):
+        for y in range(x + 1, 3):
+            for tag, u, v in (("a", x, y), ("a", y, x), ("b", y, x)):
+                key, table = fine.pair_matrix(tag, u, v)
+                assert key == (x, y)
+                want = fine.cross(x, y) * table
+                got = fine.cross_times(tag, u, v)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want)), (tag, u, v)
+                assert coarse.cross_times(tag, u, v).base is got
+
+
+def pair_tables(monkeypatch, formula) -> list:
+    """The tables of every grid that ``formula()`` evaluates its pairing on."""
+    pairing, grids = qmoments._pairing_on_grid, []
+
+    def recorded(grid, integrand, keys=None):
+        grids.append(grid)
+        return pairing(grid, integrand, keys)
+
+    monkeypatch.setattr(qmoments, "_pairing_on_grid", recorded)
+    formula()
+    return [grid._tables for grid in grids]
+
+
+README_QUERY = [(1.5, 2.5), (2.5, 1.5)], [0, 1]
+
+
+@pytest.mark.parametrize("formula", [
+    lambda: qmoment_skew(SKEW_DOMAIN, SKEW_PARAMS, MomentQuery(*README_QUERY, Permutation((2, 1)))),
+    lambda: qmoment_qhahn(0.4, 0.4, 0.7, QHAHN_LEVELS, QHAHN_CLI_QUERY),
+], ids=["6.1", "8.5"])
+def test_pi_21_builds_one_pair_table_and_no_cross_table(monkeypatch, formula):
+    # T_(2,1) gives a_(1,2), which reads the closed form of cross(0, 1) * a, and b_(1,2),
+    # which drops the edge: the plain cross table is never read, so never built
+    tables = pair_tables(monkeypatch, formula)
+    assert tables
+    for grid_tables in tables:
+        assert len(grid_tables) == 1 and ("cross", 0, 1) not in grid_tables
+
+
+def test_identity_pi_builds_the_cross_table_once_per_grid(monkeypatch):
+    # with no DL factor every edge is untouched when contracted: each grid holds the
+    # cross table alone, and a coarse level reads its finer's
+    tables = pair_tables(monkeypatch, lambda: qmoment_skew(
+        SKEW_DOMAIN, SKEW_PARAMS, MomentQuery(*README_QUERY), nodes_per_circle=NODES))
+    assert len(tables) >= 2
+    for grid_tables in tables:
+        assert list(grid_tables) == [("cross", 0, 1)]
+    fine, coarse = tables[0][("cross", 0, 1)], tables[1][("cross", 0, 1)]
+    assert coarse.base is fine
