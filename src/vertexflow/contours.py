@@ -182,14 +182,12 @@ def build_contours(inside, outside, k: int, q: float) -> ContourFamily:
     excluded = _dedupe(excluded)
 
     clusters = [[p] for p in inside]
-    for _ in range(len(inside) + 1):
+    while True:  # each pass merges two clusters or stops
         circles = [_cluster_circle(cl, excluded) for cl in clusters]
         merged = _merge_overlaps(clusters, circles)
         if merged is None:
             break
         clusters = merged
-    else:
-        raise ContourError("pole clustering failed to stabilize")
 
     r0_bound = min(abs(p) for p in inside + excluded)
     if r0_bound <= 0:

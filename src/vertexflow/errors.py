@@ -49,7 +49,7 @@ class ContourError(VertexflowError):
 
 
 class ContourResolutionError(VertexflowError):
-    """Quadrature hit a non-finite value; the node count is too low."""
+    """Quadrature hit a non-finite value: the parameters overflow the integrand."""
 
 
 class UnsupportedRegimeError(VertexflowError):

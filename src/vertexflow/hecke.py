@@ -5,6 +5,9 @@ Two operator variants share all machinery here:
 * ``"q"``:        T_i = q + (w_{i+1} - q w_i)/(w_{i+1} - w_i) (t_i - 1)
 * ``"polymer"``:  T_i = 1 + (w_{i+1} - w_i + 1)/(w_{i+1} - w_i) (t_i - 1)
 
+Each variant is stated once, as the two functions den and a_num of ``_variant``:
+a_i = a_num(w_i, w_{i+1})/(w_{i+1} - w_i) and b_i = den(w_i, w_{i+1})/(w_{i+1} - w_i).
+
 Writing T_i = a_i(w) + b_i(w) t_i, the expansion T_pi = sum_rho kappa_pi^rho t_rho
 obeys the push rule: a source kappa^rho contributes to target rho with factor
 a_i evaluated at (w_{rho(i)}, w_{rho(i+1)}) and to target rho*sigma_i with the
@@ -137,24 +140,21 @@ class Permutation:
 # ---------------------------------------------------------------------------
 
 
-def _coeffs(variant: str, q):
+def _variant(variant: str, q):
+    """(den, a_num) of an operator variant: a_i = a_num(w_i, w_{i+1}) / (w_{i+1} - w_i),
+    b_i = den(w_i, w_{i+1}) / (w_{i+1} - w_i), and the cross factor of a pair a < b is
+    (w_b - w_a) / den(w_a, w_b)."""
     if variant == "q":
-        def a(wi, wi1):
-            return (q - 1) * wi1 / (wi1 - wi)
-
-        def b(wi, wi1):
-            return (wi1 - q * wi) / (wi1 - wi)
-
-        return a, b
+        return (lambda x, y: y - q * x), (lambda x, y: (q - 1) * y)
     if variant == "polymer":
-        def a(wi, wi1):
-            return -1 / (wi1 - wi)
-
-        def b(wi, wi1):
-            return (wi1 - wi + 1) / (wi1 - wi)
-
-        return a, b
+        return (lambda x, y: y - x + 1), (lambda x, y: -1)
     raise ValidationError(f"unknown operator variant {variant!r}")
+
+
+def _coeffs(variant: str, q):
+    """(a, b): the functions a_i(w_i, w_{i+1}) and b_i(w_i, w_{i+1}) of ``_variant``."""
+    den, a_num = _variant(variant, q)
+    return (lambda wi, wi1: a_num(wi, wi1) / (wi1 - wi)), (lambda wi, wi1: den(wi, wi1) / (wi1 - wi))
 
 
 def _check_coincidence(wi, wi1):

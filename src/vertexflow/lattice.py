@@ -16,6 +16,7 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 
@@ -70,12 +71,13 @@ class ModelParams:
 
     def __post_init__(self):
         if not (0 < self.q < 1):
-            raise ValidationError("q must lie in (0, 1)")
+            raise ValidationError(f"q must lie in (0, 1), got {self.q}", field="params/q")
         for name in ("row_rapidities", "col_rapidities", "col_spins"):
-            vals = getattr(self, name)
-            object.__setattr__(self, name, tuple(vals))
-            if any(v == 0 for v in getattr(self, name)):
-                raise ValidationError(f"{name} must be nonzero", field=f"params/{name}")
+            vals = tuple(getattr(self, name))
+            object.__setattr__(self, name, vals)
+            if not all(v != 0 and cmath.isfinite(v) for v in vals):
+                raise ValidationError(f"{name} must be finite and nonzero, got {list(vals)}",
+                                      field=f"params/{name}")
         lv = tuple(int(v) for v in self.boundary_levels)
         object.__setattr__(self, "boundary_levels", lv)
         if any(v < 0 for v in lv) or any(a > b for a, b in zip(lv, lv[1:])):
@@ -117,6 +119,15 @@ def check_pole_separation(zetas, q) -> None:
                 raise ValidationError(
                     f"pole separation fails: zeta_{i+1} = q * zeta_{j+1} within 1e-9",
                     field="params")
+
+
+def check_beta_regime(sigma, rho) -> None:
+    """Raise ParameterRangeError at ``params`` unless sigma and rho are finite with
+    sigma > rho > 0, the regime where Beta(sigma - rho, rho) is a law; the Beta polymer's
+    sampler and its moment formula both check it here."""
+    if not (cmath.isfinite(sigma) and sigma > rho > 0):
+        raise ParameterRangeError(f"the Beta polymer needs finite sigma > rho > 0, got "
+                                  f"sigma = {sigma}, rho = {rho}", field="params")
 
 
 def check_qhahn_regime(s, z) -> None:

@@ -5,15 +5,15 @@ prod_a dw_a/(2 pi i w_a) is evaluated on tensor-product trapezoid grids over
 the contour circles.  Applying T_pi to a per-variable product Phi expands,
 via the kappa recursion, into a sum of terms that factor into per-variable
 vectors and pairwise matrices; each term is then a contraction over its pair
-graph, one vector per variable and one matrix per edge.  A b-factor on (u, v)
-with u < v cancels the cross factor of that pair exactly, so the edge is dropped.
-Any other first DL factor on a pair x < y also cancels the cross factor's numerator
-w_y - w_x against its own denominator, so the product is one table in closed form
-with one division (``_Grid.cross_times``): with X = w_x, Y = w_y, a_(x,y), a_(y,x)
-and b_(y,x) give (q-1)Y/(Y - qX), (1-q)X/(Y - qX) and (qY - X)/(Y - qX), or for the
-polymer variant -1/(Y - X + 1), 1/(Y - X + 1) and (Y - X - 1)/(Y - X + 1).  A later
-factor on that edge multiplies its table in.  The cross table of a pair is built
-only where a term contracts the pair untouched.
+graph, one vector per variable and one matrix per edge.  The operator variant is
+two functions of ``hecke._variant``: a_i = a_num(w_i, w_{i+1})/(w_{i+1} - w_i),
+b_i = den(w_i, w_{i+1})/(w_{i+1} - w_i), and the cross factor of a pair x < y is
+(Y - X)/den(X, Y) with X = w_x, Y = w_y.  So a b-factor on (x, y) is the inverse of
+the cross factor, and the edge is dropped; any other first DL factor cancels
+Y - X, leaving one table in closed form with one division (``_Grid.cross_times``):
+a_num(X, Y), -a_num(Y, X) or -den(Y, X) over den(X, Y) for a on (x, y), a on (y, x)
+or b on (y, x).  A later factor on that edge multiplies its table in.  The cross
+table of a pair is built only where a term contracts the pair untouched.
 ``_contract`` sums out a variable with at most two edges by a matvec or one
 GEMM; this covers every graph with k <= 3.  When every variable has three or
 more edges, it splits the edge of least numerical rank r into r rank-1 terms,
@@ -111,9 +111,9 @@ import numpy as np
 from .contours import ContourFamily, build_contours, build_contours_beta, build_contours_qhahn
 from .errors import (ContourResolutionError, ParameterSingularityError, UnsupportedRegimeError,
                      ValidationError)
-from .hecke import Permutation, PointFunction, _coeffs, _push, apply_T_pi
-from .lattice import (ModelParams, SkewDomain, check_pole_separation, check_qhahn_regime, dbl,
-                      whole)
+from .hecke import Permutation, PointFunction, _coeffs, _push, _variant, apply_T_pi
+from .lattice import (ModelParams, SkewDomain, check_beta_regime, check_pole_separation,
+                      check_qhahn_regime, dbl, whole)
 from .weights import qidentity_coef
 
 NODE_CAP = 4096
@@ -213,6 +213,7 @@ class _Grid:
         self.dws = dws
         self.variant = variant
         self.q = q
+        self.den, self.a_num = _variant(variant, q)
         self._finer = finer
         self._tables = {}
 
@@ -236,41 +237,37 @@ class _Grid:
         return _Grid([w[::2] for w in self.nodes], [2 * dw[::2] for dw in self.dws],
                      self.variant, self.q, finer=self)
 
-    def _table(self, key, build, thin):
-        """``build(grid)`` on the finest level; a coarser level applies ``thin`` to its finer's."""
+    def _table(self, key, build):
+        """``build(grid)`` on the finest level; a coarser level reads the stride-2 view of
+        its finer's."""
         if key not in self._tables:
             self._tables[key] = (build(self) if self._finer is None
-                                 else thin(self._finer._table(key, build, thin)))
+                                 else self._finer._table(key, build)[::2, ::2])
         return self._tables[key]
 
     def cross(self, a: int, b: int) -> np.ndarray:
-        """prod factor for the pair a < b (0-based): rows index var a, cols var b."""
+        """prod factor (w_b - w_a) / den(w_a, w_b) for the pair a < b (0-based): rows index
+        var a, cols var b."""
         def build(grid):
-            wa = grid.nodes[a][:, None]
-            wb = grid.nodes[b][None, :]
-            if grid.variant == "q":
-                return (wb - wa) / (wb - grid.q * wa)
-            return (wb - wa) / (wb - wa + 1)
+            wa, wb = grid.nodes[a][:, None], grid.nodes[b][None, :]
+            return (wb - wa) / grid.den(wa, wb)
 
-        return self._table(("cross", a, b), build, lambda m: m[::2, ::2])
+        return self._table(("cross", a, b), build)
 
     def cross_times(self, tag: str, u: int, v: int) -> np.ndarray:
-        """``cross(x, y) * pair_matrix(tag, u, v)[1]`` for {x, y} = {u, v}, x < y, in closed
-        form with one division: the factor's denominator w_y - w_x cancels against the
-        cross factor's numerator.  Rows index x; ("b", x, y) drops the edge and has none."""
+        """``cross(x, y) * pair_matrix(tag, u, v)`` for {x, y} = {u, v}, x < y, with one
+        division: the factor's denominator w_y - w_x cancels against the cross factor's
+        numerator.  With X = w_x, Y = w_y that leaves a_num(X, Y), -a_num(Y, X) or -den(Y, X)
+        over den(X, Y) for a on (x, y), a on (y, x) or b on (y, x); b on (x, y) is exactly 1,
+        an edge the caller drops.  Rows index x."""
         def build(grid):
             x, y = sorted((u, v))
             wx, wy = grid.nodes[x][:, None], grid.nodes[y][None, :]
-            if grid.variant == "q":
-                q = grid.q
-                num = ((q - 1) * wy if u < v else (1 - q) * wx) if tag == "a" else q * wy - wx
-                den = wy - q * wx
-            else:
-                num = (-1 if u < v else 1) if tag == "a" else wy - wx - 1
-                den = wy - wx + 1
+            num = grid.a_num(wx, wy) if u < v else -(grid.a_num if tag == "a" else grid.den)(wy, wx)
+            den = grid.den(wx, wy)
             return np.divide(num, den, out=den)
 
-        return self._table(("cross", tag, u, v), build, lambda m: m[::2, ::2])
+        return self._table(("cross", tag, u, v), build)
 
     def cross_factors(self, a: int, b: int):
         """``_ranked(cross(a, b))``.  On the finest level it factors the stride-2
@@ -284,20 +281,15 @@ class _Grid:
                                  else _ranked(self.cross(a, b)))
         return self._tables[key]
 
-    def pair_matrix(self, tag: str, u: int, v: int) -> tuple:
-        """Coefficient matrix for DL-recursion factors on the variable pair (u, v).
-
-        Returns (key, mat) with key = (min(u,v), max(u,v)) and mat oriented
-        rows = key[0], cols = key[1].
-        """
+    def pair_matrix(self, tag: str, u: int, v: int) -> np.ndarray:
+        """Coefficient matrix for DL-recursion factors on the variable pair (u, v), with
+        rows indexing min(u, v) and columns max(u, v)."""
         def build(grid):
             fn = _coeffs(grid.variant, grid.q)[tag == "b"]
             wu, wv = grid.nodes[u], grid.nodes[v]
-            if u < v:
-                return (u, v), fn(wu[:, None], wv[None, :])
-            return (v, u), fn(wu[None, :], wv[:, None])
+            return fn(wu[:, None], wv[None, :]) if u < v else fn(wu[None, :], wv[:, None])
 
-        return self._table((tag, u, v), build, lambda km: (km[0], km[1][::2, ::2]))
+        return self._table((tag, u, v), build)
 
 
 class _Cross(tuple):
@@ -394,12 +386,9 @@ def _oriented(mats: dict, a: int, b: int) -> np.ndarray:
 # the edge of a DL term that no factor has touched yet: its cross factor, still unbuilt
 _UNTOUCHED = object()
 
-# {(a, v, b, id(u_v), id(M_av), id(M_vb)): (u_v, M_av, M_vb, M_av diag(u_v) M_vb)} of the
-# top-level ``_contract`` calls of the innermost ``_pairing_on_grid``; None outside every call
-_ELIMINATED: ContextVar[dict | None] = ContextVar("vertexflow_eliminated", default=None)
 
-
-def _contract(us: dict, mats: dict, factors, cached: dict | None = None) -> complex:
+def _contract(us: dict, mats: dict, factors, cached: dict | None = None,
+              memo: dict | None = None) -> complex:
     """sum over the grid of prod_a us[a][n_a] * prod_{(a,b) in mats} mats[(a,b)][n_a, n_b].
 
     ``us`` maps each variable to its node vector and ``mats`` maps a pair a < b
@@ -419,12 +408,11 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None) -> comp
     no edge has rank below half its order does the routine condition on the first
     variable of most edges, one subgraph per node.
 
-    A call with no ``cached`` is a top-level call: inside ``_pairing_on_grid`` it
-    takes each degree-two product from that call's memo (``_ELIMINATED``), keyed by
-    the identity of (u_v, M_av, M_vb), and multiplies a memoised edge out of place.
-    Split terms and conditioned subgraphs pass ``cached`` and memoise nothing.
+    ``memo``, which only top-level calls pass (``_pairing_on_grid`` passes its own),
+    maps (a, v, b, id(u_v), id(M_av), id(M_vb)) to (u_v, M_av, M_vb, M_av diag(u_v) M_vb):
+    each degree-two product is taken from it, and a memoised edge is multiplied out of
+    place.  Split terms and conditioned subgraphs memoise nothing.
     """
-    memo = _ELIMINATED.get() if cached is None else None
     us, mats, cached = dict(us), dict(mats), dict(cached or {})
     scale = 1
     while us:
@@ -508,12 +496,12 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand, keys=None) -> dic
     other first factor on an untouched edge reads the closed-form product
     ``grid.cross_times``, and a factor on a touched or dropped edge multiplies it by
     the a- or b-table.  An edge still untouched when its term is contracted becomes
-    ``grid.cross``, so a cross table is built only where a term reads it.  The terms
-    of every pi are one expansion: each product of an edge with an a- or b-table,
-    and each (phi term, slot, variable) vector, is built once per call, so equal
-    chains in different terms are the same objects, and ``_contract`` builds one
-    degree-two product per distinct (u_v, M_av, M_vb) of its top-level calls.
-    Nothing of this outlives the call.
+    ``grid.cross``, so a cross table is built only where a term reads it, and the grid
+    ranks it once.  The terms of every pi are one expansion: each product of an edge
+    with an a- or b-table, and each (phi term, slot, variable) vector, is built once
+    per call, so equal chains in different terms are the same objects, and the
+    top-level ``_contract`` calls share one ``memo``, which builds one degree-two
+    product per distinct (u_v, M_av, M_vb).  Only the grid's tables outlive the call.
     """
     k = grid.k
     base_u = [grid.dws[a] / grid.nodes[a] for a in range(k)]
@@ -522,17 +510,17 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand, keys=None) -> dic
     phi_us = [(coef, [[base_u[b] * psi_vals[b] * (np.asarray(f(grid.nodes[b])) + 0j)
                        for b in range(k)] for f in factors])
               for coef, factors in integrand.phi_terms]
-    cross = {}  # {pair: grid.cross(*pair)} of the untouched edges a term contracts
     products = {}  # {(id(edge), id(table)): edge * table}; every edge and table outlives it
+    memo = {}  # the degree-two products of the top-level ``_contract`` calls
 
-    def edge_factors(key, mat):
-        return grid.cross_factors(*key) if mat is cross.get(key) else _ranked(mat)
+    def edge_factors(key, mat):  # the grid ranks its own cross tables once
+        return grid.cross_factors(*key) if mat is grid._tables.get(("cross", *key)) else _ranked(mat)
 
     def times(mats, tag, u, v):
         key = (min(u, v), max(u, v))
         if mats.get(key) is _UNTOUCHED:
             return {**mats, key: grid.cross_times(tag, u, v)}
-        table = grid.pair_matrix(tag, u, v)[1]  # a b-table is built only here, where it is read
+        table = grid.pair_matrix(tag, u, v)  # a b-table is built only here, where it is read
         if key not in mats:
             return {**mats, key: table}
         ident = (id(mats[key]), id(table))
@@ -550,27 +538,22 @@ def _pairing_on_grid(grid: _Grid, integrand: PairingIntegrand, keys=None) -> dic
                 for mats in tlist]
 
     def contracted(mats):  # an edge still untouched reads its cross table
-        return {key: cross.setdefault(key, grid.cross(*key)) if m is _UNTOUCHED else m
-                for key, m in mats.items()}
+        return {key: grid.cross(*key) if m is _UNTOUCHED else m for key, m in mats.items()}
 
     untouched = {(a, b): _UNTOUCHED for a in range(k) for b in range(a + 1, k)}
     out = {}
-    token = _ELIMINATED.set({})
-    try:
-        for picoef, pi in integrand.pi_terms:
-            if keys is not None and pi.images not in keys:
-                continue
-            total = 0j
-            for rho, tlist in _push(pi, [untouched], a_step, b_step).items():
-                tlist = [contracted(mats) for mats in tlist]
-                for phi_coef, slots in phi_us:
-                    # variable b reads the slot s with rho(s) = b
-                    us = {b: slots[rho.index(b + 1)][b] for b in range(k)}
-                    for mats in tlist:
-                        total += phi_coef * _contract(us, mats, edge_factors)
-            out[pi.images] = out.get(pi.images, 0j) + picoef * total
-    finally:
-        _ELIMINATED.reset(token)
+    for picoef, pi in integrand.pi_terms:
+        if keys is not None and pi.images not in keys:
+            continue
+        total = 0j
+        for rho, tlist in _push(pi, [untouched], a_step, b_step).items():
+            tlist = [contracted(mats) for mats in tlist]
+            for phi_coef, slots in phi_us:
+                # variable b reads the slot s with rho(s) = b
+                us = {b: slots[rho.index(b + 1)][b] for b in range(k)}
+                for mats in tlist:
+                    total += phi_coef * _contract(us, mats, edge_factors, memo=memo)
+        out[pi.images] = out.get(pi.images, 0j) + picoef * total
     return out
 
 
@@ -617,10 +600,13 @@ def _estimate(fine: complex, coarse: complex, coarser, turned, tol: float) -> fl
     return sharp if sharp < tol else two
 
 
+@np.errstate(all="ignore")  # a level that overflows is reported below, not warned about
 def _adaptive(fam: ContourFamily, variant: str, q, evaluate, nodes_per_circle: int | None,
               tol: float, cap: int) -> dict:
     """The adaptive loop: {key: MomentResult} for ``evaluate(grid) -> {key: value}``;
-    ``evaluate(grid, keys)`` may return only the listed keys.
+    ``evaluate(grid, keys)`` may return only the listed keys.  A non-finite value
+    raises ContourResolutionError at ``params``: the nodes stay off every pole, so
+    only the parameters can overflow the integrand, and no node count helps.
 
     Level n is priced against its stride-2 subset n/2 (an odd start count is
     first doubled, so the requested grid is that subset).  Where some key misses
@@ -642,9 +628,9 @@ def _adaptive(fam: ContourFamily, variant: str, q, evaluate, nodes_per_circle: i
     while True:
         for v in fine.values():
             if not np.isfinite(v):
-                raise ContourResolutionError(
-                    f"non-finite integral value at {n} nodes per circle; increase nodes"
-                )
+                raise ContourResolutionError(f"non-finite integral value at {n} nodes per "
+                                             f"circle: the parameters overflow the integrand",
+                                             field="params")
         missed = [key for key in fine if not abs(fine[key] - coarse[key]) < tol]
         turned = None
         if missed and _reads_quarter(n):
@@ -1047,8 +1033,7 @@ def beta_moment(sigma: float, rho: float, points, delays, pi: Permutation | None
     (alpha, beta) = (m - 1/2, t - 1/2); ``delays`` are the c_i.  The contours are
     ``build_contours_beta``'s, passed to ``pairing_values`` as they are.
     """
-    if not sigma > rho > 0:
-        raise ValidationError("need sigma > rho > 0", field="params")
+    check_beta_regime(sigma, rho)
     k = len(points)
     pi = pi or Permutation.identity(k)
     try:

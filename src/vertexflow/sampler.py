@@ -59,6 +59,7 @@ from .lattice import (
     ModelParams,
     SkewDomain,
     _read_height,
+    check_beta_regime,
     check_qhahn_regime,
     dbl,
     height_anchor,
@@ -675,8 +676,7 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
     ``t_max``, the delays and the keep points are whole numbers, each delay in
     0 <= d < t_max; ValidationError names the CLI field at fault.
     """
-    if not sigma > rho > 0:
-        raise ParameterRangeError("need sigma > rho > 0")
+    check_beta_regime(sigma, rho)
     t_max = whole(t_max, "params/t_max")
     if t_max < 1:
         raise ValidationError(f"need t_max >= 1, got {t_max}", field="params/t_max")

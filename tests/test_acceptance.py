@@ -417,10 +417,10 @@ def test_criterion_5_k4_sums_out_through_the_split_factors(monkeypatch):
 
     contract = qmoments._contract
 
-    def doubled(us, mats, factors, cached=None):
+    def doubled(us, mats, factors, cached=None, memo=None):
         cached = {key: (2 * x, y) for key, f in (cached or {}).items()
                   for x, y in [qmoments._factored(f, mats[key])]}
-        return contract(us, mats, factors, cached)
+        return contract(us, mats, factors, cached, memo)
 
     monkeypatch.setattr(qmoments, "_contract", doubled)
     got = qmoments._pairing_on_grid(grid, integrand)[pi.images]

@@ -688,11 +688,11 @@ FUZZ_MODELS = {
 }
 
 
-def fuzzed_params(model, mixes=40):
-    """``model``'s params with its real slots (scalars and list entries) taken from
-    ``FUZZ_VALUES``: each slot alone at each value, every slot at one value, and ``mixes``
-    draws of a fixed-seed generator."""
-    (doc, fields), rng = FUZZ_MODELS[model], random.Random(f"sample-fuzz-{model}")
+def fuzzed_params(model, mixes=40, table=FUZZ_MODELS, command="sample"):
+    """``model``'s params in ``table`` with its real slots (scalars and list entries) taken
+    from ``FUZZ_VALUES``: each slot alone at each value, every slot at one value, and
+    ``mixes`` draws of a generator seeded by ``command`` and ``model``."""
+    (doc, fields), rng = table[model], random.Random(f"{command}-fuzz-{model}")
     slots = [(f, i) for f in fields
              for i in (range(len(doc["params"][f])) if isinstance(doc["params"][f], list) else [None])]
 
@@ -729,6 +729,42 @@ def test_sample_fuzzed_params_exit_0_or_2_at_a_params_pointer(tmp_path, capsys, 
         assert "Traceback" not in err, (params, err)
         if code == 0:
             assert len(out.read_text().splitlines()) == 3, params
+        else:
+            assert code == 2 and "configuration error at /params" in err, (params, code, err)
+        out.unlink(missing_ok=True)
+
+
+FUZZ_HS = {"q": 0.5, "row_rapidities": [5.0, 6.0, 7.0], "col_rapidities": [1.0, 1.1, 1.2],
+           "col_spins": [4.0, 4.0, 4.0], "boundary_levels": [1, 2, 3]}
+# each theorem's query, the CLI step's shape at its default start count, and the params
+# fields of it that hold reals
+FUZZ_THEOREMS = {
+    "6.1": ({"points": [[1.5, 2.5], [2.5, 1.5]], "colors": [0, 1], "pi": [2, 1], "domain": DOMAIN,
+             "params": PARAMS}, ["q", "row_rapidities", "col_rapidities"]),
+    "8.1": ({"points": [[1.5, 2.5], [2.5, 1.5]], "colors": [0, 1], "pi": [2, 1], "params": FUZZ_HS},
+            ["q", "row_rapidities", "col_rapidities", "col_spins"]),
+    "8.4": ({"points": [[1.5, 2.5], [2.5, 1.5]], "colors": [1, 2], "pi": [2, 1], "params": FUZZ_HS},
+            ["q", "row_rapidities", "col_rapidities", "col_spins"]),
+    "8.5": ({"points": [[1.5, 3.5], [2.5, 3.5]], "colors": [0, 1], "pi": [2, 1],
+             "params": QHAHN_PARAMS}, ["q", "s", "z"]),
+    "9.2": (dict(BETA_QUERY, pi=[2, 1]), ["sigma", "rho"]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theorem", FUZZ_THEOREMS)
+def test_moment_fuzzed_params_exit_0_or_2_at_a_params_pointer(tmp_path, capsys, theorem):
+    # the moment twin of the sample fuzz: the run either writes its result or is a config
+    # error named at /params or below, never a traceback, a numpy warning or the root pointer
+    doc, _ = FUZZ_THEOREMS[theorem]
+    for params in fuzzed_params(theorem, table=FUZZ_THEOREMS, command="moment"):
+        query = write(tmp_path, "q.json", dict(doc, params=params))
+        out = tmp_path / "r.json"
+        code = run(["moment", "--theorem", theorem, "--query", query, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, (params, err)
+        if code == 0:
+            assert json.loads(out.read_text())["theorem"] == theorem, params
         else:
             assert code == 2 and "configuration error at /params" in err, (params, code, err)
         out.unlink(missing_ok=True)

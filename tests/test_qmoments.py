@@ -412,8 +412,28 @@ def test_beta_moment_second_moment_vs_mc():
 def test_beta_moment_constraint_validation():
     with pytest.raises(ValidationError):
         beta_moment(6.0, 1.5, [(3, 4)], [2])  # alpha + c > beta
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParameterRangeError):
         beta_moment(1.0, 1.5, [(1, 3)], [0])  # sigma <= rho
+
+
+@pytest.mark.parametrize("delays, wording", [([-1], "delays must be nonnegative"),
+                                             ([3], "need c_k < beta_k")])
+def test_beta_moment_delay_out_of_range_raises_at_colors(delays, wording):
+    # the delays are the query's colors: below 0, or at or past the last point's t
+    with pytest.raises(ValidationError, match=wording) as info:
+        beta_moment(6.0, 1.5, [(1, 3)], delays)
+    assert info.value.field == "colors"
+
+
+@pytest.mark.parametrize("sigma, rho", [(np.inf, 1.5), (6.0, np.nan), (np.nan, 1.5), (1.5, 1.5)])
+def test_beta_regime_is_one_check_for_sampler_and_moment(sigma, rho):
+    # sigma and rho finite with sigma > rho > 0, else ParameterRangeError at params, from
+    # the simulation and the moment formula alike
+    for call in (lambda: simulate_beta_polymer(sigma, rho, 4, {0}, seed=0, count=2),
+                 lambda: beta_moment(sigma, rho, [(1, 3)], [0])):
+        with pytest.raises(ParameterRangeError, match="finite sigma > rho > 0") as info:
+            call()
+        assert info.value.field == "params"
 
 
 # ---------------------------------------------------------------------------
@@ -776,10 +796,10 @@ def top_level_graphs(monkeypatch) -> list:
     """The edge sets of the top-level ``_contract`` calls made from here on."""
     contract, graphs = qmoments._contract, []
 
-    def recorded(us, mats, factors, cached=None):
+    def recorded(us, mats, factors, cached=None, memo=None):
         if cached is None:
             graphs.append(set(mats))
-        return contract(us, mats, factors, cached)
+        return contract(us, mats, factors, cached, memo)
 
     monkeypatch.setattr(qmoments, "_contract", recorded)
     return graphs
@@ -987,8 +1007,7 @@ def test_cross_times_is_the_cross_table_times_the_dl_table(monkeypatch, family, 
     for x in range(3):
         for y in range(x + 1, 3):
             for tag, u, v in (("a", x, y), ("a", y, x), ("b", y, x)):
-                key, table = fine.pair_matrix(tag, u, v)
-                assert key == (x, y)
+                table = fine.pair_matrix(tag, u, v)
                 want = fine.cross(x, y) * table
                 got = fine.cross_times(tag, u, v)
                 assert got.shape == want.shape

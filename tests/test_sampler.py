@@ -140,6 +140,13 @@ def test_enumeration_cap():
         enumerate_sc6v(dom, params)
 
 
+def test_higher_spin_enumeration_cap_is_4_vertices():
+    params = ModelParams(q=0.5, row_rapidities=(5.0, 6.0, 7.0), col_rapidities=(1.0, 1.1),
+                         col_spins=(4.0, 4.0), boundary_levels=(1, 2, 3))
+    with pytest.raises(EnumerationCapError, match="6 vertices exceeds the cap 4"):
+        enumerate_higher_spin(params, (3, 2))
+
+
 def test_sc6v_colors_above_int8_match_oracle():
     # colors 129 and 130 do not fit int8 edge labels
     params = ModelParams(q=0.4, row_rapidities=(2.0,), col_rapidities=(1.0,))
