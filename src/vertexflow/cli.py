@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -324,10 +325,12 @@ def _cmd_kappa(args) -> int:
 
 
 def _polymer_flags(args) -> None:
-    """Reject flags outside sigma > rho > 0, t >= 1, 0 <= delay < t, 1 <= m <= t - delay
-    at the flag at fault."""
-    if not args.rho > 0:
-        raise ConfigError(f"/rho: need rho > 0, got {args.rho}")
+    """Reject flags outside sigma > rho > 0 (both finite), t >= 1, 0 <= delay < t,
+    1 <= m <= t - delay at the flag at fault."""
+    if not (math.isfinite(args.rho) and args.rho > 0):
+        raise ConfigError(f"/rho: need finite rho > 0, got {args.rho}")
+    if not math.isfinite(args.sigma):
+        raise ConfigError(f"/sigma: need finite sigma, got {args.sigma}")
     if not args.sigma > args.rho:
         raise ConfigError(f"/sigma: need sigma > rho, got sigma = {args.sigma}, rho = {args.rho}")
     if args.t < 1:

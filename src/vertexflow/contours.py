@@ -244,10 +244,12 @@ def build_contours_beta(sigma: float, rho: float, k: int) -> ContourFamily:
     """Concentric circles around -sigma/2: radius r_1 + (a-1)(1+delta) for
     variable a, with the first delta of 0.1, 0.02, 0.005 that fits; each
     contains the (-1)-shift of the previous one and excludes sigma/2 - rho and
-    sigma/2."""
+    sigma/2.  At k = 1 nothing nests, so the one circle takes r_1 = (sigma - rho)/4,
+    a quarter of the way to the nearest excluded pole: around the pole of order m
+    at -sigma/2, a small circle sums terms that cancel to lose digits."""
     span = sigma - rho  # distance from -sigma/2 to the nearest excluded pole
     for dlt in (0.1, 0.02, 0.005):
-        r1 = min(0.25, 0.05 * span)
+        r1 = span / 4 if k == 1 else min(0.25, 0.05 * span)
         rk = r1 + (k - 1) * (1 + dlt)
         if rk < 0.85 * span:
             per_var = [

@@ -23,14 +23,19 @@ capped at half the order of the full matrix; only an edge the contraction
 chooses is factored at full size, seeded with the submatrix pivots doubled.
 Every factorization stops at roundoff: the largest entry of the explicit
 residual is at most 1e-15 of the largest entry of the matrix.  Pair matrices
-on q-nested circles are smooth, so their rank is low (28 to 53 at 192 nodes
-per variable).  The split passes its rankings of the other edges down to its
-terms, and a degree-two variable v between a and b is summed out through the
-factors of its edge of lower rank r < N_v / 2: M_av diag(u_v) M_vb becomes
-x @ ((y u_v) @ M_vb) (or the mirrored form), two thin GEMMs of 2 r N^2
-multiply-adds in place of one square GEMM of N^3.  For K4 that is both GEMMs
-of every term, at r = 31 against N = 192, so of its six edges only the split
-edge and the two edges of those steps are factored at full size.  A graph that
+on q-nested circles are smooth, so their rank is low: 28 to 32 at 192 nodes
+per variable for a pair a, b at distance |a - b| >= 2, but 51 to 53 for
+adjacent variables, whose circles lie closest.  So the edges at distance 2 or
+more are ranked first, and an adjacent pair only on demand: when no ranked edge
+serves the split, or a degree-two step of its terms.  The split passes its
+rankings of the other edges down to its terms, and a degree-two variable v
+between a and b is summed out through the factors of its edge of lower rank
+r < N_v / 2: M_av diag(u_v) M_vb becomes x @ ((y u_v) @ M_vb) (or the
+mirrored form), two thin GEMMs of 2 r N^2 multiply-adds in place of one square
+GEMM of N^3.  For K4 that is both GEMMs of every term, at r = 31 against
+N = 192: of its six edges, only the three at distance 2 or 3 are ranked, and
+they are the split edge and the two edges of those steps, the only ones
+factored at full size.  A graph that
 never splits is never ranked and keeps the square GEMM, but the DL terms of
 every pi on a grid are one expansion: a product of an edge with an a- or b-table
 and a (phi term, slot, variable) vector are each built once per evaluation, and a
@@ -104,6 +109,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, permutations, product
 
 import numpy as np
@@ -311,42 +317,41 @@ def _cross_approx(mat: np.ndarray, cap: int | None = None, seed=()):
     The ``seed`` pivots come first, each from one residual row and column at O(N r);
     a seed whose residual pivot is at roundoff is skipped.  Complete pivoting on the
     explicit residual mat - x @ y finishes, and goes on until that residual passes.
+    Row r of ``xt`` and of ``y`` take the column and the scaled row of pivot r in
+    place; x = xt[:r].T, so every product reads the factors in the layout returned.
     """
     mat = np.asarray(mat, dtype=complex)
     if cap is None:
         cap = (min(mat.shape) - 1) // 2
     stop = 1e-15 * np.abs(mat).max()
-    cols, rows, pivots = [], [], []
-
-    def factors():
-        return (np.array(cols).reshape(len(cols), mat.shape[0]).T,
-                np.array(rows).reshape(len(rows), mat.shape[1]))
-
+    xt, y = np.empty((cap, mat.shape[0]), complex), np.empty((cap, mat.shape[1]), complex)
+    pivots = []
     for i, j in seed:
-        x, y = factors()
-        col = mat[:, j] - x @ y[:, j]
+        r = len(pivots)
+        col = mat[:, j] - xt[:r].T @ y[:r, j]
         if abs(col[i]) <= stop:
             continue
-        if len(pivots) == cap:
+        if r == cap:
             return None
-        cols.append(col)
-        rows.append((mat[i] - x[i] @ y) / col[i])
+        y[r] = (mat[i] - xt[:r, i] @ y[:r]) / col[i]
+        xt[r] = col
         pivots.append((i, j))
     res, mag, outer = np.empty_like(mat), np.empty(mat.shape), np.empty_like(mat)
     while True:
-        x, y = factors()
-        np.subtract(mat, np.matmul(x, y, out=res), out=res)
+        r = len(pivots)
+        np.subtract(mat, np.matmul(xt[:r].T, y[:r], out=res), out=res)
         np.abs(res, out=mag)
         i, j = divmod(int(mag.argmax()), res.shape[1])
         if mag[i, j] <= stop:
-            return _Cross(x, y, pivots)
+            return _Cross(xt[:r].copy().T, y[:r].copy(), pivots)
         while mag[i, j] > stop:
-            if len(pivots) == cap:
+            if r == cap:
                 return None
-            cols.append(res[:, j].copy())
-            rows.append(res[i] / res[i, j])
+            xt[r] = res[:, j]
+            y[r] = res[i] / res[i, j]
             pivots.append((i, j))
-            res -= np.multiply(cols[-1][:, None], rows[-1][None, :], out=outer)
+            res -= np.multiply(xt[r][:, None], y[r][None, :], out=outer)
+            r += 1
             np.abs(res, out=mag)
             i, j = divmod(int(mag.argmax()), res.shape[1])
 
@@ -369,13 +374,50 @@ def _factored(f, mat: np.ndarray):
     return f.full
 
 
-def _least_rank(records: dict, mats: dict):
-    """(key, factors of ``mats[key]``) for the edge of least rank among ``records`` whose
-    full-size factorization stays below half rank; None if there is none."""
-    for _, key in sorted((f[0].shape[1], key) for key, f in records.items()):
+def _least_rank(records: dict, mats: dict, keys, n: int | None = None):
+    """(key, factors of ``mats[key]``) for the edge of least rank r among ``keys`` that
+    ``records`` ranks, with 2r below ``n`` (by default the order of its matrix) and a
+    full-size factorization that stays below half rank; None if there is none."""
+    ranked = sorted((f[0].shape[1], key) for key in keys if (f := records.get(key)) is not None
+                    and 2 * f[0].shape[1] < (n or min(mats[key].shape)))
+    for _, key in ranked:
         if (f := _factored(records[key], mats[key])) is not None:
             return key, f
     return None
+
+
+def _edge(a: int, b: int) -> tuple:
+    """The key of the edge {a, b}: (min, max)."""
+    return (min(a, b), max(a, b))
+
+
+def _neighbours(vs, edges) -> dict:
+    """The sorted neighbours of each variable of ``vs`` in the graph of ``edges``."""
+    nbrs = {v: [] for v in vs}
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return {v: sorted(ws) for v, ws in nbrs.items()}
+
+
+@lru_cache(maxsize=1024)
+def _eliminations(vs: frozenset, edges: frozenset) -> tuple:
+    """(v, neighbours of v) for each variable that ``_contract`` sums out of the graph of
+    ``vs`` and ``edges``, in turn: the last variable of least degree, while it has at most
+    two edges.  Summing out v between a and b leaves the edge (a, b).  Every term of a
+    split has the same graph, so the plan is made once per graph."""
+    vs, edges, steps = set(vs), set(edges), []
+    while vs:
+        nbrs = _neighbours(vs, edges)
+        v = max(vs, key=lambda v: (-len(nbrs[v]), v))
+        if len(nbrs[v]) > 2:
+            break
+        vs.remove(v)
+        edges.difference_update(_edge(v, w) for w in nbrs[v])
+        if len(nbrs[v]) == 2:
+            edges.add(tuple(nbrs[v]))
+        steps.append((v, tuple(nbrs[v])))
+    return tuple(steps)
 
 
 def _oriented(mats: dict, a: int, b: int) -> np.ndarray:
@@ -397,16 +439,21 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None,
     or, with their pivots, of its stride-2 submatrix (as ``_ranked`` gives); the
     rank of x ranks the edge, and only an edge chosen by that rank is factored at
     full size (``_factored``).  ``cached`` maps some pairs to their records.  The
-    last variable v of least degree is summed out while it has at most two edges:
-    by a sum, a matvec into its neighbour, or into the edge between its two
-    neighbours a and b.  That edge is M_av diag(u_v) M_vb: two thin GEMMs through
-    the factors of the cached edge of v of lower rank r if 2r < N_v, else one
-    square GEMM.  Once every variable has three or more edges, each edge is ranked,
-    by ``factors(key, mat)`` unless cached, and the edge of least rank r below half
-    its order is split into its r rank-1 terms, each a graph with that edge gone;
-    the records of the other edges go down to the terms as ``cached``.  Only when
-    no edge has rank below half its order does the routine condition on the first
-    variable of most edges, one subgraph per node.
+    variables are summed out in the order of ``_eliminations`` while one has at
+    most two edges: by a sum, a matvec into its neighbour, or into the edge between
+    its two neighbours a and b.  That edge is M_av diag(u_v) M_vb: two thin GEMMs
+    through the factors of the cached edge of v of lower rank r if 2r < N_v, else one
+    square GEMM.  Once every variable has three or more edges, the edges at distance
+    |a - b| >= 2 are ranked, by ``factors(key, mat)`` unless cached, and the edge of
+    least rank r below half its order is split into its r rank-1 terms, each a graph
+    with that edge gone.  A distance-1 edge, of higher rank on q-nested circles, is
+    ranked only on demand: for the split when no ranked edge qualifies, and for a
+    degree-two step of the terms whose edges include no ranked edge that qualifies.
+    The split walks the terms' eliminations once to find those, so each edge is ranked
+    once for all terms, and the records go down to the terms as ``cached``; an edge
+    left unranked is in neither.  Only when no edge has rank below half its order
+    does the routine condition on the first variable of most edges, one subgraph per
+    node.
 
     ``memo``, which only top-level calls pass (``_pairing_on_grid`` passes its own),
     maps (a, v, b, id(u_v), id(M_av), id(M_vb)) to (u_v, M_av, M_vb, M_av diag(u_v) M_vb):
@@ -415,24 +462,17 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None,
     """
     us, mats, cached = dict(us), dict(mats), dict(cached or {})
     scale = 1
-    while us:
-        nbrs = {v: [] for v in us}
-        for a, b in mats:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        v = max(us, key=lambda v: (-len(nbrs[v]), v))
-        if len(nbrs[v]) > 2:
-            break
+    for v, nbrs in _eliminations(frozenset(us), frozenset(mats)):
         uv = us.pop(v)
-        if not nbrs[v]:
+        if not nbrs:
             scale = scale * uv.sum()
-        elif len(nbrs[v]) == 1:
-            (w,) = nbrs[v]
+        elif len(nbrs) == 1:
+            (w,) = nbrs
             us[w] = us[w] * (_oriented(mats, w, v) @ uv)
-            del mats[min(v, w), max(v, w)]
+            del mats[_edge(v, w)]
         elif memo is not None:  # top level: nothing is cached, so the product is square
-            a, b = sorted(nbrs[v])
-            av, vb = (min(a, v), max(a, v)), (min(v, b), max(v, b))
+            a, b = nbrs
+            av, vb = _edge(a, v), _edge(v, b)
             ident = (a, v, b, id(uv), id(mats[av]), id(mats[vb]))
             if ident not in memo:  # the entry holds its inputs, so their ids stay theirs
                 memo[ident] = (uv, mats[av], mats[vb],
@@ -441,12 +481,10 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None,
             del mats[av], mats[vb]
             mats[(a, b)] = mats[(a, b)] * edge if (a, b) in mats else edge
         else:
-            a, b = sorted(nbrs[v])
-            thin = _least_rank({key: f for key in ((min(a, v), max(a, v)), (min(v, b), max(v, b)))
-                                if (f := cached.get(key)) is not None
-                                and 2 * f[0].shape[1] < len(uv)}, mats)
+            a, b = nbrs
+            thin = _least_rank(cached, mats, (_edge(a, v), _edge(v, b)), len(uv))
             m_av, m_vb = _oriented(mats, a, v), _oriented(mats, v, b)
-            del mats[min(a, v), max(a, v)], mats[min(v, b), max(v, b)]
+            del mats[_edge(a, v)], mats[_edge(v, b)]
             if thin is None:
                 left, right = m_av * uv, m_vb
             else:
@@ -467,17 +505,32 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None,
     if not us:
         return scale
 
+    # adjacent pairs have the highest rank on nested circles: ranked only when needed
     records = {key: cached[key] if key in cached else factors(key, mat)
-               for key, mat in mats.items()}
-    split = _least_rank({key: f for key, f in records.items()
-                         if f is not None and 2 * f[0].shape[1] < min(mats[key].shape)}, mats)
+               for key, mat in mats.items() if key in cached or key[1] - key[0] > 1}
+    split = _least_rank(records, mats, records)
+    if split is None:
+        later = {key: factors(key, mat) for key, mat in mats.items() if key not in records}
+        records.update(later)
+        split = _least_rank(records, mats, later)
     total = 0j
     if split:
         (a, b), (x, y) = split
         del mats[(a, b)], records[(a, b)]
+        # every term takes the same degree-two steps: one that finds no ranked edge to
+        # thin through ranks its edges here, once for all terms
+        built = set()  # edges an earlier step rebuilt, which the terms never cache
+        for v, nbrs in _eliminations(frozenset(us), frozenset(mats)):
+            if len(nbrs) == 2:
+                keys = [key for key in (_edge(nbrs[0], v), _edge(v, nbrs[1])) if key not in built]
+                if _least_rank(records, mats, keys, len(us[v])) is None:
+                    records.update({key: factors(key, mats[key]) for key in keys
+                                    if key not in records})
+                built.add(tuple(nbrs))
         for t in range(x.shape[1]):
             total += _contract({**us, a: us[a] * x[:, t], b: us[b] * y[t]}, mats, factors, records)
     else:
+        nbrs = _neighbours(us, mats)
         v = min(us, key=lambda v: (-len(nbrs[v]), v))
         uv = us.pop(v)
         rest = {key: m for key, m in mats.items() if v not in key}

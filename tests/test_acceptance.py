@@ -428,9 +428,10 @@ def test_criterion_5_k4_sums_out_through_the_split_factors(monkeypatch):
 
 
 def test_criterion_5_k4_factors_only_the_edges_it_uses(monkeypatch):
-    # every edge is ranked on its stride-2 submatrix (N = 96); only the split edge (the
-    # far pair (0, 3), of least rank) and the distance-2 pairs of the two thin steps
-    # are factored at full size (N = 192); the coarse level reads the rankings as its
+    # the three pairs at distance >= 2 are ranked on their stride-2 submatrices (N = 96);
+    # the adjacent pairs, never chosen, are not ranked.  Only the split edge (the far
+    # pair (0, 3), of least rank) and the distance-2 pairs of the two thin steps are
+    # factored at full size (N = 192); the coarse level reads the rankings as its
     # factors, so it factors nothing
     from vertexflow import qmoments
     from vertexflow.verify import _cut_moment_query
@@ -457,10 +458,150 @@ def test_criterion_5_k4_factors_only_the_edges_it_uses(monkeypatch):
 
     monkeypatch.setattr(qmoments, "_cross_approx", counted)
     qmoments._pairing_on_grid(grid, integrand)
-    assert sorted(shapes) == [(96, 96)] * 6 + [(192, 192)] * 3
+    assert sorted(shapes) == [(96, 96)] * 3 + [(192, 192)] * 3
     assert sorted(full) == [(0, 2), (0, 3), (1, 3)]
     qmoments._pairing_on_grid(grid.coarse(), integrand)
-    assert len(shapes) == 9
+    assert len(shapes) == 6
+
+
+def test_criterion_5_k4_ranks_only_the_pairs_at_distance_two(monkeypatch):
+    # on both levels of every k = 4 integral of criterion 5, only the pairs with
+    # |a - b| >= 2 are ranked, yet the split and the thin steps of every term choose
+    # the edges, and factor them at the ranks, that ranking all six pairs would give
+    from vertexflow import qmoments
+    from vertexflow.verify import _cut_moment_query, _shifted_params
+
+    captured = []
+    monkeypatch.setattr(qmoments, "pairing_values",
+                        lambda fam, integrand, q, *args: captured.append((fam, integrand, q))
+                        or {integrand.pi_terms[0][1].images: None})
+    for col_a, col_b, phi, psi, powers, params in criterion_5_pairs():
+        for col, par in ((col_a, params), (col_b, _shifted_params(params, phi, psi))):
+            pts, cols, pi = _cut_moment_query(col, powers)
+            if len(pts) == 4:
+                qmoment_skew(col.domain, par, MomentQuery(pts, cols, pi), nodes_per_circle=64)
+    assert len(captured) == 12
+
+    ranked_mats, steps = [], []
+    ranked, least_rank = qmoments._ranked, qmoments._least_rank
+
+    def recorded_ranked(mat):
+        ranked_mats.append(mat)
+        return ranked(mat)
+
+    def recorded_least_rank(records, mats, keys, n=None):
+        keys = list(keys)
+        got = least_rank(records, mats, keys, n)
+        if got is not None:
+            steps.append((n is None, keys, got[0], got[1][0].shape[1]))
+        return got
+
+    monkeypatch.setattr(qmoments, "_ranked", recorded_ranked)
+    monkeypatch.setattr(qmoments, "_least_rank", recorded_least_rank)
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    for fam, integrand, q in captured:
+        fine = qmoments._Grid.build(fam, 64, "q", q)
+        # every pair ranked and factored as before: the choice a full ranking makes
+        records = {key: ranked(fine.cross(*key)) for key in pairs}
+        rank = {key: f[0].shape[1] for key, f in records.items()}
+        full = {key: qmoments._cross_approx(fine.cross(*key), seed=[
+            (2 * i, 2 * j) for i, j in f.pivots])[0].shape[1] for key, f in records.items()}
+        for grid in (fine, fine.coarse()):
+            ranked_mats.clear()
+            steps.clear()
+            qmoments._pairing_on_grid(grid, integrand)
+            got = sorted(key for key in pairs for mat in ranked_mats if mat is fine.cross(*key))
+            assert got == ([(0, 2), (0, 3), (1, 3)] if grid is fine else []), got
+            n = len(grid.nodes[0])
+            ((_, _, split, split_rank),) = [step for step in steps if step[0]]
+            assert split == min(pairs, key=lambda key: (rank[key], key))
+            assert split_rank == (full[split] if grid is fine else rank[split])
+            thin = [step for step in steps if not step[0]]
+            # the split looks ahead at both degree-two steps, then every term takes both
+            # through factors: none sums out through a square GEMM
+            assert len(thin) == 2 + 2 * split_rank
+            for _, keys, key, r in thin:
+                assert key == min((e for e in keys if 2 * rank[e] < n),
+                                  key=lambda e: (rank[e], e))
+                assert r == (full[key] if grid is fine else rank[key])
+
+
+def _rebuilt_cross_approx(mat, cap=None, seed=()):
+    """``qmoments._cross_approx`` with its factors stacked anew from lists before every
+    step, as it was before it filled them in place: the reference for its bits."""
+    from vertexflow.qmoments import _Cross
+
+    mat = np.asarray(mat, dtype=complex)
+    if cap is None:
+        cap = (min(mat.shape) - 1) // 2
+    stop = 1e-15 * np.abs(mat).max()
+    cols, rows, pivots = [], [], []
+
+    def factors():
+        return (np.array(cols).reshape(len(cols), mat.shape[0]).T,
+                np.array(rows).reshape(len(rows), mat.shape[1]))
+
+    for i, j in seed:
+        x, y = factors()
+        col = mat[:, j] - x @ y[:, j]
+        if abs(col[i]) <= stop:
+            continue
+        if len(pivots) == cap:
+            return None
+        cols.append(col)
+        rows.append((mat[i] - x[i] @ y) / col[i])
+        pivots.append((i, j))
+    res, mag, outer = np.empty_like(mat), np.empty(mat.shape), np.empty_like(mat)
+    while True:
+        x, y = factors()
+        np.subtract(mat, np.matmul(x, y, out=res), out=res)
+        np.abs(res, out=mag)
+        i, j = divmod(int(mag.argmax()), res.shape[1])
+        if mag[i, j] <= stop:
+            return _Cross(x, y, pivots)
+        while mag[i, j] > stop:
+            if len(pivots) == cap:
+                return None
+            cols.append(res[:, j].copy())
+            rows.append(res[i] / res[i, j])
+            pivots.append((i, j))
+            res -= np.multiply(cols[-1][:, None], rows[-1][None, :], out=outer)
+            np.abs(res, out=mag)
+            i, j = divmod(int(mag.argmax()), res.shape[1])
+
+
+def test_cross_approx_fills_the_factors_of_the_rebuilt_loop(monkeypatch):
+    # ranked on the stride-2 submatrix and factored at full size from the doubled
+    # pivots, as a split factors the six cross tables of the first criterion-5 K4 grid,
+    # and seeded at random on a low-rank matrix: the same pivots and factors, bit for bit
+    from vertexflow import qmoments
+    from vertexflow.verify import _cut_moment_query
+
+    captured = []
+    monkeypatch.setattr(qmoments, "pairing_values",
+                        lambda fam, integrand, q, *args: captured.append((fam, q))
+                        or {integrand.pi_terms[0][1].images: None})
+    col_a, _, _, _, powers, params = _criterion_5_k4_pair()
+    qmoment_skew(col_a.domain, params, MomentQuery(*_cut_moment_query(col_a, powers)),
+                 nodes_per_circle=64)
+    ((fam, q),) = captured
+    grid = qmoments._Grid.build(fam, 64, "q", q)
+    cases = []
+    for a in range(4):
+        for b in range(a + 1, 4):
+            mat = grid.cross(a, b)
+            ranking = _rebuilt_cross_approx(mat[::2, ::2], (len(mat) - 1) // 2)
+            cases += [(mat[::2, ::2], (len(mat) - 1) // 2, ()),
+                      (mat, None, [(2 * i, 2 * j) for i, j in ranking.pivots])]
+    rng = np.random.default_rng(29)
+    low = (rng.standard_normal((60, 6)) + 1j * rng.standard_normal((60, 6))) @ \
+        (rng.standard_normal((6, 50)) + 1j * rng.standard_normal((6, 50)))
+    cases.append((low, None, [tuple(p) for p in rng.integers(0, 50, (8, 2))] + [(3, 7), (3, 7)]))
+    for mat, cap, seed in cases:
+        want, got = _rebuilt_cross_approx(mat, cap, seed), qmoments._cross_approx(mat, cap, seed)
+        assert got.pivots == want.pivots
+        assert got[0].shape == want[0].shape and (got[0] == want[0]).all()
+        assert got[1].shape == want[1].shape and (got[1] == want[1]).all()
 
 
 def _criterion_5_k4_pair():
@@ -470,8 +611,8 @@ def _criterion_5_k4_pair():
 
 
 def test_criterion_5_k4_shift_check_builds_one_grid(monkeypatch):
-    # both sides of the pair have the same poles, so the check ranks the six edges and
-    # factors the three it uses once, for both integrals (12 + 6 with a grid per side);
+    # both sides of the pair have the same poles, so the check ranks the three pairs at
+    # distance >= 2 and factors them once, for both integrals (6 + 6 with a grid per side);
     # the grid dies with the check: a later integral ranks and factors its own
     from vertexflow import qmoments
     from vertexflow.verify import _cut_moment_query
@@ -488,12 +629,12 @@ def test_criterion_5_k4_shift_check_builds_one_grid(monkeypatch):
     rep = check_shift_invariance(col_a, col_b, phi, psi, powers, params, method="enumerate",
                                  nodes_per_circle=64)
     assert rep.passed, rep
-    assert sorted(shapes) == [(96, 96)] * 6 + [(192, 192)] * 3
+    assert sorted(shapes) == [(96, 96)] * 3 + [(192, 192)] * 3
     assert qmoments._SHARED.get() is None
     shapes.clear()
     qmoment_skew(col_a.domain, params, MomentQuery(*_cut_moment_query(col_a, powers)),
                  nodes_per_circle=64)
-    assert sorted(shapes) == [(96, 96)] * 6 + [(192, 192)] * 3
+    assert sorted(shapes) == [(96, 96)] * 3 + [(192, 192)] * 3
 
 
 def test_criterion_5_k4_shared_grid_gives_the_same_bits(monkeypatch):

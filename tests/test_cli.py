@@ -167,6 +167,8 @@ def test_kappa_flag_error_exits_2_at_its_flag(capsys, flags, pointer):
     (["--sigma", "6", "--rho", "1.5", "--m", "1", "--t", "0"], "/t"),
     (["--sigma", "1", "--rho", "1.5", "--m", "1", "--t", "3"], "/sigma"),
     (["--sigma", "6", "--rho", "-1", "--m", "1", "--t", "3"], "/rho"),
+    (["--sigma", "inf", "--rho", "1.5", "--m", "1", "--t", "3"], "/sigma"),  # was /params
+    (["--sigma", "6", "--rho", "inf", "--m", "1", "--t", "3"], "/rho"),  # was /sigma
 ])
 def test_polymer_flag_error_exits_2_at_its_flag(capsys, flags, pointer):
     assert run(["polymer", *flags]) == 2

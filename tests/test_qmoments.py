@@ -399,6 +399,17 @@ def test_beta_moment_boundary_and_products():
     assert abs(got - beta_first_moment(sig, rho, 1, 2, 5)) < 1e-9
 
 
+@pytest.mark.parametrize("sigma, rho, m, t, delay", [
+    (4.78, 2.33, 5, 6, 1),  # 4.2e-11 off at 128 nodes per circle on a circle of 0.12
+    (10.0, 0.3, 6, 9, 2),  # 1.1e-8 off at 4096 nodes per circle on a circle of 0.25
+])
+def test_beta_first_moment_on_a_wide_circle(sigma, rho, m, t, delay):
+    # at k = 1 the circle around the order-m pole -sigma/2 has radius (sigma - rho)/4
+    got = beta_moment(sigma, rho, [(m, t)], [delay])
+    assert got.converged
+    assert abs(got.value - beta_first_moment(sigma, rho, delay, m, t)) < 1e-12
+
+
 def test_beta_moment_second_moment_vs_mc():
     sig, rho = 6.0, 1.5
     bb = simulate_beta_polymer(sig, rho, 4, {0}, seed=31, count=150000,
@@ -937,6 +948,39 @@ def test_contraction_through_ranked_edges_matches_brute_force_sum(graph):
     want = brute_force_contract(us, mats)
     got = _contract(us, mats, lambda key, mat: _ranked(mat),
                     {key: _ranked(mats[key]) for key in cached})
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_split_ranks_an_adjacent_pair_only_for_a_step_that_needs_it(monkeypatch):
+    # a K4 of 16 nodes per variable split at (0, 2), the least rank among the pairs at
+    # distance >= 2; each term then sums out variable 2 between 1 and 3, whose edges are
+    # both adjacent pairs.  The split ranks those two once for both of its terms, each
+    # term sums out through the thinner, (1, 2), and the dense pair (0, 1) is never ranked
+    rng = np.random.default_rng(7)
+
+    def near_one(*shape):
+        return 1 + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    ranks = {(0, 1): None, (0, 2): 2, (0, 3): 6, (1, 2): 2, (1, 3): 6, (2, 3): 3}
+    mats = {key: near_one(16, 16) if r is None else near_one(16, r) @ near_one(r, 16) / r
+            for key, r in ranks.items()}
+    us = {a: near_one(16) for a in range(4)}
+    ranked, thin = [], []
+    least_rank = qmoments._least_rank
+
+    def recorded(records, mats, keys, n=None):
+        got = least_rank(records, mats, keys, n)
+        if n is not None and got is not None:
+            thin.append(got[0])
+        return got
+
+    monkeypatch.setattr(qmoments, "_least_rank", recorded)
+    got = _contract(us, mats, lambda key, mat: ranked.append(key) or _cross_approx(mat))
+    assert ranked == [(0, 2), (0, 3), (1, 3), (1, 2), (2, 3)]
+    # the split's look-ahead finds (0, 3) ranked for v = 3; then each term takes (1, 2)
+    # for v = 2 and (0, 3) for v = 3
+    assert thin == [(0, 3)] + [(1, 2), (0, 3)] * 2
+    want = brute_force_contract(us, mats)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
