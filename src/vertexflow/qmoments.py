@@ -47,6 +47,24 @@ rank below half its order does the contraction condition on one variable, one
 subgraph per node.  The stride-2 submatrix of a cross matrix is the cross
 matrix of the next coarser level, which takes that ranking as its factors.
 
+The terms of a top-level split, and the subgraphs of a top-level conditioning loop,
+are independent sums: ``_in_order`` runs them on the package's thread runner,
+``threads.run_tasks``, on as many threads as the process may use CPUs, the calling
+thread among them, each taking the next term as it finishes one.  It adds their
+values in term order, so an integral has the same bits whatever the number of CPUs.
+A running term holds a scratch (``_Scratch``), one per thread, of the buffers its
+degree-two steps write through ``np.matmul`` and ``np.multiply`` with ``out=``: it
+takes buffers and gives each back once it has read it for the last time, so the
+terms, and the terms of their own splits (k >= 5), run on the same few buffers.  The
+calling thread allocates every scratch: it runs the first term alone and then copies
+the buffers that term took, since glibc keeps what a helper thread allocates in that
+thread's arena, where each split would fault it in anew.  A helper builds no cache
+at k = 4: the split's pre-pass ranks and factors every edge its terms read, and the
+first term, on the calling thread, fills anything else they share.  The splits of a
+k >= 5 term may meet a table, a ranking or full-size factors that no one built yet;
+``_CACHE`` makes their builds one at a time.  Threads pay only where BLAS runs each
+call on one thread (``_in_order``).
+
 A grid holds its tables for as long as it lives, and each integral builds its
 own, except inside a ``shared_grids`` scope: there ``_Grid.build`` hands out the
 grid the scope already built for the same circles per variable, node count,
@@ -106,14 +124,16 @@ of ratios linear in w, kept as closures.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, permutations, product
 
 import numpy as np
 
+from . import threads
 from .contours import ContourFamily, build_contours, build_contours_beta, build_contours_qhahn
 from .errors import (ContourResolutionError, ParameterSingularityError, UnsupportedRegimeError,
                      ValidationError)
@@ -190,6 +210,9 @@ class PairingIntegrand:
 
 # {grid key: _Grid} of the innermost open ``shared_grids`` scope; None outside every scope
 _SHARED: ContextVar[dict | None] = ContextVar("vertexflow_shared_grids", default=None)
+# held while a grid table, a grid's edge ranking or a record's full-size factors is
+# looked up and built: the terms of a k >= 5 split may meet the same one on two threads
+_CACHE = threading.RLock()
 
 
 @contextmanager
@@ -246,10 +269,11 @@ class _Grid:
     def _table(self, key, build):
         """``build(grid)`` on the finest level; a coarser level reads the stride-2 view of
         its finer's."""
-        if key not in self._tables:
-            self._tables[key] = (build(self) if self._finer is None
-                                 else self._finer._table(key, build)[::2, ::2])
-        return self._tables[key]
+        with _CACHE:
+            if key not in self._tables:
+                self._tables[key] = (build(self) if self._finer is None
+                                     else self._finer._table(key, build)[::2, ::2])
+            return self._tables[key]
 
     def cross(self, a: int, b: int) -> np.ndarray:
         """prod factor (w_b - w_a) / den(w_a, w_b) for the pair a < b (0-based): rows index
@@ -280,12 +304,13 @@ class _Grid:
         submatrix, which is the cross matrix of the next coarser level: that level reads
         it as its own factors.  A level further down ranks its own cross matrix."""
         key = ("factors", a, b)
-        if key not in self._tables:
-            finer = self._finer
-            self._tables[key] = (finer.cross_factors(a, b)
-                                 if finer is not None and finer._finer is None
-                                 else _ranked(self.cross(a, b)))
-        return self._tables[key]
+        with _CACHE:
+            if key not in self._tables:
+                finer = self._finer
+                self._tables[key] = (finer.cross_factors(a, b)
+                                     if finer is not None and finer._finer is None
+                                     else _ranked(self.cross(a, b)))
+            return self._tables[key]
 
     def pair_matrix(self, tag: str, u: int, v: int) -> np.ndarray:
         """Coefficient matrix for DL-recursion factors on the variable pair (u, v), with
@@ -369,9 +394,10 @@ def _factored(f, mat: np.ndarray):
     else ``mat`` factored from the pivots of ``f`` doubled to (2i, 2j), once per record."""
     if len(f[0]) == len(mat):
         return f
-    if not hasattr(f, "full"):
-        f.full = _cross_approx(mat, seed=[(2 * i, 2 * j) for i, j in f.pivots])
-    return f.full
+    with _CACHE:
+        if not hasattr(f, "full"):
+            f.full = _cross_approx(mat, seed=[(2 * i, 2 * j) for i, j in f.pivots])
+        return f.full
 
 
 def _least_rank(records: dict, mats: dict, keys, n: int | None = None):
@@ -429,6 +455,87 @@ def _oriented(mats: dict, a: int, b: int) -> np.ndarray:
 _UNTOUCHED = object()
 
 
+class _Scratch:
+    """The complex buffers of one thread's degree-two steps, kept by shape: a step takes
+    what it writes and gives back what it has read for the last time, so the terms of a
+    split, and the terms of their own splits, run on the same few buffers.  ``made``
+    lists the shape of each buffer it allocated."""
+
+    def __init__(self, shapes=()):
+        self.free, self.made = {}, []
+        self.give(*[self.take(shape) for shape in shapes])
+
+    def take(self, shape) -> np.ndarray:
+        """A C-contiguous buffer of ``shape``: a free one if there is one, else a new one."""
+        bufs = self.free.get(shape)
+        if bufs:
+            return bufs.pop()
+        self.made.append(shape)
+        return np.empty(shape, complex)
+
+    def scaled(self, mat: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``mat * u`` (``u`` scales the columns) in a buffer of the layout numpy gives it:
+        the transpose of a C-contiguous buffer where ``mat`` is a transpose."""
+        transposed = mat.strides[0] < mat.strides[1]
+        out = self.take(mat.shape[::-1]).T if transposed else self.take(mat.shape)
+        return np.multiply(mat, u, out=out)
+
+    def product(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``left @ right`` in a C-contiguous buffer."""
+        return np.matmul(left, right, out=self.take((left.shape[0], right.shape[1])))
+
+    def give(self, *bufs):
+        for buf in bufs:
+            buf = buf if buf.flags.c_contiguous else buf.T
+            self.free.setdefault(buf.shape, []).append(buf)
+
+
+# the scratch of the running ``_in_order`` term, which its own splits share; None outside
+_SCRATCH: ContextVar[_Scratch | None] = ContextVar("vertexflow_scratch", default=None)
+
+
+def _in_order(term, count: int) -> complex:
+    """term(0) + term(1) + ... + term(count - 1), added in that order whichever thread
+    computes each term, so the sum has the same bits on any number of CPUs.
+
+    Inside a task of this routine the terms run in turn on its scratch.  Otherwise
+    term 0 runs first, on the calling thread and a new scratch, which then holds every
+    buffer a term takes: the terms of a split or of a conditioning loop share their
+    graph and shapes.  The rest are the tasks of ``threads.run_tasks``, which runs at
+    most min(count - 1, CPUs) at a time, each thread taking the next term as it
+    finishes one, so a slower CPU takes fewer.  A task runs on a scratch from a pool
+    of that many: the first one and copies of it allocated here, since glibc keeps
+    what a thread allocates in that thread's arena and would fault it in anew on every
+    split.  That takes a BLAS that runs each call on one thread
+    (``threads.blas_is_single_threaded``); a BLAS with a thread per CPU keeps them
+    busy already, and terms on threads of their own made its threads wait on each
+    other (exact_k4 integrals 2.4x slower on 2 vCPUs), so there the terms run in turn.
+    """
+    if _SCRATCH.get() is not None:
+        values = [term(t) for t in range(count)]
+    else:
+        pool = [_Scratch()]
+
+        def run(t):  # in the task's own context
+            scratch = pool.pop() if pool else _Scratch()  # empty only if cpus() grew
+            _SCRATCH.set(scratch)
+            try:
+                return term(t)
+            finally:
+                pool.append(scratch)
+
+        values = [copy_context().run(run, t) for t in range(min(count, 1))]
+        if count > 1 and threads.blas_is_single_threaded():
+            pool += [_Scratch(pool[0].made) for _ in range(1, min(count - 1, threads.cpus()))]
+            values += threads.run_tasks(partial(run, t) for t in range(1, count))
+        else:
+            values += [copy_context().run(run, t) for t in range(1, count)]
+    total = 0j
+    for value in values:
+        total += value
+    return total
+
+
 def _contract(us: dict, mats: dict, factors, cached: dict | None = None,
               memo: dict | None = None) -> complex:
     """sum over the grid of prod_a us[a][n_a] * prod_{(a,b) in mats} mats[(a,b)][n_a, n_b].
@@ -453,7 +560,13 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None,
     once for all terms, and the records go down to the terms as ``cached``; an edge
     left unranked is in neither.  Only when no edge has rank below half its order
     does the routine condition on the first variable of most edges, one subgraph per
-    node.
+    node.  The terms of a split and the subgraphs of that loop go to ``_in_order``:
+    at the top level they run on every CPU the process may use, and their values are
+    added in term order, as a serial loop would, so the result has the same bits on
+    any number of CPUs.  A degree-two step without ``memo`` writes its products into
+    buffers of the running term's ``_Scratch`` (a new one outside every term) and
+    gives back each edge it sums out; the buffers still held go back when the call
+    returns.
 
     ``memo``, which only top-level calls pass (``_pairing_on_grid`` passes its own),
     maps (a, v, b, id(u_v), id(M_av), id(M_vb)) to (u_v, M_av, M_vb, M_av diag(u_v) M_vb):
@@ -461,6 +574,14 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None,
     place.  Split terms and conditioned subgraphs memoise nothing.
     """
     us, mats, cached = dict(us), dict(mats), dict(cached or {})
+    scratch = _SCRATCH.get()
+    held = {}  # {id: buffer} of the scratch buffers in ``mats``
+
+    def release(*spent):  # edges read for the last time: their buffers go back
+        for buf in spent:
+            if held.pop(id(buf), None) is not None:
+                scratch.give(buf)
+
     scale = 1
     for v, nbrs in _eliminations(frozenset(us), frozenset(mats)):
         uv = us.pop(v)
@@ -469,7 +590,7 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None,
         elif len(nbrs) == 1:
             (w,) = nbrs
             us[w] = us[w] * (_oriented(mats, w, v) @ uv)
-            del mats[_edge(v, w)]
+            release(mats.pop(_edge(v, w)))
         elif memo is not None:  # top level: nothing is cached, so the product is square
             a, b = nbrs
             av, vb = _edge(a, v), _edge(v, b)
@@ -482,26 +603,36 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None,
             mats[(a, b)] = mats[(a, b)] * edge if (a, b) in mats else edge
         else:
             a, b = nbrs
+            scratch = scratch or _Scratch()
             thin = _least_rank(cached, mats, (_edge(a, v), _edge(v, b)), len(uv))
             m_av, m_vb = _oriented(mats, a, v), _oriented(mats, v, b)
-            del mats[_edge(a, v)], mats[_edge(v, b)]
-            if thin is None:
-                left, right = m_av * uv, m_vb
+            spent = mats.pop(_edge(a, v)), mats.pop(_edge(v, b))
+            if thin is None:  # one square GEMM
+                temp = left = scratch.scaled(m_av, uv)
+                right = m_vb
             else:
                 key, (x, y) = thin
                 if a in key:  # M_av = left @ right
                     left, right = (x, y) if a < v else (y.T, x.T)
-                    right = (right * uv) @ m_vb
+                    scaled = scratch.scaled(right, uv)
+                    temp = right = scratch.product(scaled, m_vb)
                 else:  # M_vb = left @ right
                     left, right = (x, y) if v < b else (y.T, x.T)
-                    left = (m_av * uv) @ left
-            # an N^2 edge summed out here is freed before the new one is allocated, and
-            # the product below is taken in place: a term of a split then holds one N^2
-            # temporary at a time, which the allocator reuses from term to term
-            del m_av, m_vb
-            edge = left @ right
+                    scaled = scratch.scaled(m_av, uv)
+                    temp = left = scratch.product(scaled, left)
+                # the N^2 edges summed out go back before the new one is taken: a term
+                # then holds one N^2 buffer at a time
+                scratch.give(scaled)
+                release(*spent)
+            edge = scratch.product(left, right)
+            scratch.give(temp)
+            if thin is None:  # read by the square GEMM
+                release(*spent)
             cached.pop((a, b), None)
-            mats[(a, b)] = np.multiply(mats[(a, b)], edge, out=edge) if (a, b) in mats else edge
+            if (a, b) in mats:
+                np.multiply(mats[(a, b)], edge, out=edge)
+                release(mats[(a, b)])
+            mats[(a, b)] = held[id(edge)] = edge
     if not us:
         return scale
 
@@ -513,7 +644,6 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None,
         later = {key: factors(key, mat) for key, mat in mats.items() if key not in records}
         records.update(later)
         split = _least_rank(records, mats, later)
-    total = 0j
     if split:
         (a, b), (x, y) = split
         del mats[(a, b)], records[(a, b)]
@@ -527,16 +657,23 @@ def _contract(us: dict, mats: dict, factors, cached: dict | None = None,
                     records.update({key: factors(key, mats[key]) for key in keys
                                     if key not in records})
                 built.add(tuple(nbrs))
-        for t in range(x.shape[1]):
-            total += _contract({**us, a: us[a] * x[:, t], b: us[b] * y[t]}, mats, factors, records)
+
+        def term(t):
+            return _contract({**us, a: us[a] * x[:, t], b: us[b] * y[t]}, mats, factors, records)
+
+        total = _in_order(term, x.shape[1])
     else:
         nbrs = _neighbours(us, mats)
         v = min(us, key=lambda v: (-len(nbrs[v]), v))
         uv = us.pop(v)
         rest = {key: m for key, m in mats.items() if v not in key}
-        for i, ui in enumerate(uv):
+
+        def term(i):
             rows = {w: us[w] * _oriented(mats, v, w)[i] for w in nbrs[v]}
-            total += ui * _contract({**us, **rows}, rest, factors, {})
+            return uv[i] * _contract({**us, **rows}, rest, factors, {})
+
+        total = _in_order(term, len(uv))
+    release(*held.values())
     return scale * total
 
 

@@ -3,23 +3,23 @@
 RNG contract: Philox-4x64-10 counter-based generators, keyed (seed, stream).
 ``_stream_slices`` splits a batch of ``count`` samples across ``workers`` streams
 (stream id = worker index, sizes count//workers with the remainder spread over the
-first workers), each owning one slice of the sample axis.  Each sampler allocates
-its whole batch once; one runner, ``_run_streams``, runs the streams on threads
-(numpy releases the GIL in the kernels, RNG fills and ``take``) and each writes its
-own slice, so there is no merge step and results are bit-identical for fixed (seed,
-workers).  Every lattice sampler is one vertex sweep, ``_sweep``, in a fixed order
-(diagonals for SC6V, rows for the rectangles), each step vectorized across the
-batch; q-Hahn's first steps draw its left-boundary edges, one per colored row in
-row order.  Step i of a stream of ``size`` samples reads draws
-[i * size, (i + 1) * size) of it: Philox is counter-based, so ``_rng_at`` places a
-generator at any draw, and a sweep walks each stream's slice in blocks of ``BLOCK``
-samples with one generator per step.  Its scratch is a few block-sized arrays per
-stream, whatever the batch size, and the batch does not depend on ``BLOCK``.  Beta
-variates come from two Gamma draws; a Gamma draw by rejection takes a varying
-number of uniforms, so a Beta stream cannot be placed and is not blocked: its
-recursion runs in place over a few stream-sized arrays per delay, allocated for all
-streams on the calling thread, since a stream thread's own arrays stay resident in
-its glibc arena after the call.
+first workers), each owning one slice of the sample axis.  Each sampler allocates its
+whole batch once; the package's one thread runner, ``threads.run_tasks``, runs the
+streams, stream 0 on the calling thread (numpy releases the GIL in the kernels, RNG
+fills and ``take``), and each writes its own slice, so there is no merge step and
+results are bit-identical for fixed (seed, workers).  Every lattice sampler is one
+vertex sweep, ``_sweep``, in a fixed order (diagonals for SC6V, rows for the
+rectangles), each step vectorized across the batch; q-Hahn's first steps draw its
+left-boundary edges, one per colored row in row order.  Step i of a stream of ``size``
+samples reads draws [i * size, (i + 1) * size) of it: Philox is counter-based, so
+``_rng_at`` places a generator at any draw, and a sweep walks each stream's slice in
+blocks of ``BLOCK`` samples with one generator per step.  Its scratch is a few
+block-sized arrays per stream, whatever the batch size, and the batch does not depend
+on ``BLOCK``.  Beta variates come from two Gamma draws; a Gamma draw by rejection
+takes a varying number of uniforms, so a Beta stream cannot be placed and is not
+blocked: its recursion runs in place over a few stream-sized arrays per delay,
+allocated for all streams on the calling thread, since a stream thread's own arrays
+stay resident in its glibc arena after the call.
 
 Every model lives on a ``SkewDomain``: SC6V on any, the higher-spin and q-Hahn
 models, fusions of SC6V on the quadrant, on ``sc6v_quadrant_domain`` (a rectangle
@@ -46,7 +46,6 @@ feeds both.  Every height is read where ``lattice.height_anchor`` says.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -67,6 +66,7 @@ from .lattice import (
     rectangle_domain,
     whole,
 )
+from .threads import run_tasks
 from .weights import _hs_transitions, _poch_terms, _sc6v_transitions, lattice_sum, qhahn_row
 
 PROB_TOL = 1e-10
@@ -102,19 +102,6 @@ def _stream_slices(count: int, workers: int) -> list:
     base, rem = divmod(count, workers)
     starts = [w * base + min(w, rem) for w in range(min(workers, count) + 1)]
     return [(w, slice(a, b)) for w, (a, b) in enumerate(zip(starts, starts[1:]))]
-
-
-def _run_streams(streams, draw) -> None:
-    """``draw(stream, sl)`` for each stream, writing the slice ``sl`` of arrays the caller
-    allocated for the whole batch.  Streams run on min(streams, CPUs) threads, a single
-    one inline; an error raised in a stream reaches the caller in worker order."""
-    if len(streams) == 1:
-        draw(*streams[0])
-        return
-    from concurrent.futures import ThreadPoolExecutor  # imports logging: only where threads run
-
-    with ThreadPoolExecutor(min(len(streams), os.cpu_count() or 1)) as pool:
-        list(pool.map(lambda stream: draw(*stream), streams))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +379,7 @@ def _sweep(model: _Model, laws, seed: int, count: int, workers: int, fused=np.in
                     v[x, y, ..., block] = out[:-width]
                 h[x, y, ..., block] = out[-width:]
 
-    _run_streams(_stream_slices(count, workers), draw)
+    run_tasks(partial(draw, *stream) for stream in _stream_slices(count, workers))
     return np.moveaxis(h, -1, 0), np.moveaxis(v, -1, 0)
 
 
@@ -734,7 +721,7 @@ def simulate_beta_polymer(sigma: float, rho: float, t_max: int, delays, seed: in
                 if tt == t:
                     values[d, m, tt][sl] = z[d][m - 1] if m < t - d else 1.0
 
-    _run_streams(_stream_slices(count, workers), draw)
+    run_tasks(partial(draw, *stream) for stream in _stream_slices(count, workers))
     return BetaPolymerBatch(sigma, rho, seed, count, values)
 
 

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import os
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -31,3 +33,28 @@ def scaled_contours():
         assert calls, "no pairing_values call to deform"
 
     return scaled
+
+
+@pytest.fixture
+def one_cpu_and_all():
+    """``one_cpu_and_all(compute)`` is (compute() with the CPU affinity of the process
+    patched to one CPU, compute() with the affinity left as it is), both with the
+    thread switch interval at 1 us, so that threads that share state interleave often.
+    The second call reads OPENBLAS_NUM_THREADS=1, so that the terms of a split run on
+    threads whatever the BLAS does."""
+
+    def run(compute):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+                patch.setattr(os, "cpu_count", lambda: 1)
+                serial = compute()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setenv("OPENBLAS_NUM_THREADS", "1")
+                return serial, compute()
+        finally:
+            sys.setswitchinterval(interval)
+
+    return run

@@ -656,6 +656,42 @@ def test_criterion_5_k4_shared_grid_gives_the_same_bits(monkeypatch):
         [(r.value, r.error_estimate, r.nodes_per_circle) for r in alone]
 
 
+def test_criterion_5_k4_integrals_give_the_same_bits_on_any_cpu_count(one_cpu_and_all):
+    # the rank-1 terms of each split run on every CPU the process may use and are summed
+    # in term order, so the twelve k = 4 integrals are the same bit for bit on one CPU
+    from vertexflow.verify import _cut_moment_query, _shifted_params
+
+    queries = [(col.domain, par, MomentQuery(*_cut_moment_query(col, powers)))
+               for col_a, col_b, phi, psi, powers, params in criterion_5_pairs()
+               for col, par in ((col_a, params), (col_b, _shifted_params(params, phi, psi)))
+               if len(_cut_moment_query(col, powers)[0]) == 4]
+    assert len(queries) == 12
+    serial, threaded = one_cpu_and_all(
+        lambda: [qmoment_skew(*query, nodes_per_circle=64) for query in queries])
+    assert serial == threaded
+
+
+def test_pi_4321_gives_the_same_bits_on_any_cpu_count(one_cpu_and_all):
+    # pi = (4,3,2,1) on side A of the seed-11 pair of the exact_k4 benchmark: the first
+    # pair of random_shift_pair(Random(11), 3, 3, 2) whose two cut moments both have
+    # pi = identity.  Its 64 DL terms each split at the top level
+    from vertexflow.verify import _cut_moment_query
+
+    rng = random.Random(11)
+    while True:
+        col_a, col_b, _, _ = random_shift_pair(rng, 3, 3, 2)
+        if all(_cut_moment_query(col, (2, 2))[2] == Permutation.identity(4)
+               for col in (col_a, col_b)):
+            break
+    params = ModelParams(q=0.3, row_rapidities=tuple(2.0 + 0.11 * i for i in range(3)),
+                         col_rapidities=tuple(1.0 + 0.05 * i for i in range(3)))
+    pts, cols, _ = _cut_moment_query(col_a, (2, 2))
+    query = MomentQuery(pts, cols, Permutation((4, 3, 2, 1)))
+    serial, threaded = one_cpu_and_all(
+        lambda: qmoment_skew(col_a.domain, params, query, nodes_per_circle=64))
+    assert serial == threaded
+
+
 # ---------------------------------------------------------------------------
 # criterion 6: fusion consistency
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import weakref
 from unittest import mock
 
@@ -982,6 +983,75 @@ def test_split_ranks_an_adjacent_pair_only_for_a_step_that_needs_it(monkeypatch)
     assert thin == [(0, 3)] + [(1, 2), (0, 3)] * 2
     want = brute_force_contract(us, mats)
     assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_k5_contraction_gives_the_same_bits_on_any_cpu_count(one_cpu_and_all, monkeypatch):
+    # a K5 of rank-4 and rank-5 edges: each term of its split is K5 less an edge, where
+    # every variable keeps three or more edges, so each term splits again on its worker.
+    # Its terms are summed in term order, so one CPU and all CPUs give the same bits
+    rng = np.random.default_rng(31)
+
+    def near_one(*shape):
+        return 1 + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    mats = {key: near_one(12, r) @ near_one(r, 12) / r for key, r in zip(pairs, [4, 5] * 5)}
+    us = {a: near_one(12) for a in range(5)}
+    inside = []  # per split: whether it runs inside a task of another split
+    in_order = qmoments._in_order
+
+    def recorded(term, count):
+        inside.append(qmoments._SCRATCH.get() is not None)
+        return in_order(term, count)
+
+    monkeypatch.setattr(qmoments, "_in_order", recorded)
+    serial, threaded = one_cpu_and_all(lambda: _contract(us, mats, lambda key, mat: _ranked(mat)))
+    assert serial == threaded
+    assert not inside[0] and inside.count(False) == 2 and len(inside) > 2
+    want = brute_force_contract(us, mats)
+    assert abs(serial - want) <= 1e-13 * abs(want)
+
+
+def test_k5_grid_gives_the_same_bits_and_factorizations_on_eight_threads(monkeypatch):
+    # the k = 5 criterion-5 pair at 16 nodes per circle (48 per variable): a top-level
+    # split whose terms each condition on a variable, and whose subgraphs rank edges of
+    # the shared grid.  Eight threads on this machine's CPUs, switching every 1 us, give
+    # the bits of one thread, and build each ranking and full-size factorization once
+    from vertexflow import threads
+    from vertexflow.verify import _cut_moment_query, random_shift_pair
+
+    captured = []
+    monkeypatch.setattr(qmoments, "pairing_values",
+                        lambda fam, integrand, q, *args: captured.append((fam, integrand, q))
+                        or {integrand.pi_terms[0][1].images: None})
+    col_a, _, _, _ = random_shift_pair(random.Random(1), 3, 3, 2)
+    params = ModelParams(q=0.3, row_rapidities=tuple(2.0 + 0.11 * i for i in range(3)),
+                         col_rapidities=tuple(1.0 + 0.05 * i for i in range(3)))
+    qmoment_skew(col_a.domain, params, MomentQuery(*_cut_moment_query(col_a, (2, 3))),
+                 nodes_per_circle=16)
+    ((fam, integrand, q),) = captured
+    shapes = []
+    cross_approx = qmoments._cross_approx
+
+    def counted(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return cross_approx(mat, *args, **kwargs)
+
+    monkeypatch.setattr(qmoments, "_cross_approx", counted)
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 8):
+            monkeypatch.setattr(threads, "cpus", lambda: workers)
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            shapes.clear()
+            grid = qmoments._Grid.build(fam, 16, "q", q)
+            got[workers] = qmoments._pairing_on_grid(grid, integrand), sorted(shapes)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [len(w) for w in grid.nodes] == [48] * 5
+    assert got[1][1] and got[8] == got[1]
 
 
 @st.composite
