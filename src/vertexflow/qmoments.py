@@ -55,15 +55,17 @@ values in term order, so an integral has the same bits whatever the number of CP
 A running term holds a scratch (``_Scratch``), one per thread, of the buffers its
 degree-two steps write through ``np.matmul`` and ``np.multiply`` with ``out=``: it
 takes buffers and gives each back once it has read it for the last time, so the
-terms, and the terms of their own splits (k >= 5), run on the same few buffers.  The
-calling thread allocates every scratch: it runs the first term alone and then copies
-the buffers that term took, since glibc keeps what a helper thread allocates in that
-thread's arena, where each split would fault it in anew.  A helper builds no cache
-at k = 4: the split's pre-pass ranks and factors every edge its terms read, and the
-first term, on the calling thread, fills anything else they share.  The splits of a
-k >= 5 term may meet a table, a ranking or full-size factors that no one built yet;
-``_CACHE`` makes their builds one at a time.  Threads pay only where BLAS runs each
-call on one thread (``_in_order``).
+terms, and the terms of their own splits (k >= 5), run on the same few buffers.  A
+split keeps its scratches while it runs: the first term runs alone on one that the
+calling thread allocates, and a helper thread that finds none free allocates its
+own.  A helper builds no cache at k = 4: the split's pre-pass ranks and factors
+every edge its terms read, and the first term, on the calling thread, fills
+anything else they share.  The splits of a k >= 5 term may meet a table, a ranking
+or full-size factors that no one built yet; the lock of the grid (``_Grid._lock``)
+and of the ranking record (``_Cross.lock``) make each such build happen once.  The
+terms' threads take every CPU the process may use, so a BLAS that starts a thread
+per CPU of its own competes with them; the gain is measured with BLAS on one thread
+per call.
 
 A grid holds its tables for as long as it lives, and each integral builds its
 own, except inside a ``shared_grids`` scope: there ``_Grid.build`` hands out the
@@ -210,9 +212,6 @@ class PairingIntegrand:
 
 # {grid key: _Grid} of the innermost open ``shared_grids`` scope; None outside every scope
 _SHARED: ContextVar[dict | None] = ContextVar("vertexflow_shared_grids", default=None)
-# held while a grid table, a grid's edge ranking or a record's full-size factors is
-# looked up and built: the terms of a k >= 5 split may meet the same one on two threads
-_CACHE = threading.RLock()
 
 
 @contextmanager
@@ -245,6 +244,10 @@ class _Grid:
         self.den, self.a_num = _variant(variant, q)
         self._finer = finer
         self._tables = {}
+        # held while a table or an edge ranking is looked up and built: the terms of a
+        # k >= 5 split may meet the same one on two threads.  A grid shares it with its
+        # coarser levels, which read its tables.
+        self._lock = finer._lock if finer is not None else threading.RLock()
 
     @classmethod
     def build(cls, fam: ContourFamily, nodes_per_circle: int, variant: str, q,
@@ -269,7 +272,7 @@ class _Grid:
     def _table(self, key, build):
         """``build(grid)`` on the finest level; a coarser level reads the stride-2 view of
         its finer's."""
-        with _CACHE:
+        with self._lock:
             if key not in self._tables:
                 self._tables[key] = (build(self) if self._finer is None
                                      else self._finer._table(key, build)[::2, ::2])
@@ -304,7 +307,7 @@ class _Grid:
         submatrix, which is the cross matrix of the next coarser level: that level reads
         it as its own factors.  A level further down ranks its own cross matrix."""
         key = ("factors", a, b)
-        with _CACHE:
+        with self._lock:
             if key not in self._tables:
                 finer = self._finer
                 self._tables[key] = (finer.cross_factors(a, b)
@@ -325,11 +328,14 @@ class _Grid:
 
 class _Cross(tuple):
     """Factors (x, y) of a cross approximation; ``pivots`` holds the (row, column) of each
-    step.  ``_factored`` keeps on a ranking record its full-size factors as ``full``."""
+    step.  ``_factored`` keeps on a ranking record its full-size factors as ``full``,
+    built under the record's ``lock``: the terms of a k >= 5 split may read one record
+    on two threads."""
 
     def __new__(cls, x, y, pivots):
         cross = super().__new__(cls, (x, y))
         cross.pivots = pivots
+        cross.lock = threading.Lock()
         return cross
 
 
@@ -394,7 +400,7 @@ def _factored(f, mat: np.ndarray):
     else ``mat`` factored from the pivots of ``f`` doubled to (2i, 2j), once per record."""
     if len(f[0]) == len(mat):
         return f
-    with _CACHE:
+    with f.lock:
         if not hasattr(f, "full"):
             f.full = _cross_approx(mat, seed=[(2 * i, 2 * j) for i, j in f.pivots])
         return f.full
@@ -458,20 +464,15 @@ _UNTOUCHED = object()
 class _Scratch:
     """The complex buffers of one thread's degree-two steps, kept by shape: a step takes
     what it writes and gives back what it has read for the last time, so the terms of a
-    split, and the terms of their own splits, run on the same few buffers.  ``made``
-    lists the shape of each buffer it allocated."""
+    split, and the terms of their own splits, run on the same few buffers."""
 
-    def __init__(self, shapes=()):
-        self.free, self.made = {}, []
-        self.give(*[self.take(shape) for shape in shapes])
+    def __init__(self):
+        self.free = {}
 
     def take(self, shape) -> np.ndarray:
         """A C-contiguous buffer of ``shape``: a free one if there is one, else a new one."""
         bufs = self.free.get(shape)
-        if bufs:
-            return bufs.pop()
-        self.made.append(shape)
-        return np.empty(shape, complex)
+        return bufs.pop() if bufs else np.empty(shape, complex)
 
     def scaled(self, mat: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``mat * u`` (``u`` scales the columns) in a buffer of the layout numpy gives it:
@@ -499,17 +500,11 @@ def _in_order(term, count: int) -> complex:
     computes each term, so the sum has the same bits on any number of CPUs.
 
     Inside a task of this routine the terms run in turn on its scratch.  Otherwise
-    term 0 runs first, on the calling thread and a new scratch, which then holds every
-    buffer a term takes: the terms of a split or of a conditioning loop share their
-    graph and shapes.  The rest are the tasks of ``threads.run_tasks``, which runs at
-    most min(count - 1, CPUs) at a time, each thread taking the next term as it
-    finishes one, so a slower CPU takes fewer.  A task runs on a scratch from a pool
-    of that many: the first one and copies of it allocated here, since glibc keeps
-    what a thread allocates in that thread's arena and would fault it in anew on every
-    split.  That takes a BLAS that runs each call on one thread
-    (``threads.blas_is_single_threaded``); a BLAS with a thread per CPU keeps them
-    busy already, and terms on threads of their own made its threads wait on each
-    other (exact_k4 integrals 2.4x slower on 2 vCPUs), so there the terms run in turn.
+    term 0 runs first, alone on the calling thread and a scratch allocated here, and
+    the rest are the tasks of ``threads.run_tasks``, which runs at most
+    min(count - 1, CPUs) at a time, each thread taking the next term as it finishes
+    one, so a slower CPU takes fewer.  A task runs on a free scratch of the split, or
+    on one its thread allocates if none is free.
     """
     if _SCRATCH.get() is not None:
         values = [term(t) for t in range(count)]
@@ -517,7 +512,7 @@ def _in_order(term, count: int) -> complex:
         pool = [_Scratch()]
 
         def run(t):  # in the task's own context
-            scratch = pool.pop() if pool else _Scratch()  # empty only if cpus() grew
+            scratch = pool.pop() if pool else _Scratch()  # a helper allocates its own
             _SCRATCH.set(scratch)
             try:
                 return term(t)
@@ -525,11 +520,7 @@ def _in_order(term, count: int) -> complex:
                 pool.append(scratch)
 
         values = [copy_context().run(run, t) for t in range(min(count, 1))]
-        if count > 1 and threads.blas_is_single_threaded():
-            pool += [_Scratch(pool[0].made) for _ in range(1, min(count - 1, threads.cpus()))]
-            values += threads.run_tasks(partial(run, t) for t in range(1, count))
-        else:
-            values += [copy_context().run(run, t) for t in range(1, count)]
+        values += threads.run_tasks(partial(run, t) for t in range(1, count))
     total = 0j
     for value in values:
         total += value

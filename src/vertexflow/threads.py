@@ -25,22 +25,6 @@ def cpus() -> int:
     return os.cpu_count() or 1
 
 
-# where BLAS libraries read their thread count, in the order OpenBLAS and MKL read them
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
-                    "OMP_NUM_THREADS")
-
-
-def blas_is_single_threaded() -> bool:
-    """Whether a BLAS call runs on one thread: the first of ``BLAS_THREAD_VARS`` set to
-    a whole number says 1, or the process may use one CPU.  Unset, a BLAS library
-    starts a thread per CPU."""
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value) == 1
-    return cpus() == 1
-
-
 def run_tasks(tasks) -> list:
     """[task() for task in tasks], each in its own copy of the caller's context.
 

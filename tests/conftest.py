@@ -39,9 +39,7 @@ def scaled_contours():
 def one_cpu_and_all():
     """``one_cpu_and_all(compute)`` is (compute() with the CPU affinity of the process
     patched to one CPU, compute() with the affinity left as it is), both with the
-    thread switch interval at 1 us, so that threads that share state interleave often.
-    The second call reads OPENBLAS_NUM_THREADS=1, so that the terms of a split run on
-    threads whatever the BLAS does."""
+    thread switch interval at 1 us, so that threads that share state interleave often."""
 
     def run(compute):
         interval = sys.getswitchinterval()
@@ -51,9 +49,7 @@ def one_cpu_and_all():
                 patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
                 patch.setattr(os, "cpu_count", lambda: 1)
                 serial = compute()
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setenv("OPENBLAS_NUM_THREADS", "1")
-                return serial, compute()
+            return serial, compute()
         finally:
             sys.setswitchinterval(interval)
 

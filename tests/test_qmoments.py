@@ -3,6 +3,7 @@
 import gc
 import random
 import sys
+import threading
 import weakref
 from unittest import mock
 
@@ -1044,7 +1045,6 @@ def test_k5_grid_gives_the_same_bits_and_factorizations_on_eight_threads(monkeyp
     try:
         for workers in (1, 8):
             monkeypatch.setattr(threads, "cpus", lambda: workers)
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
             shapes.clear()
             grid = qmoments._Grid.build(fam, 16, "q", q)
             got[workers] = qmoments._pairing_on_grid(grid, integrand), sorted(shapes)
@@ -1052,6 +1052,30 @@ def test_k5_grid_gives_the_same_bits_and_factorizations_on_eight_threads(monkeyp
         sys.setswitchinterval(interval)
     assert [len(w) for w in grid.nodes] == [48] * 5
     assert got[1][1] and got[8] == got[1]
+
+
+def test_each_grid_and_record_builds_under_its_own_lock():
+    # integrals on unrelated grids, and the full-size factors of unrelated records,
+    # build at the same time; a coarse level takes the lock of its finer, whose tables
+    # it reads
+    q, zetas = 0.4, [1.1, 1.4]
+    fam = build_contours([1 / t for t in zetas], [1 / (q * t) for t in zetas], 2, q)
+    one, other = (qmoments._Grid.build(fam, 16, "q", q) for _ in range(2))
+    rng = np.random.default_rng(0)
+    mats = [rng.standard_normal((16, 2)) @ rng.standard_normal((2, 16)) for _ in range(2)]
+    records = [qmoments._ranked(mat) for mat in mats]
+    assert one.coarse()._lock is one._lock and records[0][0].shape == (8, 2)
+
+    def built_while_held(lock, build):
+        with lock:
+            builder = threading.Thread(target=build)
+            builder.start()
+            builder.join(10)
+            return not builder.is_alive()
+
+    assert built_while_held(one._lock, lambda: other.cross(0, 1))
+    assert built_while_held(records[0].lock, lambda: qmoments._factored(records[1], mats[1]))
+    assert records[1].full[0].shape == (16, 2)
 
 
 @st.composite

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vertexflow import qmoments, threads
-from vertexflow.threads import BLAS_THREAD_VARS, blas_is_single_threaded, cpus, run_tasks
+from vertexflow.threads import cpus, run_tasks
 
 
 def _on_a_helper(task):
@@ -69,23 +69,6 @@ def test_cpus_counts_the_cpus_the_process_may_use(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert cpus() == 2
-
-
-@pytest.mark.parametrize("env, single", [
-    ({}, False),
-    ({"OMP_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
-    ({"OPENBLAS_NUM_THREADS": "", "MKL_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, False),
-])
-def test_blas_reads_its_thread_count_from_the_environment(monkeypatch, env, single):
-    # unset, a BLAS starts a thread per CPU: two CPUs here
-    monkeypatch.setattr(threads, "cpus", lambda: 2)
-    for var in BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert blas_is_single_threaded() is single
 
 
 def test_one_cpu_runs_every_task_inline(monkeypatch):
